@@ -12,6 +12,7 @@ from .opalg import (
     identity,
     make_elementary,
     momentum,
+    mutual_information,
     partial_trace,
     pauli,
     position,
@@ -57,7 +58,6 @@ from .syncmeter import (
     degree_of_quantumness,
     fit_oscillation,
     mari_measure,
-    mutual_information,
     synchronized_set,
 )
 

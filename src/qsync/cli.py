@@ -21,8 +21,10 @@ Config files are flat `key = value` text with dotted sections, for example::
     run.sample_dt = 2
     analysis.window = 300:1100
 
-Exit codes: 0 ok, 2 config/schema error, 3 truncation-guard abort,
-4 I/O error, 5 sweep with no successful point.
+Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, an
+analysis window too short to fit, or tolerances the integrator cannot
+meet), 3 truncation-guard abort, 4 I/O error, 5 sweep with no successful
+point.  Every failure prints a one-line `error:` message to stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +41,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .lindblad import Tolerances, TruncationError, evolve
+from .lindblad import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_REL_TOL,
+    StepSizeUnderflowError,
+    Tolerances,
+    TruncationError,
+    evolve,
+)
 from .models import (
     CavityQubitParams,
     PRESET_NAMES,
@@ -88,8 +98,8 @@ class ScenarioConfig:
     initial: dict              # {'preset': name} or {factor label: [amps...]}
     t_end: float
     sample_dt: float
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
+    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: float = DEFAULT_ABS_TOL
     window: tuple[float, float] | None = None
     thresholds: AnalysisThresholds = field(default_factory=AnalysisThresholds)
     catalog: str | None = None       # 'pauli' or 'moments:<N>'; default by model
@@ -117,9 +127,12 @@ class ScenarioConfig:
 
 def _parse_number(key: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"key '{key}': cannot parse '{text}' as a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': '{text}' is not a finite number")
+    return value
 
 
 def _parse_amplitudes(key: str, text: str) -> list[complex]:
@@ -248,8 +261,8 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
         initial=initial,
         t_end=run["t_end"],
         sample_dt=run["sample_dt"],
-        rel_tol=run.get("rel_tol", 1e-8),
-        abs_tol=run.get("abs_tol", 1e-10),
+        rel_tol=run.get("rel_tol", DEFAULT_REL_TOL),
+        abs_tol=run.get("abs_tol", DEFAULT_ABS_TOL),
         window=window,
         thresholds=thresholds,
         catalog=catalog,
@@ -684,7 +697,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
+    except (ValueError, StepSizeUnderflowError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TruncationError as exc:

@@ -6,13 +6,19 @@ Generator convention: each dissipation channel (rate, L) contributes
 
 so the printed rate multiplies the full 2 L rho L^dag form (no extra 1/2).
 
-`evolve` advances rho with an embedded Dormand-Prince 5(4) adaptive stepper
-and records observable expectations on a uniform sample grid.  At every
-sample rho is re-Hermitized ((rho + rho^dag)/2) and its trace renormalized
-only when it drifts beyond 1e-10; this explicit policy keeps runs
-bit-reproducible for identical tolerance settings.  A truncation guard
-aborts the run when the top Fock level of any bosonic factor (dimension
->= 3) accumulates more than `guard_threshold` population.
+The generator is assembled once per model as one sparse CSR matrix L acting
+on the row-stacked vec(rho) = rho.ravel(), for which
+vec(A rho B) = (A kron B^T) vec(rho).  Both `rhs` and `evolve` use it.
+
+`evolve` advances vec(rho) under d/dt vec(rho) = L vec(rho) with an
+embedded Dormand-Prince 5(4) adaptive stepper, one CSR matvec per stage,
+and records observable expectations on a uniform sample grid.  The stepped
+state is Hermitian only to roundoff, so at every sample rho is
+re-Hermitized ((rho + rho^dag)/2) and its trace renormalized only when it
+drifts beyond 1e-10; this explicit policy keeps runs bit-reproducible for
+identical tolerance settings.  A truncation guard aborts the run when the
+top Fock level of any bosonic factor (dimension >= 3) accumulates more than
+`guard_threshold` population.
 
 `dense_liouvillian` / `propagate_dense` build the column-stacked
 superoperator and advance with scipy's scaling-and-squaring matrix
@@ -28,16 +34,13 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 
-from .opalg import DensityMatrix, Operator, SpaceLayout, partial_trace, von_neumann_entropy
+from .opalg import DensityMatrix, Operator, SpaceLayout, mutual_information, partial_trace
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-10
 GUARD_THRESHOLD = 1e-4
 RENORM_THRESHOLD = 1e-10
 ORACLE_CAP = 16
-
-# Dense BLAS beats csr matvec chains below this dimension (measured).
-_SPARSE_DIM_CUTOFF = 96
 
 
 class TruncationError(RuntimeError):
@@ -143,122 +146,31 @@ class Trajectory:
         return float(np.min(self.min_eigenvalues))
 
 
-def _detect_embedded_band(mat: np.ndarray, factors: tuple[int, ...]):
-    """Recognize I x B x I with single-band B (ladder-type jump operator).
+def _liouvillian(model: ModelSpec) -> sparse.csr_matrix:
+    """The model's generator as a CSR matrix on row-stacked vec(rho) = rho.ravel().
 
-    Returns (pre, d, post, band, weights) where B[i, i+band] = weights[i],
-    or None when the matrix is not of that form.  Reconstruction is compared
-    bitwise, so this is a pure fast-path dispatch with no tolerance.
+    Row stacking gives vec(A rho B) = (A kron B^T) vec(rho).  With
+    G = -iH - sum_k rate_k L_k^dag L_k the generator is
+    G kron I + I kron G^* + sum_k 2 rate_k L_k kron L_k^*.
     """
-    total = mat.shape[0]
-    for slot, d in enumerate(factors):
-        pre = int(np.prod(factors[:slot], initial=1))
-        post = int(np.prod(factors[slot + 1:], initial=1))
-        if pre * d * post != total:  # inconsistent layout; cannot happen
-            return None
-        block = mat[: d * post: post, : d * post: post]
-        recon = np.kron(np.eye(pre), np.kron(block, np.eye(post)))
-        if not np.array_equal(recon, mat):
-            continue
-        nz = np.argwhere(block != 0)
-        if len(nz) == 0:
-            return (pre, d, post, 0, np.zeros(d, dtype=complex))
-        offsets = {int(j - i) for i, j in nz}
-        if len(offsets) != 1:
-            return None
-        band = offsets.pop()
-        weights = np.zeros(d, dtype=complex)
-        for i, j in nz:
-            weights[i] = block[i, j]
-        return (pre, d, post, band, weights)
-    return None
-
-
-class _RhsOps:
-    """Precompiled right-hand side rho -> G rho + (G rho)^dag + sum L rho L^dag.
-
-    G = -iH - sum_k rate_k L_k^dag L_k; the jump terms use scaled operators
-    sqrt(2 rate_k) L_k.  Hermiticity of the output is structural, so the
-    integrated state stays Hermitian to roundoff without per-step fixing.
-
-    Ladder-type jumps embedded on a single factor (a, a^dag, a^2, ...) are
-    applied as strided shift-multiplies; L rho L^dag only moves population
-    along one Fock axis, so the full matrix sandwich is never needed.
-    """
-
-    def __init__(self, model: ModelSpec):
-        h = model.hamiltonian.matrix
-        g = -1j * h.astype(complex)
-        jumps = []
-        for dis in model.dissipators:
-            lmat = dis.jump.matrix
-            g = g - dis.rate * (lmat.conj().T @ lmat)
-            if dis.rate > 0:
-                jumps.append(np.sqrt(2.0 * dis.rate) * np.asarray(lmat, dtype=complex))
-        d = self.dim = model.dim
-        self._dense = model.dim < _SPARSE_DIM_CUTOFF
-        self.g_op = np.ascontiguousarray(g) if self._dense else sparse.csr_matrix(g)
-
-        factors = model.layout.factors
-        self._band_jumps = []
-        self._mat_jumps = []
-        for lmat in jumps:
-            band = _detect_embedded_band(lmat, factors)
-            if band is not None:
-                pre, dd, post, k, v = band
-                lo_dst, hi_dst = max(0, -k), dd - max(0, k)
-                lo_src, hi_src = max(0, k), dd - max(0, -k)
-                if hi_dst <= lo_dst:
-                    continue  # jump annihilates everything on this truncation
-                w = np.outer(v[lo_dst:hi_dst], v[lo_dst:hi_dst].conj())
-                w6 = w.reshape(1, hi_dst - lo_dst, 1, 1, hi_dst - lo_dst, 1)
-                self._band_jumps.append(
-                    ((pre, dd, post), slice(lo_dst, hi_dst), slice(lo_src, hi_src), w6)
-                )
-            elif self._dense:
-                self._mat_jumps.append(
-                    (np.ascontiguousarray(lmat), np.ascontiguousarray(lmat.conj().T))
-                )
-            else:
-                self._mat_jumps.append(
-                    (sparse.csr_matrix(lmat), sparse.csr_matrix(lmat.conj().T))
-                )
-        self._t1 = np.empty((d, d), dtype=complex)
-        self._t2 = np.empty((d, d), dtype=complex)
-        self._t3 = np.empty((d, d), dtype=complex)
-
-    def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """G rho + (G rho)^dag + sum_k L_k rho L_k^dag into `out`."""
-        if out is None:
-            out = np.empty_like(rho)
-        t1, t2, t3 = self._t1, self._t2, self._t3
-        if self._dense:
-            np.matmul(self.g_op, rho, out=t1)
-            np.conjugate(t1, out=t2)
-            np.add(t1, t2.T, out=out)
-            for left, right in self._mat_jumps:
-                np.matmul(left, rho, out=t1)
-                np.matmul(t1, right, out=t3)
-                out += t3
-        else:
-            t1 = self.g_op @ rho
-            np.conjugate(t1, out=t2)
-            np.add(t1, t2.T, out=out)
-            for left, right in self._mat_jumps:
-                out += (left @ rho) @ right
-        for (pre, dd, post), dst, src, w6 in self._band_jumps:
-            shape = (pre, dd, post, pre, dd, post)
-            r6 = rho.reshape(shape)
-            o6 = out.reshape(shape)
-            o6[:, dst, :, :, dst, :] += w6 * r6[:, src, :, :, src, :]
-        return out
+    d = model.dim
+    eye = sparse.identity(d, format="csr")
+    jumps = [(dis.rate, sparse.csr_matrix(dis.jump.matrix)) for dis in model.dissipators]
+    g = -1j * sparse.csr_matrix(model.hamiltonian.matrix)
+    for rate, l in jumps:
+        g = g - rate * (l.conj().T @ l)
+    liou = sparse.kron(g, eye, format="csr") + sparse.kron(eye, g.conj(), format="csr")
+    for rate, l in jumps:
+        liou = liou + 2.0 * rate * sparse.kron(l, l.conj(), format="csr")
+    return liou
 
 
 def rhs(model: ModelSpec, rho: DensityMatrix) -> np.ndarray:
     """d rho/dt for the model's generator; traceless and Hermitian."""
     if rho.layout != model.layout:
         raise ValueError("state layout does not match model layout")
-    return _RhsOps(model).apply(np.asarray(rho.matrix, dtype=complex))
+    d = model.dim
+    return (_liouvillian(model) @ rho.matrix.ravel()).reshape(d, d)
 
 
 # Dormand-Prince 5(4) tableau (FSAL).
@@ -291,19 +203,18 @@ _ALPHA = 0.2 - 0.75 * _BETA
 
 
 class _Dopri5:
-    """Adaptive 5(4) stepper over density matrices, FSAL, PI step control.
+    """Adaptive 5(4) stepper for dy/dt = L y, FSAL, PI step control.
 
-    Internally the state is a flat view; stage combinations run as BLAS
-    gemv against a preallocated stage block, which dominates the non-RHS
-    cost at the dimensions this package targets.
+    y is the row-stacked vec(rho) and L the CSR generator from
+    `_liouvillian`; each stage is one sparse matvec K[s] = L @ y_s.  Stage
+    combinations run as BLAS gemv against a preallocated stage block.
     """
 
-    def __init__(self, fun2d, rel_tol: float, abs_tol: float, dim: int):
-        self.fun2d = fun2d          # fun2d(rho, out) -> out
+    def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float):
+        self.liou = liou
         self.rel = rel_tol
         self.abs = abs_tol
-        self.dim = dim
-        n = dim * dim
+        n = liou.shape[0]
         self.K = np.empty((7, n), dtype=complex)
         self._ys = np.empty(n, dtype=complex)
         self._acc = np.empty(n, dtype=complex)
@@ -313,10 +224,6 @@ class _Dopri5:
         self.err_prev = 1.0
         self.k_valid = False        # K[0] holds f(y) carried over (FSAL)
 
-    def _f(self, y_flat: np.ndarray, out_flat: np.ndarray):
-        d = self.dim
-        self.fun2d(y_flat.reshape(d, d), out_flat.reshape(d, d))
-
     def _initial_step(self, y, span):
         f0 = self.K[0]
         scale = self.abs + self.rel * np.abs(y)
@@ -324,19 +231,18 @@ class _Dopri5:
         d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
         h0 = 1e-6 if d1 < 1e-15 else 0.01 * d0 / d1
         h0 = min(h0, span)
-        self._f(y + h0 * f0, self.K[1])
+        self.K[1] = self.liou @ (y + h0 * f0)
         d2 = np.sqrt(np.mean(np.abs((self.K[1] - f0) / scale) ** 2)) / h0
         dmax = max(d1, d2)
         h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else h0 * 100
         return min(100 * h0, h1, span)
 
-    def advance(self, rho: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        """Integrate from t0 to t1, landing exactly on t1; returns a new matrix."""
-        d = self.dim
-        y = np.array(rho, dtype=complex).reshape(-1)
+    def advance(self, y0: np.ndarray, t0: float, t1: float) -> np.ndarray:
+        """Integrate from t0 to t1, landing exactly on t1; returns a new vector."""
+        y = np.array(y0, dtype=complex)
         k, ys, acc = self.K, self._ys, self._acc
         if not self.k_valid:
-            self._f(y, k[0])
+            k[0] = self.liou @ y
             self.k_valid = True
         if self.h is None:
             self.h = self._initial_step(y, t1 - t0)
@@ -352,7 +258,7 @@ class _Dopri5:
                 np.dot(self._a_rows[s], k[:s], out=acc)
                 np.multiply(acc, h, out=acc)
                 np.add(y, acc, out=ys)
-                self._f(ys, k[s])
+                k[s] = self.liou @ ys
             # the last stage input is the 5th-order solution (FSAL pair)
             np.dot(self._e_row, k, out=acc)
             np.multiply(acc, h, out=acc)
@@ -377,7 +283,7 @@ class _Dopri5:
                         f"50 consecutive step rejections at t={t:.6g}; "
                         "tolerances cannot be met"
                     )
-        return y.reshape(d, d)
+        return y
 
     def invalidate_fsal(self):
         self.k_valid = False
@@ -395,13 +301,6 @@ def _top_level_masks(layout: SpaceLayout) -> list[tuple[str, np.ndarray]]:
         level = (idx // stride) % d
         masks.append((layout.labels[slot], level == d - 1))
     return masks
-
-
-def _mutual_info_from_pair(rho2: DensityMatrix) -> float:
-    sa = von_neumann_entropy(partial_trace(rho2, [0]))
-    sb = von_neumann_entropy(partial_trace(rho2, [1]))
-    sab = von_neumann_entropy(rho2)
-    return sa + sb - sab
 
 
 def evolve(
@@ -441,8 +340,7 @@ def evolve(
     if n_samples < 1 or abs(n_samples * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError("t_end must be a positive integer multiple of sample_dt")
 
-    ops = _RhsOps(model)
-    stepper = _Dopri5(ops.apply, tolerances.rel, tolerances.abs, model.dim)
+    stepper = _Dopri5(_liouvillian(model), tolerances.rel, tolerances.abs)
     obs = [(name, np.ascontiguousarray(op.matrix)) for name, op in model.observables]
     guards = _top_level_masks(model.layout)
     times = np.arange(n_samples + 1) * sample_dt
@@ -479,7 +377,7 @@ def evolve(
                 )
         if mi is not None:
             rho2 = partial_trace(DensityMatrix(model.layout, y), mutual_info_pair)
-            mi[i] = _mutual_info_from_pair(rho2)
+            mi[i] = mutual_information(rho2, ((0,), (1,)))
         if states is not None:
             states.append(DensityMatrix(model.layout, y))
         return y
@@ -487,7 +385,7 @@ def evolve(
     y = record(0, y)
     stepper.invalidate_fsal()
     for i in range(1, n_samples + 1):
-        y = stepper.advance(y, times[i - 1], times[i])
+        y = stepper.advance(y.ravel(), times[i - 1], times[i]).reshape(y.shape)
         y = record(i, y)
         stepper.invalidate_fsal()
 

@@ -347,6 +347,23 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(max(-np.sum(lam * np.log(lam)), 0.0))
 
 
+def mutual_information(rho: DensityMatrix, cut: tuple) -> float:
+    """I = S(rho_A) + S(rho_B) - S(rho_AB) in nats across a slot bipartition."""
+    part_a = tuple(sorted(int(i) for i in cut[0]))
+    part_b = tuple(sorted(int(i) for i in cut[1]))
+    nf = rho.layout.nfactors
+    if not part_a or not part_b:
+        raise ValueError("both sides of the cut must be non-empty")
+    if set(part_a) & set(part_b):
+        raise ValueError("cut sides overlap")
+    if set(part_a) | set(part_b) != set(range(nf)):
+        raise ValueError(f"cut must partition all {nf} factors")
+    s_a = von_neumann_entropy(partial_trace(rho, part_a))
+    s_b = von_neumann_entropy(partial_trace(rho, part_b))
+    s_ab = von_neumann_entropy(rho)
+    return s_a + s_b - s_ab
+
+
 def purity(rho: DensityMatrix) -> float:
     return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
 

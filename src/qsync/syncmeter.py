@@ -29,10 +29,9 @@ from .opalg import (
     DensityMatrix,
     Operator,
     embed,
-    partial_trace,
+    mutual_information,  # noqa: F401  (public re-export)
     position,
     momentum,
-    von_neumann_entropy,
 )
 
 MIN_WINDOW_SAMPLES = 64
@@ -424,23 +423,6 @@ def degree_of_quantumness(
     if not 0 <= xi <= d * d - d:
         raise RuntimeError(f"xi={xi} violates the bound 0 <= xi <= {d*d - d}")
     return chi, c, xi
-
-
-def mutual_information(rho: DensityMatrix, cut: tuple) -> float:
-    """I = S(rho_A) + S(rho_B) - S(rho_AB) in nats across a slot bipartition."""
-    part_a = tuple(sorted(int(i) for i in cut[0]))
-    part_b = tuple(sorted(int(i) for i in cut[1]))
-    nf = rho.layout.nfactors
-    if not part_a or not part_b:
-        raise ValueError("both sides of the cut must be non-empty")
-    if set(part_a) & set(part_b):
-        raise ValueError("cut sides overlap")
-    if set(part_a) | set(part_b) != set(range(nf)):
-        raise ValueError(f"cut must partition all {nf} factors")
-    s_a = von_neumann_entropy(partial_trace(rho, part_a))
-    s_b = von_neumann_entropy(partial_trace(rho, part_b))
-    s_ab = von_neumann_entropy(rho)
-    return s_a + s_b - s_ab
 
 
 def mari_measure(rho: DensityMatrix) -> float:

@@ -243,6 +243,26 @@ run.sample_dt = 0.5
         assert rc == 3
         assert "truncation" in capsys.readouterr().err.lower()
 
+    def test_non_finite_number_exit_code(self, tmp_path, capsys):
+        text = FAST_SCENARIO.replace("param.gamma_eff = 0.25", "param.gamma_eff = nan")
+        cfg_path = write_config(tmp_path, text)
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "param.gamma_eff" in err
+        assert "Traceback" not in err
+
+    def test_short_analysis_window_exit_code(self, run_dir, tmp_path, capsys):
+        outdir, _ = run_dir
+        rc = main([
+            "analyze", str(outdir / "trajectory.csv"), "--window", "390:400",
+            "--out", str(tmp_path / "re"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "samples" in err
+        assert "Traceback" not in err
+
     def test_io_error_exit_code(self, capsys):
         rc = main(["run", "--config", "/nonexistent/path.cfg", "--out", "/tmp/x"])
         assert rc == 4

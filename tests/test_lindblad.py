@@ -11,7 +11,14 @@ from qsync.lindblad import (
     propagate_dense,
     rhs,
 )
-from qsync.models import ReducedQubitParams, VdpParams, build_reduced_qubit, build_vdp
+from qsync.models import (
+    CavityQubitParams,
+    ReducedQubitParams,
+    VdpParams,
+    build_cavity_qubit,
+    build_reduced_qubit,
+    build_vdp,
+)
 from qsync.opalg import (
     DensityMatrix,
     Operator,
@@ -47,6 +54,13 @@ def excited(lay):
     return DensityMatrix.product_state(lay, [(0, 1)])
 
 
+def random_state(rng, lay):
+    d = lay.dim
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    return DensityMatrix(lay, rho / np.trace(rho).real)
+
+
 def random_model_and_state(rng, dims=(2, 3), n_dissipators=2):
     lay = SpaceLayout(dims, tuple(f"f{i}" for i in range(len(dims))))
     d = lay.dim
@@ -61,10 +75,7 @@ def random_model_and_state(rng, dims=(2, 3), n_dissipators=2):
         for _ in range(n_dissipators)
     )
     model = ModelSpec(lay, h, dis, observables=())
-    m = rand_mat()
-    rho = m @ m.conj().T
-    rho = DensityMatrix(lay, rho / np.trace(rho).real)
-    return model, rho
+    return model, random_state(rng, lay)
 
 
 class TestRhs:
@@ -199,10 +210,19 @@ class TestEvolve:
 
 class TestDenseOracle:
     def test_liouvillian_matches_rhs_on_vectorized_inputs(self):
+        # random dense jumps, plus the ladder jumps (a, a^dag, a^2) of the
+        # package's models, which also pin rhs's row-stacked vec convention
+        # against the oracle's column-stacked one
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            model, rho = random_model_and_state(rng)
-            liou = dense_liouvillian(model)
+        structured = [
+            build_reduced_qubit(ReducedQubitParams(0.05, 0.02, 1e-3, 0.25)),
+            build_cavity_qubit(CavityQubitParams(0.3, -0.2, 0.1, 0.15, 0.4, -0.5, 0.2, Nc=3)),
+            build_vdp(VdpParams(1.0, 0.9, 0.1, 0.2, 0.15, 0.3, 0.25, N=6)),
+        ]
+        cases = [random_model_and_state(rng) for _ in range(5)]
+        cases += [(model, random_state(rng, model.layout)) for model in structured]
+        for model, rho in cases:
+            liou = dense_liouvillian(model, cap=36)
             direct = rhs(model, rho)
             via_matrix = (liou @ rho.matrix.ravel(order="F")).reshape(
                 model.dim, model.dim, order="F"
