@@ -34,19 +34,20 @@ from .lindblad import (
     rhs,
 )
 from .models import (
-    AnalysisDefaults,
-    CavityQubitParams,
+    MODELS,
     PRESET_NAMES,
+    PRESETS,
+    CavityQubitParams,
+    Preset,
     ReducedQubitParams,
     VdpParams,
     build_cavity_qubit,
     build_reduced_qubit,
     build_vdp,
     cavity_mode_matrix,
+    mari_measure,
     moment_catalog,
     pauli_catalog,
-    preset,
-    preset_analysis,
 )
 from .syncmeter import (
     AnalysisThresholds,
@@ -57,7 +58,6 @@ from .syncmeter import (
     classify_pair,
     degree_of_quantumness,
     fit_oscillation,
-    mari_measure,
     synchronized_set,
 )
 

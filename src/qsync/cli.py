@@ -21,6 +21,14 @@ Config files are flat `key = value` text with dotted sections, for example::
     run.sample_dt = 2
     analysis.window = 300:1100
 
+Configs are checked when parsed, before anything runs: numbers, initial
+amplitudes and the --tol-freq/--tol-phase flags must be finite, and
+run.t_end must be a positive integer multiple of run.sample_dt, so a sweep
+with a bad sample grid fails before its first point.  Models come from
+`models.MODELS` and presets from `models.PRESETS`.  A fresh run and a
+re-analysis of its trajectory.csv feed the same `lindblad.Trajectory`
+through `analyze_trajectory`.
+
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, an
 analysis window too short to fit, or tolerances the integrator cannot
 meet), 3 truncation-guard abort, 4 I/O error, 5 sweep with no successful
@@ -30,6 +38,7 @@ point.  Every failure prints a one-line `error:` message to stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import itertools
 import json
@@ -46,42 +55,14 @@ from .lindblad import (
     DEFAULT_REL_TOL,
     StepSizeUnderflowError,
     Tolerances,
+    Trajectory,
     TruncationError,
     evolve,
 )
-from .models import (
-    CavityQubitParams,
-    PRESET_NAMES,
-    ReducedQubitParams,
-    VdpParams,
-    build_cavity_qubit,
-    build_reduced_qubit,
-    build_vdp,
-    moment_catalog,
-    pauli_catalog,
-    preset_analysis,
-    preset_initial_amplitudes,
-    preset_params,
-    preset_run_defaults,
-)
+from .models import MODELS, PRESET_NAMES, PRESETS, moment_catalog, pauli_catalog
 from .opalg import DensityMatrix
-from .syncmeter import (
-    AnalysisThresholds,
-    build_sync_report,
-    fit_to_dict,
-    verdict_to_dict,
-)
+from .syncmeter import AnalysisThresholds, build_sync_report
 
-_MODEL_BUILDERS = {
-    "cavity_qubit": (CavityQubitParams, build_cavity_qubit),
-    "reduced_qubit": (ReducedQubitParams, build_reduced_qubit),
-    "vdp": (VdpParams, build_vdp),
-}
-_MODEL_PRESET = {
-    CavityQubitParams: "cavity_qubit",
-    ReducedQubitParams: "reduced_qubit",
-    VdpParams: "vdp",
-}
 SWEEP_CAP_DEFAULT = 64
 
 
@@ -139,11 +120,14 @@ def _parse_amplitudes(key: str, text: str) -> list[complex]:
     out = []
     for token in text.replace(",", " ").split():
         try:
-            out.append(complex(token))
+            z = complex(token)
         except ValueError:
             raise ConfigError(
                 f"key '{key}': cannot parse amplitude '{token}'"
             ) from None
+        if not cmath.isfinite(z):
+            raise ConfigError(f"key '{key}': amplitude '{token}' is not finite")
+        out.append(z)
     if not out:
         raise ConfigError(f"key '{key}': empty amplitude list")
     return out
@@ -194,12 +178,12 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     model = mapping.pop("model", None)
     if model is None:
         raise ConfigError("missing required key: model")
-    if model not in _MODEL_BUILDERS:
+    if model not in MODELS:
         raise ConfigError(
             f"key 'model': unknown model '{model}' "
-            f"(known: {', '.join(sorted(_MODEL_BUILDERS))})"
+            f"(known: {', '.join(sorted(MODELS))})"
         )
-    params_cls, _ = _MODEL_BUILDERS[model]
+    params_cls, _ = MODELS[model]
     param_fields = {f.name: f for f in dataclasses.fields(params_cls)}
 
     params: dict = {}
@@ -250,6 +234,15 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     for req in ("t_end", "sample_dt"):
         if req not in run:
             raise ConfigError(f"missing required key: run.{req}")
+    t_end, sample_dt = run["t_end"], run["sample_dt"]
+    if not sample_dt > 0:
+        raise ConfigError("key 'run.sample_dt': must be positive")
+    ratio = t_end / sample_dt
+    n_samples = round(ratio) if math.isfinite(ratio) else 0
+    if n_samples < 1 or abs(n_samples * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
+        raise ConfigError(
+            "key 'run.t_end': must be a positive integer multiple of run.sample_dt"
+        )
     if not initial:
         raise ConfigError("missing initial state: provide initial.preset "
                           "or initial.<factor> amplitude lists")
@@ -259,8 +252,8 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
         model=model,
         params=params,
         initial=initial,
-        t_end=run["t_end"],
-        sample_dt=run["sample_dt"],
+        t_end=t_end,
+        sample_dt=sample_dt,
         rel_tol=run.get("rel_tol", DEFAULT_REL_TOL),
         abs_tol=run.get("abs_tol", DEFAULT_ABS_TOL),
         window=window,
@@ -270,26 +263,23 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
 
 
 def scenario_from_preset(name: str) -> ScenarioConfig:
-    if name not in PRESET_NAMES:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset '{name}' (known: {', '.join(PRESET_NAMES)})")
-    t_end, sample_dt = preset_run_defaults(name)
-    params = dataclasses.asdict(preset_params(name))
-    model = _MODEL_PRESET[type(preset_params(name))]
-    analysis = preset_analysis(name)
+    preset = PRESETS[name]
     return ScenarioConfig(
-        model=model,
-        params=params,
+        model=preset.model,
+        params=dataclasses.asdict(preset.params),
         initial={"preset": name},
-        t_end=t_end,
-        sample_dt=sample_dt,
-        window=analysis.window,
-        thresholds=AnalysisThresholds(**analysis.threshold_overrides),
-        catalog=analysis.catalog,
+        t_end=preset.t_end,
+        sample_dt=preset.sample_dt,
+        window=preset.window,
+        thresholds=preset.thresholds,
+        catalog=preset.catalog,
     )
 
 
 def _build_model(cfg: ScenarioConfig):
-    params_cls, builder = _MODEL_BUILDERS[cfg.model]
+    params_cls, builder = MODELS[cfg.model]
     try:
         params = params_cls(**cfg.params)
         model = builder(params)
@@ -300,7 +290,7 @@ def _build_model(cfg: ScenarioConfig):
 
 def _initial_state(cfg: ScenarioConfig, model) -> DensityMatrix:
     if "preset" in cfg.initial:
-        amps = preset_initial_amplitudes(cfg.initial["preset"])
+        amps = PRESETS[cfg.initial["preset"]].initial
         if len(amps) != model.layout.nfactors or any(
             len(a) != d for a, d in zip(amps, model.layout.factors)
         ):
@@ -366,8 +356,8 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
             fh.write(",".join(f"{col[i]:.17g}" for col in columns) + "\n")
 
 
-def read_trajectory_csv(path: Path):
-    """Returns (times, names, values) from a trajectory.csv."""
+def read_trajectory_csv(path: Path) -> Trajectory:
+    """The samples of a trajectory.csv, without run diagnostics."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("time"):
@@ -383,27 +373,11 @@ def read_trajectory_csv(path: Path):
     data = np.asarray(rows, dtype=float)
     if data.shape[1] != len(names) + 1:
         raise ConfigError(f"{path}: inconsistent column count")
-    return data[:, 0], names, data[:, 1:]
-
-
-@dataclass
-class _TrajectoryView:
-    """Duck-typed stand-in for Trajectory when re-analyzing CSV data."""
-
-    times: np.ndarray
-    values: np.ndarray
-    names: list[str]
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-        return self.values[:, idx]
+    return Trajectory(data[:, 0], data[:, 1:], names)
 
 
 def analyze_trajectory(
-    traj,
+    traj: Trajectory,
     catalog_name: str,
     catalog,
     window: tuple[float, float] | None,
@@ -436,9 +410,9 @@ def analyze_trajectory(
         "version": __version__,
         "pairs": {
             name: {
-                **verdict_to_dict(verdict),
-                "fit_1": fit_to_dict(sync.fits[f"{name}_1"]),
-                "fit_2": fit_to_dict(sync.fits[f"{name}_2"]),
+                **dataclasses.asdict(verdict),
+                "fit_1": dataclasses.asdict(sync.fits[f"{name}_1"]),
+                "fit_2": dataclasses.asdict(sync.fits[f"{name}_2"]),
             }
             for name, verdict in sync.pair_verdicts.items()
         },
@@ -452,7 +426,7 @@ def analyze_trajectory(
     return report
 
 
-def _extras_from_trajectory(traj) -> dict:
+def _extras_from_trajectory(traj: Trajectory) -> dict:
     if "xminus2" not in traj.names or "pminus2" not in traj.names:
         return {}
     var_sum = traj.column("xminus2") + traj.column("pminus2")
@@ -468,9 +442,6 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> dict:
     """Simulate, write outputs, analyze; returns the report dict."""
     model = _build_model(cfg)
     rho0 = _initial_state(cfg, model)
-    n_samples = int(round(cfg.t_end / cfg.sample_dt))
-    if n_samples < 1 or abs(n_samples * cfg.sample_dt - cfg.t_end) > 1e-9 * max(cfg.t_end, 1.0):
-        raise ConfigError("run.t_end must be a positive integer multiple of run.sample_dt")
     traj = evolve(
         model,
         rho0,
@@ -518,8 +489,7 @@ def analyze_csv(
     thresholds: AnalysisThresholds,
     outdir: Path,
 ) -> dict:
-    times, names, values = read_trajectory_csv(csv_path)
-    traj = _TrajectoryView(times=times, values=values, names=names)
+    traj = read_trajectory_csv(csv_path)
     catalog_name, catalog = resolve_catalog(catalog_spec)
 
     mi_final = None
@@ -591,7 +561,7 @@ def sweep_from_mapping(mapping: dict[str, str]) -> SweepSpec:
     if not axes:
         raise ConfigError("sweep config needs at least one sweep.axis.param.<name> line")
     base = scenario_from_mapping(mapping)
-    params_cls, _ = _MODEL_BUILDERS[base.model]
+    params_cls, _ = MODELS[base.model]
     known = {f.name for f in dataclasses.fields(params_cls)}
     for name, _ in axes:
         if name not in known:
@@ -652,16 +622,16 @@ def _summary_cell(value) -> str:
 
 def _add_threshold_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--window", help="analysis window 'T0:T1'")
-    parser.add_argument("--tol-freq", type=float, help="relative frequency lock tolerance")
-    parser.add_argument("--tol-phase", type=float, help="phase class tolerance (rad)")
+    parser.add_argument("--tol-freq", help="relative frequency lock tolerance")
+    parser.add_argument("--tol-phase", help="phase class tolerance (rad)")
 
 
 def _thresholds_with_flags(base: AnalysisThresholds, args) -> AnalysisThresholds:
     updates = {}
     if args.tol_freq is not None:
-        updates["tol_freq"] = args.tol_freq
+        updates["tol_freq"] = _parse_number("--tol-freq", args.tol_freq)
     if args.tol_phase is not None:
-        updates["tol_phase"] = args.tol_phase
+        updates["tol_phase"] = _parse_number("--tol-phase", args.tol_phase)
     return dataclasses.replace(base, **updates) if updates else base
 
 

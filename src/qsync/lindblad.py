@@ -119,14 +119,17 @@ class ModelSpec:
 
 @dataclass
 class Trajectory:
-    """Sampled run: uniform time grid, real expectations, diagnostics."""
+    """Sampled run: uniform time grid, real expectations, diagnostics.
+
+    The diagnostic fields are None for a trajectory re-read from CSV.
+    """
 
     times: np.ndarray
     values: np.ndarray               # [sample, observable]
     names: list[str]
-    trace_errors: np.ndarray         # |tr rho - 1| before the per-sample fix
-    min_eigenvalues: np.ndarray
-    final_state: DensityMatrix
+    trace_errors: np.ndarray | None = None   # |tr rho - 1| before the per-sample fix
+    min_eigenvalues: np.ndarray | None = None
+    final_state: DensityMatrix | None = None
     mutual_info: np.ndarray | None = None
     states: list[DensityMatrix] | None = None
 

@@ -22,6 +22,13 @@ vdp
     Two quantum van der Pol oscillators: linear gain (jump a^dag, rate
     Omega_j), two-photon loss (jump a^2, rate kappa_j), and the pair-
     creating coupling i*J*(a1^dag a2^dag - a1 a2).
+
+MODELS maps each model name to its (params class, builder) pair.  PRESETS
+maps each scenario name to one frozen `Preset` record holding everything a
+run and its analysis need; `Preset.build()` returns the model and initial
+state.  `mari_measure` evaluates the complete-synchronization figure S_c on
+a two-mode state from the same relative-quadrature operators that `vdp`
+records as the `xminus2`/`pminus2` observables.
 """
 
 from __future__ import annotations
@@ -37,12 +44,12 @@ from .opalg import (
     SpaceLayout,
     destroy,
     embed,
+    expectation,
     momentum,
     pauli,
     position,
 )
-
-PRESET_NAMES = ("fig2a", "fig2b", "fig2c", "fig3")
+from .syncmeter import AnalysisThresholds
 
 
 @dataclass(frozen=True)
@@ -193,16 +200,41 @@ def build_vdp(p: VdpParams) -> ModelSpec:
         Dissipator(p.kappa1, a1 @ a1),
         Dissipator(p.kappa2, a2 @ a2),
     )
-    observables = list(_pair_observables(layout, moment_catalog(p.N)))
     # Joint relative-quadrature second moments feed the complete-
     # synchronization figure of merit S_c = 1/<x_minus^2 + p_minus^2>.
-    x = [embed(position(p.N), layout, j) for j in (0, 1)]
-    pm = [embed(momentum(p.N), layout, j) for j in (0, 1)]
+    xm2, pm2 = _relative_quadrature_moments(layout)
+    observables = (
+        *_pair_observables(layout, moment_catalog(p.N)),
+        ("xminus2", xm2),
+        ("pminus2", pm2),
+    )
+    return ModelSpec(layout, h, dissipators, observables, reference_rate=p.omega1)
+
+
+def _relative_quadrature_moments(layout: SpaceLayout) -> tuple[Operator, Operator]:
+    """x_-^2 and p_-^2 for x_- = (x1 - x2)/sqrt(2), p_- = (p1 - p2)/sqrt(2)."""
+    x = [embed(position(d), layout, j) for j, d in enumerate(layout.factors)]
+    p = [embed(momentum(d), layout, j) for j, d in enumerate(layout.factors)]
     xm = (x[0] - x[1]) / np.sqrt(2.0)
-    pmm = (pm[0] - pm[1]) / np.sqrt(2.0)
-    observables.append(("xminus2", xm @ xm))
-    observables.append(("pminus2", pmm @ pmm))
-    return ModelSpec(layout, h, dissipators, tuple(observables), reference_rate=p.omega1)
+    pm = (p[0] - p[1]) / np.sqrt(2.0)
+    return xm @ xm, pm @ pm
+
+
+def mari_measure(rho: DensityMatrix) -> float:
+    """Complete-synchronization figure of merit S_c = 1/<x_-^2 + p_-^2>.
+
+    x_- and p_- are the relative quadratures (x1 - x2)/sqrt(2) and
+    (p1 - p2)/sqrt(2) of a two-mode state; the uncertainty relation between
+    them bounds S_c <= 1, with equality when the modes track each other at
+    the vacuum noise level.
+    """
+    if rho.layout.nfactors != 2:
+        raise ValueError("mari_measure needs a two-mode state")
+    xm2, pm2 = _relative_quadrature_moments(rho.layout)
+    val = expectation(rho, xm2 + pm2).real
+    if val <= 0:
+        raise ValueError(f"relative quadrature variance {val:.3g} must be positive")
+    return 1.0 / val
 
 
 def cavity_mode_matrix(p: CavityQubitParams) -> np.ndarray:
@@ -214,119 +246,91 @@ def cavity_mode_matrix(p: CavityQubitParams) -> np.ndarray:
     return np.array([[p.delta1, p.J], [p.J, p.delta2]], dtype=float)
 
 
-# Scenario registry.  Parameters and initial states follow the three
-# synchronization regimes of the cavity-qubit system and the van der Pol
-# transient; run windows are chosen so that the analysis window (see
-# preset_analysis) contains a few periods of the slowest synchronized
-# oscillation while the final state is close to stationary.
-
-_FIG2_QUBIT1 = (np.sqrt(0.9), np.sqrt(0.1))
-_FIG2_QUBIT2 = (np.sqrt(0.7), np.sqrt(0.3))
-
-
-@dataclass(frozen=True)
-class AnalysisDefaults:
-    """Per-preset analysis configuration consumed by the CLI.
-
-    threshold_overrides relax individual lock criteria where a preset's
-    physics requires it (short transient windows limit the attainable
-    frequency-estimate precision); every value used ends up in the report.
-    """
-
-    window: tuple[float, float] | None   # None: final half of the samples
-    catalog: str                         # 'pauli' or 'moments:<N>'
-    mutual_info_pair: tuple[int, int] = (0, 1)
-    threshold_overrides: dict = None
-
-    def __post_init__(self):
-        if self.threshold_overrides is None:
-            object.__setattr__(self, "threshold_overrides", {})
-
-
-@dataclass(frozen=True)
-class _PresetEntry:
-    params: object
-    t_end: float
-    sample_dt: float
-    analysis: AnalysisDefaults
-
-
-_PRESETS: dict[str, _PresetEntry] = {
-    "fig2a": _PresetEntry(
-        CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
-                          g0=0.5, J=-10.0, Omega=5e-4),
-        t_end=3000.0, sample_dt=2.0,
-        analysis=AnalysisDefaults(window=(300.0, 1100.0), catalog="pauli"),
-    ),
-    "fig2b": _PresetEntry(
-        CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
-                          g0=0.5, J=-10.0, Omega=0.0),
-        t_end=3000.0, sample_dt=2.0,
-        analysis=AnalysisDefaults(window=(800.0, 2400.0), catalog="pauli"),
-    ),
-    "fig2c": _PresetEntry(
-        CavityQubitParams(delta1=10.0, delta2=22.5, deltaq1=0.08, deltaq2=0.02,
-                          g0=0.5, J=-10.0, Omega=1e-3),
-        t_end=1000.0, sample_dt=0.5,
-        # Window covers the lifetime of the inter-qubit excitation-exchange
-        # transient (decay time ~160, period ~120).
-        analysis=AnalysisDefaults(window=(20.0, 300.0), catalog="pauli"),
-    ),
-    "fig3": _PresetEntry(
-        VdpParams(omega1=1.0, omega2=1.0, J=0.5, Omega1=1e-3, Omega2=1e-3,
-                  kappa1=2.0, kappa2=2.0, N=12),
-        t_end=20.0, sample_dt=0.02,
-        # ~2 quadrature periods fit in the transient window, which limits
-        # per-column frequency estimates to a few percent; the lock
-        # tolerance is relaxed accordingly.
-        analysis=AnalysisDefaults(window=(2.0, 12.0), catalog="moments:12",
-                                  threshold_overrides={"tol_freq": 0.05}),
-    ),
+MODELS = {
+    "cavity_qubit": (CavityQubitParams, build_cavity_qubit),
+    "reduced_qubit": (ReducedQubitParams, build_reduced_qubit),
+    "vdp": (VdpParams, build_vdp),
 }
 
 
-def preset_initial_amplitudes(name: str) -> list[tuple[float, ...]]:
-    """Per-factor initial amplitude lists (ground first) for a preset."""
-    entry = _preset_entry(name)
-    if isinstance(entry.params, CavityQubitParams):
-        vacuum = tuple([1.0] + [0.0] * (entry.params.Nc - 1))
-        return [_FIG2_QUBIT1, _FIG2_QUBIT2, vacuum, vacuum]
-    n = entry.params.N
-    mode1 = tuple([0.5, np.sqrt(0.75)] + [0.0] * (n - 2))
-    mode2 = tuple([np.sqrt(0.05), np.sqrt(0.95)] + [0.0] * (n - 2))
-    return [mode1, mode2]
+@dataclass(frozen=True)
+class Preset:
+    """One named scenario: model, initial state, run grid and analysis defaults.
+
+    `thresholds` relaxes individual lock criteria where a preset's physics
+    requires it (short transient windows limit the attainable
+    frequency-estimate precision); every value used ends up in the report.
+    """
+
+    model: str                              # a key of MODELS
+    params: CavityQubitParams | VdpParams
+    initial: tuple[tuple[float, ...], ...]  # per-factor amplitudes, ground first
+    t_end: float
+    sample_dt: float
+    window: tuple[float, float]
+    catalog: str                            # 'pauli' or 'moments:<N>'
+    thresholds: AnalysisThresholds = AnalysisThresholds()
+
+    def build(self) -> tuple[ModelSpec, DensityMatrix]:
+        _, builder = MODELS[self.model]
+        model = builder(self.params)
+        return model, DensityMatrix.product_state(model.layout, self.initial)
 
 
-def _preset_entry(name: str) -> _PresetEntry:
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown preset '{name}' (known: {', '.join(PRESET_NAMES)})"
-        ) from None
+def _padded(amps: tuple, n: int) -> tuple:
+    return tuple(amps) + (0.0,) * (n - len(amps))
 
 
-def preset(name: str):
-    """Return (model, initial state, t_end, sample_dt) for a named scenario."""
-    entry = _preset_entry(name)
-    if isinstance(entry.params, CavityQubitParams):
-        model = build_cavity_qubit(entry.params)
-    else:
-        model = build_vdp(entry.params)
-    rho0 = DensityMatrix.product_state(model.layout, preset_initial_amplitudes(name))
-    return model, rho0, entry.t_end, entry.sample_dt
+# Parameters and initial states follow the three synchronization regimes of
+# the cavity-qubit system and the van der Pol transient; run windows are
+# chosen so that the analysis window contains a few periods of the slowest
+# synchronized oscillation while the final state is close to stationary.
 
+_FIG2_INITIAL = (
+    (np.sqrt(0.9), np.sqrt(0.1)),
+    (np.sqrt(0.7), np.sqrt(0.3)),
+    _padded((1.0,), 4),
+    _padded((1.0,), 4),
+)
+_FIG3_INITIAL = (
+    _padded((0.5, np.sqrt(0.75)), 12),
+    _padded((np.sqrt(0.05), np.sqrt(0.95)), 12),
+)
 
-def preset_params(name: str):
-    """The parameter dataclass behind a preset (for config echoes)."""
-    return _preset_entry(name).params
-
-
-def preset_run_defaults(name: str) -> tuple[float, float]:
-    """(t_end, sample_dt) for a preset."""
-    entry = _preset_entry(name)
-    return entry.t_end, entry.sample_dt
-
-
-def preset_analysis(name: str) -> AnalysisDefaults:
-    return _preset_entry(name).analysis
+PRESETS: dict[str, Preset] = {
+    "fig2a": Preset(
+        "cavity_qubit",
+        CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
+                          g0=0.5, J=-10.0, Omega=5e-4),
+        _FIG2_INITIAL, t_end=3000.0, sample_dt=2.0,
+        window=(300.0, 1100.0), catalog="pauli",
+    ),
+    "fig2b": Preset(
+        "cavity_qubit",
+        CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
+                          g0=0.5, J=-10.0, Omega=0.0),
+        _FIG2_INITIAL, t_end=3000.0, sample_dt=2.0,
+        window=(800.0, 2400.0), catalog="pauli",
+    ),
+    "fig2c": Preset(
+        "cavity_qubit",
+        CavityQubitParams(delta1=10.0, delta2=22.5, deltaq1=0.08, deltaq2=0.02,
+                          g0=0.5, J=-10.0, Omega=1e-3),
+        _FIG2_INITIAL, t_end=1000.0, sample_dt=0.5,
+        # Window covers the lifetime of the inter-qubit excitation-exchange
+        # transient (decay time ~160, period ~120).
+        window=(20.0, 300.0), catalog="pauli",
+    ),
+    "fig3": Preset(
+        "vdp",
+        VdpParams(omega1=1.0, omega2=1.0, J=0.5, Omega1=1e-3, Omega2=1e-3,
+                  kappa1=2.0, kappa2=2.0, N=12),
+        _FIG3_INITIAL, t_end=20.0, sample_dt=0.02,
+        # ~2 quadrature periods fit in the transient window, which limits
+        # per-column frequency estimates to a few percent; the lock
+        # tolerance is relaxed accordingly.
+        window=(2.0, 12.0), catalog="moments:12",
+        thresholds=AnalysisThresholds(tol_freq=0.05),
+    ),
+}
+PRESET_NAMES = tuple(PRESETS)

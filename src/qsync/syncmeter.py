@@ -16,6 +16,11 @@ The underlying systems settle to steady states, so the "locked
 oscillations" are slowly decaying transients; the fit gates below are
 explicit, recorded in every report, and deliberately conservative about
 monotone drifts (a decaying exponential must not count as an oscillation).
+
+The analysis reads recorded series only: any `lindblad.Trajectory`, whether
+just simulated or re-read from CSV, plus the catalog operators.  Figures of
+merit evaluated on states, such as `models.mari_measure`, live with the
+models.
 """
 
 from __future__ import annotations
@@ -26,12 +31,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .opalg import (
-    DensityMatrix,
     Operator,
-    embed,
     mutual_information,  # noqa: F401  (public re-export)
-    position,
-    momentum,
 )
 
 MIN_WINDOW_SAMPLES = 64
@@ -425,28 +426,6 @@ def degree_of_quantumness(
     return chi, c, xi
 
 
-def mari_measure(rho: DensityMatrix) -> float:
-    """Complete-synchronization figure of merit S_c = 1/<x_-^2 + p_-^2>.
-
-    x_- and p_- are the relative quadratures (x1 - x2)/sqrt(2) and
-    (p1 - p2)/sqrt(2) of a two-mode state; the uncertainty relation between
-    them bounds S_c <= 1, with equality when the modes track each other at
-    the vacuum noise level.
-    """
-    layout = rho.layout
-    if layout.nfactors != 2:
-        raise ValueError("mari_measure needs a two-mode state")
-    x = [embed(position(d, f"m{i}"), layout, i) for i, d in enumerate(layout.factors)]
-    p = [embed(momentum(d, f"m{i}"), layout, i) for i, d in enumerate(layout.factors)]
-    xm = (x[0] - x[1]) / np.sqrt(2.0)
-    pm = (p[0] - p[1]) / np.sqrt(2.0)
-    total = (xm @ xm + pm @ pm).matrix
-    val = float(np.einsum("ij,ji->", rho.matrix, total).real)
-    if val <= 0:
-        raise ValueError(f"relative quadrature variance {val:.3g} must be positive")
-    return 1.0 / val
-
-
 def build_sync_report(
     trajectory,
     catalog: list[tuple[str, Operator]],
@@ -479,11 +458,3 @@ def build_sync_report(
         mutual_info_final=mutual_info_final,
         notes=full_notes,
     )
-
-
-def fit_to_dict(fit: OscillationFit) -> dict:
-    return asdict(fit)
-
-
-def verdict_to_dict(verdict: PairVerdict) -> dict:
-    return asdict(verdict)

@@ -2,40 +2,18 @@
 
 Each preset scenario is simulated once per session through the same code
 path the CLI uses, so the acceptance criteria all judge genuine end-to-end
-artifacts (CSV files plus report.json).
+artifacts (CSV files plus report.json).  Each fixture returns
+(outdir, report).
 """
 
-from pathlib import Path
-
-import numpy as np
 import pytest
 
-from qsync.cli import read_trajectory_csv, run_scenario, scenario_from_preset
+from qsync.cli import run_scenario, scenario_from_preset
 
 
-class PresetRun:
-    def __init__(self, outdir: Path, report: dict):
-        self.outdir = outdir
-        self.report = report
-        times, names, values = read_trajectory_csv(outdir / "trajectory.csv")
-        self.times = times
-        self.names = names
-        self.values = values
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.names:
-            raise KeyError(name)
-        return self.values[:, self.names.index(name)]
-
-    @property
-    def mutual_info_final(self):
-        return self.report["mutual_info_final"]
-
-
-def _run_preset(tmp_path_factory, name: str) -> PresetRun:
+def _run_preset(tmp_path_factory, name: str):
     outdir = tmp_path_factory.mktemp(f"run_{name}")
-    report = run_scenario(scenario_from_preset(name), outdir)
-    return PresetRun(outdir, report)
+    return outdir, run_scenario(scenario_from_preset(name), outdir)
 
 
 @pytest.fixture(scope="session")

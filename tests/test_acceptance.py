@@ -13,18 +13,18 @@ import numpy as np
 from qsync.cli import (
     analyze_csv,
     parse_config_text,
+    read_trajectory_csv,
     run_sweep,
     scenario_from_preset,
     sweep_from_mapping,
 )
 from qsync.lindblad import Dissipator, ModelSpec, evolve, propagate_dense
 from qsync.models import (
+    PRESETS,
     ReducedQubitParams,
     build_reduced_qubit,
     build_vdp,
     cavity_mode_matrix,
-    preset,
-    preset_params,
 )
 from qsync.opalg import (
     DensityMatrix,
@@ -45,33 +45,36 @@ def passed(n, text):
 
 
 def test_criterion_1_fig2a_total_quantum_synchronization(fig2a_run):
-    pairs = fig2a_run.report["pairs"]
+    _, report = fig2a_run
+    pairs = report["pairs"]
     for name in ("sigma_x", "sigma_y", "sigma_z"):
         assert pairs[name]["synced"], f"{name} pair failed to lock: {pairs[name]}"
-    assert fig2a_run.report["xi"] == 2, fig2a_run.report
-    assert fig2a_run.report["chi"] == 3
-    assert fig2a_run.mutual_info_final < 1e-3
+    assert report["xi"] == 2, report
+    assert report["chi"] == 3
+    assert report["mutual_info_final"] < 1e-3
     passed(1, "all Pauli pairs locked, xi = 2, final mutual information "
-              f"{fig2a_run.mutual_info_final:.2e} < 1e-3")
+              f"{report['mutual_info_final']:.2e} < 1e-3")
 
 
 def test_criterion_2_fig2b_partial_quantum_synchronization(fig2b_run):
-    pairs = fig2b_run.report["pairs"]
+    _, report = fig2b_run
+    pairs = report["pairs"]
     assert pairs["sigma_x"]["synced"]
     assert pairs["sigma_y"]["synced"]
     assert not pairs["sigma_z"]["fit_1"]["oscillating"]
     assert not pairs["sigma_z"]["fit_2"]["oscillating"]
-    assert fig2b_run.report["xi"] == 1, fig2b_run.report
-    assert fig2b_run.mutual_info_final < 1e-3
+    assert report["xi"] == 1, report
+    assert report["mutual_info_final"] < 1e-3
     passed(2, "sigma_x/sigma_y locked, sigma_z monotone, xi = 1, final "
-              f"mutual information {fig2b_run.mutual_info_final:.2e} < 1e-3")
+              f"mutual information {report['mutual_info_final']:.2e} < 1e-3")
 
 
 def test_criterion_3_fig2c_classical_synchronization(fig2c_run):
-    pairs = fig2c_run.report["pairs"]
+    _, report = fig2c_run
+    pairs = report["pairs"]
     assert not pairs["sigma_x"]["synced"], pairs["sigma_x"]
     assert not pairs["sigma_y"]["synced"], pairs["sigma_y"]
-    assert fig2c_run.report["xi"] == 0, fig2c_run.report
+    assert report["xi"] == 0, report
     assert pairs["sigma_z"]["synced"], (
         "sigma_z pair did not certify as locked: the inter-qubit exchange "
         f"transient decays within ~2.5 periods; verdict = {pairs['sigma_z']}"
@@ -81,8 +84,8 @@ def test_criterion_3_fig2c_classical_synchronization(fig2c_run):
 
 
 def test_criterion_4a_reduced_model_trace_distance():
-    model_full, rho0_full, _, _ = preset("fig2b")
-    p = preset_params("fig2b")
+    model_full, rho0_full = PRESETS["fig2b"].build()
+    p = PRESETS["fig2b"].params
     gamma_eff = p.g0 ** 2 / p.kappa
     model_red = build_reduced_qubit(
         ReducedQubitParams(p.deltaq1, p.deltaq2, p.Omega, gamma_eff)
@@ -104,7 +107,7 @@ def test_criterion_4a_reduced_model_trace_distance():
 
 
 def test_criterion_4b_normal_mode_frequencies():
-    p = preset_params("fig2b")
+    p = PRESETS["fig2b"].params
     eigs = np.sort(np.linalg.eigvalsh(cavity_mode_matrix(p)))
     expected = np.sort([p.delta1 - p.J, p.delta1 + p.J])
     assert np.max(np.abs(eigs - expected)) <= 1e-12
@@ -162,17 +165,19 @@ def test_criterion_5_integrator_matches_dense_oracle():
 
 
 def test_criterion_6_fig3_moment_synchronization(fig3_run):
-    pairs = fig3_run.report["pairs"]
+    outdir, report = fig3_run
+    pairs = report["pairs"]
     for name in ("x", "p", "n", "x2", "p2"):
         assert pairs[name]["synced"], f"{name} pair failed to lock: {pairs[name]}"
     assert not pairs["xpsym"]["synced"], pairs["xpsym"]
 
-    s_c = 1.0 / (fig3_run.column("xminus2") + fig3_run.column("pminus2"))
+    traj = read_trajectory_csv(outdir / "trajectory.csv")
+    s_c = 1.0 / (traj.column("xminus2") + traj.column("pminus2"))
     assert np.all(s_c <= 1.0 + 1e-9), f"S_c max {s_c.max():.12f}"
 
     # truncation robustness: rebuild at N = 16 and compare every reported
     # moment on the shared grid
-    p12 = preset_params("fig3")
+    p12 = PRESETS["fig3"].params
     p16 = dataclasses.replace(p12, N=16)
     model16 = build_vdp(p16)
     mode1 = tuple([0.5, np.sqrt(0.75)] + [0.0] * 14)
@@ -181,7 +186,7 @@ def test_criterion_6_fig3_moment_synchronization(fig3_run):
     traj16 = evolve(model16, rho0_16, 20.0, 0.02)
     worst = 0.0
     for j, name in enumerate(traj16.names):
-        delta = float(np.max(np.abs(fig3_run.column(name) - traj16.values[:, j])))
+        delta = float(np.max(np.abs(traj.column(name) - traj16.values[:, j])))
         worst = max(worst, delta)
     assert worst < 1e-4, f"truncation N=12 -> N=16 moved a moment by {worst:.3g}"
     passed(6, "x/p/n/x2/p2 locked, xp+px excluded, S_c bounded by 1, "
@@ -266,17 +271,18 @@ def test_criterion_7_randomized_invariants():
 
 
 def test_criterion_8_analysis_determinism(fig2b_run, tmp_path):
+    outdir, report = fig2b_run
     cfg = scenario_from_preset("fig2b")
     re_report = analyze_csv(
-        fig2b_run.outdir / "trajectory.csv",
+        outdir / "trajectory.csv",
         "pauli",
         cfg.window,
         cfg.thresholds,
         tmp_path / "reanalysis",
     )
-    assert re_report == fig2b_run.report, "re-analysis differs from in-run report"
+    assert re_report == report, "re-analysis differs from in-run report"
     on_disk = json.loads((tmp_path / "reanalysis" / "report.json").read_text())
-    original = json.loads((fig2b_run.outdir / "report.json").read_text())
+    original = json.loads((outdir / "report.json").read_text())
     assert on_disk == original
 
     # synthetic-signal recovery at stated tolerances

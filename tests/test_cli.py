@@ -15,6 +15,7 @@ from qsync.cli import (
     sweep_from_mapping,
     run_sweep,
 )
+from qsync.models import PRESET_NAMES, PRESETS
 from qsync.syncmeter import AnalysisThresholds
 
 # a fast scenario: collective-decay qubit pair with a weak drive, run long
@@ -31,6 +32,48 @@ run.t_end = 400
 run.sample_dt = 0.5
 analysis.window = 40:400
 """
+
+
+# each preset's scenario, analysis defaults and initial amplitudes, pinned
+# to literals
+_FIG2_PARAMS = {"delta1": 10.0, "delta2": 10.0, "deltaq1": 0.0, "deltaq2": 0.0,
+                "g0": 0.5, "J": -10.0, "kappa": 1.0, "Nc": 4}
+_FIG2_INITIAL = [
+    (0.9486832980505138, 0.31622776601683794),
+    (0.8366600265340756, 0.5477225575051661),
+    (1.0, 0.0, 0.0, 0.0),
+    (1.0, 0.0, 0.0, 0.0),
+]
+PRESET_PINS = {
+    "fig2a": dict(
+        model="cavity_qubit", params={**_FIG2_PARAMS, "Omega": 0.0005},
+        t_end=3000.0, sample_dt=2.0, window=(300.0, 1100.0), catalog="pauli",
+        thresholds=AnalysisThresholds(), initial=_FIG2_INITIAL,
+    ),
+    "fig2b": dict(
+        model="cavity_qubit", params={**_FIG2_PARAMS, "Omega": 0.0},
+        t_end=3000.0, sample_dt=2.0, window=(800.0, 2400.0), catalog="pauli",
+        thresholds=AnalysisThresholds(), initial=_FIG2_INITIAL,
+    ),
+    "fig2c": dict(
+        model="cavity_qubit",
+        params={**_FIG2_PARAMS, "delta2": 22.5, "deltaq1": 0.08, "deltaq2": 0.02,
+                "Omega": 0.001},
+        t_end=1000.0, sample_dt=0.5, window=(20.0, 300.0), catalog="pauli",
+        thresholds=AnalysisThresholds(), initial=_FIG2_INITIAL,
+    ),
+    "fig3": dict(
+        model="vdp",
+        params={"omega1": 1.0, "omega2": 1.0, "J": 0.5, "Omega1": 0.001,
+                "Omega2": 0.001, "kappa1": 2.0, "kappa2": 2.0, "N": 12},
+        t_end=20.0, sample_dt=0.02, window=(2.0, 12.0), catalog="moments:12",
+        thresholds=AnalysisThresholds(tol_freq=0.05),
+        initial=[
+            (0.5, 0.8660254037844386) + (0.0,) * 10,
+            (0.22360679774997896, 0.9746794344808963) + (0.0,) * 10,
+        ],
+    ),
+}
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -59,6 +102,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="run.t_end"):
             scenario_from_mapping(parse_config_text(text))
 
+    @pytest.mark.parametrize("t_end, sample_dt, key", [
+        ("400", "0", "run.sample_dt"),
+        ("1e308", "1e-308", "run.t_end"),   # t_end / sample_dt overflows
+    ])
+    def test_bad_sample_grid_rejected(self, t_end, sample_dt, key):
+        text = FAST_SCENARIO.replace("run.t_end = 400", f"run.t_end = {t_end}")
+        text = text.replace("run.sample_dt = 0.5", f"run.sample_dt = {sample_dt}")
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_mapping(parse_config_text(text))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="param.bogus"):
             scenario_from_mapping(parse_config_text(FAST_SCENARIO + "param.bogus = 1\n"))
@@ -79,11 +132,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="norm"):
             run_scenario(cfg, tmp_path / "out")
 
-    def test_preset_scenario_echo(self):
-        cfg = scenario_from_preset("fig2b")
-        assert cfg.model == "cavity_qubit"
-        assert cfg.params["Omega"] == 0.0
-        assert cfg.initial == {"preset": "fig2b"}
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_scenario_echo(self, name):
+        pin = PRESET_PINS[name]
+        cfg = scenario_from_preset(name)
+        assert cfg.echo() == {
+            "model": pin["model"],
+            "params": pin["params"],
+            "initial": {"preset": name},
+            "run": {"t_end": pin["t_end"], "sample_dt": pin["sample_dt"],
+                    "rel_tol": 1e-08, "abs_tol": 1e-10},
+        }
+        assert cfg.window == pin["window"]
+        assert cfg.catalog == pin["catalog"]
+        assert cfg.thresholds == pin["thresholds"]
+        assert [tuple(a) for a in PRESETS[name].initial] == pin["initial"]
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +174,7 @@ class TestRunAnalyze:
 
     def test_csv_full_precision_roundtrip(self, run_dir):
         outdir, _ = run_dir
-        times, names, values = read_trajectory_csv(outdir / "trajectory.csv")
+        csv = read_trajectory_csv(outdir / "trajectory.csv")
         from qsync.cli import _build_model, _initial_state
         from qsync.lindblad import evolve
 
@@ -119,9 +182,9 @@ class TestRunAnalyze:
         model = _build_model(cfg)
         rho0 = _initial_state(cfg, model)
         traj = evolve(model, rho0, cfg.t_end, cfg.sample_dt, mutual_info_pair=(0, 1))
-        assert names == traj.names
-        assert np.array_equal(times, traj.times)
-        assert np.array_equal(values, traj.values)  # bitwise round-trip
+        assert csv.names == traj.names
+        assert np.array_equal(csv.times, traj.times)
+        assert np.array_equal(csv.values, traj.values)  # bitwise round-trip
 
     def test_reanalysis_is_field_identical(self, run_dir, tmp_path):
         outdir, report = run_dir
@@ -251,6 +314,41 @@ run.sample_dt = 0.5
         assert rc == 2
         assert "param.gamma_eff" in err
         assert "Traceback" not in err
+
+    def test_non_finite_amplitude_exit_code(self, tmp_path, capsys):
+        text = FAST_SCENARIO.replace(
+            "initial.qubit1 = 0.9486832980505138", "initial.qubit1 = nan"
+        )
+        cfg_path = write_config(tmp_path, text)
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "initial.qubit1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--tol-freq", "--tol-phase"])
+    def test_non_finite_tolerance_flag_exit_code(self, run_dir, tmp_path, capsys, flag):
+        outdir, _ = run_dir
+        rc = main([
+            "analyze", str(outdir / "trajectory.csv"), flag, "nan",
+            "--window", "40:400", "--out", str(tmp_path / "re"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and flag in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "re" / "report.json").exists()
+
+    def test_sweep_bad_sample_grid_exit_code(self, tmp_path, capsys):
+        text = FAST_SCENARIO.replace("run.t_end = 400", "run.t_end = 400.2")
+        sweep_path = write_config(
+            tmp_path, text + "sweep.axis.param.Omega = 0.0 0.001\n", "sweep.cfg"
+        )
+        rc = main(["sweep", "--config", str(sweep_path), "--out", str(tmp_path / "sw")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "run.t_end" in err
+        assert not (tmp_path / "sw" / "summary.csv").exists()
 
     def test_short_analysis_window_exit_code(self, run_dir, tmp_path, capsys):
         outdir, _ = run_dir

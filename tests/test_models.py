@@ -3,8 +3,9 @@ import pytest
 
 from qsync.lindblad import evolve
 from qsync.models import (
-    CavityQubitParams,
     PRESET_NAMES,
+    PRESETS,
+    CavityQubitParams,
     ReducedQubitParams,
     VdpParams,
     build_cavity_qubit,
@@ -12,8 +13,6 @@ from qsync.models import (
     build_vdp,
     cavity_mode_matrix,
     moment_catalog,
-    preset,
-    preset_analysis,
 )
 from qsync.opalg import DensityMatrix, embed, expectation, hs_inner, pauli
 
@@ -151,12 +150,14 @@ class TestVdp:
 
 class TestPresets:
     def test_known_names(self):
+        from qsync.cli import ConfigError, scenario_from_preset
+
         assert PRESET_NAMES == ("fig2a", "fig2b", "fig2c", "fig3")
-        with pytest.raises(ValueError):
-            preset("fig9")
+        with pytest.raises(ConfigError, match="fig9"):
+            scenario_from_preset("fig9")
 
     def test_fig2a_parameters(self):
-        model, rho0, t_end, sample_dt = preset("fig2a")
+        model, _ = PRESETS["fig2a"].build()
         h = model.hamiltonian.matrix
         assert model.dim == 64
         # drive amplitude appears as the qubit-1 sigma_x prefactor
@@ -165,22 +166,20 @@ class TestPresets:
         assert drive.real == pytest.approx(5e-4, rel=1e-12)
 
     def test_fig2b_drive_off(self):
-        model, *_ = preset("fig2b")
+        model, _ = PRESETS["fig2b"].build()
         sx1 = embed(pauli("x"), model.layout, 0)
         drive = hs_inner(sx1, model.hamiltonian) / hs_inner(sx1, sx1)
         assert abs(drive) < 1e-14
 
     def test_fig2c_detunings(self):
-        from qsync.models import preset_params
-
-        p = preset_params("fig2c")
+        p = PRESETS["fig2c"].params
         assert p.deltaq1 == pytest.approx(0.08)
         assert p.deltaq2 == pytest.approx(0.02)
         assert p.delta2 == pytest.approx(-2.25 * p.J)
         assert p.Omega == pytest.approx(1e-3)
 
     def test_fig2_initial_state(self):
-        model, rho0, *_ = preset("fig2a")
+        model, rho0 = PRESETS["fig2a"].build()
         sz1 = embed(pauli("z"), model.layout, 0)
         sz2 = embed(pauli("z"), model.layout, 1)
         # qubit populations 0.1 / 0.3 excited; cavities in vacuum
@@ -188,34 +187,31 @@ class TestPresets:
         assert expectation(rho0, sz2).real == pytest.approx(-0.4)
 
     def test_fig3_initial_photon_numbers(self):
-        model, rho0, t_end, sample_dt = preset("fig3")
+        model, rho0 = PRESETS["fig3"].build()
         from qsync.opalg import destroy
 
         n1 = embed(destroy(12).dag() @ destroy(12), model.layout, 0)
         n2 = embed(destroy(12).dag() @ destroy(12), model.layout, 1)
         assert expectation(rho0, n1).real == pytest.approx(0.75)
         assert expectation(rho0, n2).real == pytest.approx(0.95)
-        assert t_end == pytest.approx(20.0)
-        assert sample_dt == pytest.approx(0.02)
+        assert PRESETS["fig3"].t_end == pytest.approx(20.0)
+        assert PRESETS["fig3"].sample_dt == pytest.approx(0.02)
 
     def test_fig3_rates(self):
-        from qsync.models import preset_params
-
-        p = preset_params("fig3")
+        p = PRESETS["fig3"].params
         assert p.kappa1 == p.kappa2 == pytest.approx(2 * p.omega1)
         assert p.omega2 == pytest.approx(p.omega1)
         assert p.J == pytest.approx(0.5 * p.omega1)
         assert p.Omega1 == p.Omega2 == pytest.approx(1e-3 * p.omega1)
 
     def test_analysis_defaults_exist(self):
-        for name in PRESET_NAMES:
-            a = preset_analysis(name)
-            assert a.catalog in ("pauli", "moments:12")
-            assert a.window is not None
+        for preset in PRESETS.values():
+            assert preset.catalog in ("pauli", "moments:12")
+            assert preset.window is not None
 
     def test_every_built_hamiltonian_hermitian(self):
-        for name in PRESET_NAMES:
-            model, *_ = preset(name)
+        for preset in PRESETS.values():
+            model, _ = preset.build()
             h = model.hamiltonian.matrix
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
 

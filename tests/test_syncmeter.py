@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qsync.models import moment_catalog, pauli_catalog
+from qsync.lindblad import Trajectory
+from qsync.models import mari_measure, moment_catalog, pauli_catalog
 from qsync.opalg import DensityMatrix, SpaceLayout, pauli
 from qsync.syncmeter import (
     OscillationFit,
@@ -11,7 +12,6 @@ from qsync.syncmeter import (
     degree_of_quantumness,
     fit_oscillation,
     independent_subset,
-    mari_measure,
     mutual_information,
     synchronized_set,
     wrap_phase,
@@ -117,16 +117,8 @@ class TestClassifyPair:
         assert v.synced and v.phase_class == "phase_locked_other"
 
 
-class FakeTrajectory:
-    def __init__(self, times, columns):
-        self.times = times
-        self.names = list(columns)
-        self.values = np.column_stack([columns[n] for n in columns])
-
-    def column(self, name):
-        if name not in self.names:
-            raise KeyError(name)
-        return self.values[:, self.names.index(name)]
+def trajectory(times, columns):
+    return Trajectory(times, np.column_stack(list(columns.values())), list(columns))
 
 
 class TestSynchronizedSet:
@@ -142,7 +134,7 @@ class TestSynchronizedSet:
                 # decays monotonically: no lock
                 cols[f"{name}_1"] = 0.5 * np.exp(-t / 10.0)
                 cols[f"{name}_2"] = 0.3 * np.exp(-t / 7.0)
-        return FakeTrajectory(t, cols)
+        return trajectory(t, cols)
 
     def test_all_pauli_synced(self):
         traj = self.make_traj({"sigma_x", "sigma_y", "sigma_z"})
@@ -164,13 +156,13 @@ class TestSynchronizedSet:
         for name, _ in catalog:
             cols[f"{name}_1"] = wave
             cols[f"{name}_2"] = 0.7 * wave
-        traj = FakeTrajectory(t, cols)
+        traj = trajectory(t, cols)
         res = synchronized_set(traj, catalog, (0.0, 39.0))
         assert res.names == ["sigma_x", "sigma_y"]
 
     def test_missing_column_raises(self):
         t = np.arange(2000) * 0.02
-        traj = FakeTrajectory(t, {"sigma_x_1": np.cos(t)})
+        traj = trajectory(t, {"sigma_x_1": np.cos(t)})
         with pytest.raises(KeyError):
             synchronized_set(traj, pauli_catalog(), (0.0, 39.0))
 
