@@ -43,6 +43,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -439,9 +440,15 @@ def _extras_from_trajectory(traj: Trajectory) -> dict:
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: Path) -> dict:
-    """Simulate, write outputs, analyze; returns the report dict."""
+    """Simulate, write outputs, analyze; returns the report dict.
+
+    A report.json left in `outdir` by an earlier run is removed before the
+    integration starts, so a run that fails leaves no report that looks
+    complete.
+    """
     model = _build_model(cfg)
     rho0 = _initial_state(cfg, model)
+    (outdir / "report.json").unlink(missing_ok=True)
     traj = evolve(
         model,
         rho0,
@@ -527,9 +534,12 @@ def analyze_csv(
 
 
 def _write_json(path: Path, obj: dict):
-    with open(path, "w") as fh:
+    """Write `obj` to a temporary sibling, then rename it onto `path`."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 # --- sweep -----------------------------------------------------------------

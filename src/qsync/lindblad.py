@@ -12,8 +12,17 @@ vec(A rho B) = (A kron B^T) vec(rho).  Both `rhs` and `evolve` use it.
 
 `evolve` advances vec(rho) under d/dt vec(rho) = L vec(rho) with an
 embedded Dormand-Prince 5(4) adaptive stepper, one CSR matvec per stage,
-and records observable expectations on a uniform sample grid.  The stepped
-state is Hermitian only to roundoff, so at every sample rho is
+and records observable expectations on a uniform sample grid.  It steps
+only the reachable set: the entries of vec(rho) that the initial state
+reaches through L's sparsity pattern, closed under rho -> rho^dag, on the
+principal submatrix of L.  Every other entry is exactly zero for all t.
+Couplings with a weak U(1) symmetry (excitation exchange, pair creation)
+leave most entries unreachable; a coherent drive reaches all of them, and L
+is then stepped as built.  Each sample is scattered back into the full
+D x D rho, and the RMS error norm divides by the full length D^2, so
+pruning does not change the steps taken.
+
+The stepped state is Hermitian only to roundoff, so at every sample rho is
 re-Hermitized ((rho + rho^dag)/2) and its trace renormalized only when it
 drifts beyond 1e-10; this explicit policy keeps runs bit-reproducible for
 identical tolerance settings.  A truncation guard aborts the run when the
@@ -34,7 +43,14 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 
-from .opalg import DensityMatrix, Operator, SpaceLayout, mutual_information, partial_trace
+from .opalg import (
+    DensityMatrix,
+    Operator,
+    SpaceLayout,
+    mutual_information,
+    partial_trace,
+    spectral_entropy,
+)
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-10
@@ -168,6 +184,26 @@ def _liouvillian(model: ModelSpec) -> sparse.csr_matrix:
     return liou
 
 
+def _reachable(liou: sparse.csr_matrix, rho0: np.ndarray) -> np.ndarray:
+    """Mask of the vec(rho) entries that the nonzero entries of rho0 reach under L.
+
+    Entry i is reached when a structural nonzero L[i, j] links it to a
+    reached entry j; the set is also closed under rho -> rho^dag, so
+    re-Hermitizing a sample keeps it inside.  Entries outside the mask stay
+    exactly zero for all t.
+    """
+    n = liou.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(liou.indptr))
+    reach = (rho0 != 0) | (rho0 != 0).T
+    while True:
+        grown = reach.copy()
+        grown.ravel()[rows[reach.ravel()[liou.indices]]] = True
+        grown = grown | grown.T
+        if np.array_equal(grown, reach):
+            return reach.ravel()
+        reach = grown
+
+
 def rhs(model: ModelSpec, rho: DensityMatrix) -> np.ndarray:
     """d rho/dt for the model's generator; traceless and Hermitian."""
     if rho.layout != model.layout:
@@ -208,15 +244,20 @@ _ALPHA = 0.2 - 0.75 * _BETA
 class _Dopri5:
     """Adaptive 5(4) stepper for dy/dt = L y, FSAL, PI step control.
 
-    y is the row-stacked vec(rho) and L the CSR generator from
-    `_liouvillian`; each stage is one sparse matvec K[s] = L @ y_s.  Stage
-    combinations run as BLAS gemv against a preallocated stage block.
+    y is the row-stacked vec(rho), or its reachable entries, and L the CSR
+    generator from `_liouvillian` or its principal submatrix on those
+    entries; each stage is one sparse matvec K[s] = L @ y_s.  Stage
+    combinations run as BLAS gemv against a preallocated stage block.  The
+    RMS norms divide by `n_full`, the length of the unpruned vec(rho):
+    pruned entries are exact zeros that add nothing to the sums, so the
+    step sizes are those of the unpruned run.
     """
 
-    def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float):
+    def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float, n_full: int):
         self.liou = liou
         self.rel = rel_tol
         self.abs = abs_tol
+        self.n_full = n_full
         n = liou.shape[0]
         self.K = np.empty((7, n), dtype=complex)
         self._ys = np.empty(n, dtype=complex)
@@ -230,12 +271,12 @@ class _Dopri5:
     def _initial_step(self, y, span):
         f0 = self.K[0]
         scale = self.abs + self.rel * np.abs(y)
-        d0 = np.sqrt(np.mean(np.abs(y / scale) ** 2))
-        d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
+        d0 = np.sqrt(np.sum(np.abs(y / scale) ** 2) / self.n_full)
+        d1 = np.sqrt(np.sum(np.abs(f0 / scale) ** 2) / self.n_full)
         h0 = 1e-6 if d1 < 1e-15 else 0.01 * d0 / d1
         h0 = min(h0, span)
         self.K[1] = self.liou @ (y + h0 * f0)
-        d2 = np.sqrt(np.mean(np.abs((self.K[1] - f0) / scale) ** 2)) / h0
+        d2 = np.sqrt(np.sum(np.abs((self.K[1] - f0) / scale) ** 2) / self.n_full) / h0
         dmax = max(d1, d2)
         h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else h0 * 100
         return min(100 * h0, h1, span)
@@ -268,7 +309,7 @@ class _Dopri5:
             scale = self.abs + self.rel * np.maximum(np.abs(y), np.abs(ys))
             ratio = np.abs(acc)
             ratio /= scale
-            err = float(np.sqrt(np.mean(ratio * ratio)))
+            err = float(np.sqrt(np.sum(ratio * ratio) / self.n_full))
             if err <= 1.0:
                 t += h
                 np.copyto(y, ys)
@@ -343,7 +384,15 @@ def evolve(
     if n_samples < 1 or abs(n_samples * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError("t_end must be a positive integer multiple of sample_dt")
 
-    stepper = _Dopri5(_liouvillian(model), tolerances.rel, tolerances.abs)
+    d = model.dim
+    liou = _liouvillian(model)
+    keep = _reachable(liou, rho0.matrix)
+    if keep.all():
+        idx = slice(None)
+    else:
+        idx = np.flatnonzero(keep)
+        liou = liou[idx][:, idx]
+    stepper = _Dopri5(liou, tolerances.rel, tolerances.abs, n_full=d * d)
     obs = [(name, np.ascontiguousarray(op.matrix)) for name, op in model.observables]
     guards = _top_level_masks(model.layout)
     times = np.arange(n_samples + 1) * sample_dt
@@ -352,6 +401,8 @@ def evolve(
     trace_errors = np.empty(n_samples + 1)
     min_eigs = np.empty(n_samples + 1)
     mi = np.empty(n_samples + 1) if mutual_info_pair is not None else None
+    # a pair covering every factor leaves rho whole: reuse its spectrum
+    mi_whole = mi is not None and set(mutual_info_pair) == set(range(model.layout.nfactors))
     states: list[DensityMatrix] | None = [] if keep_states else None
 
     y = np.array(rho0.matrix, dtype=complex)
@@ -365,7 +416,8 @@ def evolve(
         tr_real = np.trace(y).real
         if abs(tr_real - 1.0) > RENORM_THRESHOLD:
             y = y / tr_real
-        min_eigs[i] = np.linalg.eigvalsh(y)[0]
+        spectrum = np.linalg.eigvalsh(y)
+        min_eigs[i] = spectrum[0]
         for j, (_, mat) in enumerate(obs):
             val = np.einsum("ij,ji->", y, mat)
             max_imag = max(max_imag, abs(val.imag))
@@ -380,7 +432,8 @@ def evolve(
                 )
         if mi is not None:
             rho2 = partial_trace(DensityMatrix(model.layout, y), mutual_info_pair)
-            mi[i] = mutual_information(rho2, ((0,), (1,)))
+            s_ab = spectral_entropy(spectrum) if mi_whole else None
+            mi[i] = mutual_information(rho2, ((0,), (1,)), s_ab=s_ab)
         if states is not None:
             states.append(DensityMatrix(model.layout, y))
         return y
@@ -388,8 +441,10 @@ def evolve(
     y = record(0, y)
     stepper.invalidate_fsal()
     for i in range(1, n_samples + 1):
-        y = stepper.advance(y.ravel(), times[i - 1], times[i]).reshape(y.shape)
-        y = record(i, y)
+        z = stepper.advance(y.ravel()[idx], times[i - 1], times[i])
+        y = np.zeros(d * d, dtype=complex)
+        y[idx] = z
+        y = record(i, y.reshape(d, d))
         stepper.invalidate_fsal()
 
     if max_imag > 1e-8:

@@ -335,20 +335,27 @@ def hs_inner(a: Operator | np.ndarray, b: Operator | np.ndarray) -> complex:
     return complex(np.vdot(amat, bmat))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum(lam ln lam) in nats over eigenvalues above a small floor."""
-    if rho.hermiticity_defect() > 1e-8:
-        raise ValueError("entropy requires a Hermitian state")
-    sym = 0.5 * (rho.matrix + rho.matrix.conj().T)
-    lam = np.linalg.eigvalsh(sym)
+def spectral_entropy(lam: np.ndarray) -> float:
+    """-sum(lam ln lam) in nats over the eigenvalues above a small floor."""
     lam = lam[lam > ENTROPY_EIGEN_FLOOR]
     if lam.size == 0:
         return 0.0
     return float(max(-np.sum(lam * np.log(lam)), 0.0))
 
 
-def mutual_information(rho: DensityMatrix, cut: tuple) -> float:
-    """I = S(rho_A) + S(rho_B) - S(rho_AB) in nats across a slot bipartition."""
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Entropy of the spectrum of rho, in nats."""
+    if rho.hermiticity_defect() > 1e-8:
+        raise ValueError("entropy requires a Hermitian state")
+    sym = 0.5 * (rho.matrix + rho.matrix.conj().T)
+    return spectral_entropy(np.linalg.eigvalsh(sym))
+
+
+def mutual_information(rho: DensityMatrix, cut: tuple, *, s_ab: float | None = None) -> float:
+    """I = S(rho_A) + S(rho_B) - S(rho_AB) in nats across a slot bipartition.
+
+    `s_ab` is S(rho) itself, for a caller that already has its spectrum.
+    """
     part_a = tuple(sorted(int(i) for i in cut[0]))
     part_b = tuple(sorted(int(i) for i in cut[1]))
     nf = rho.layout.nfactors
@@ -360,7 +367,8 @@ def mutual_information(rho: DensityMatrix, cut: tuple) -> float:
         raise ValueError(f"cut must partition all {nf} factors")
     s_a = von_neumann_entropy(partial_trace(rho, part_a))
     s_b = von_neumann_entropy(partial_trace(rho, part_b))
-    s_ab = von_neumann_entropy(rho)
+    if s_ab is None:
+        s_ab = von_neumann_entropy(rho)
     return s_a + s_b - s_ab
 
 

@@ -306,6 +306,32 @@ run.sample_dt = 0.5
         assert rc == 3
         assert "truncation" in capsys.readouterr().err.lower()
 
+    def test_failed_rerun_leaves_no_report(self, tmp_path):
+        text = """
+model = vdp
+param.omega1 = 1
+param.omega2 = 1
+param.J = 0
+param.Omega1 = 0.1
+param.Omega2 = 0.1
+param.kappa1 = 0.3
+param.kappa2 = 0.3
+param.N = 6
+initial.mode1 = 1 0 0 0 0 0
+initial.mode2 = 1 0 0 0 0 0
+run.t_end = 20
+run.sample_dt = 0.1
+"""
+        out = tmp_path / "o2"
+        good = write_config(tmp_path, text, "good.cfg")
+        assert main(["run", "--config", str(good), "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+        # strong gain drives the top Fock level past the guard
+        bad = write_config(tmp_path, text.replace("param.Omega1 = 0.1", "param.Omega1 = 5"),
+                           "bad.cfg")
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+
     def test_non_finite_number_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("param.gamma_eff = 0.25", "param.gamma_eff = nan")
         cfg_path = write_config(tmp_path, text)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,16 @@ from qsync.lindblad import (
     ModelSpec,
     Tolerances,
     TruncationError,
+    _Dopri5,
+    _liouvillian,
+    _reachable,
     dense_liouvillian,
     evolve,
     propagate_dense,
     rhs,
 )
 from qsync.models import (
+    PRESETS,
     CavityQubitParams,
     ReducedQubitParams,
     VdpParams,
@@ -24,6 +30,7 @@ from qsync.opalg import (
     Operator,
     SpaceLayout,
     destroy,
+    mutual_information,
     pauli,
     purity,
 )
@@ -195,10 +202,14 @@ class TestEvolve:
         rho0 = DensityMatrix.product_state(
             model.layout, [(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.7), np.sqrt(0.3))]
         )
-        traj = evolve(model, rho0, 20.0, 1.0, mutual_info_pair=(0, 1))
+        traj = evolve(model, rho0, 20.0, 1.0, mutual_info_pair=(0, 1), keep_states=True)
         assert traj.mutual_info is not None
         assert traj.mutual_info[0] == pytest.approx(0.0, abs=1e-9)  # product state
         assert np.all(traj.mutual_info > -1e-9)
+        # the pair covers both factors, so S(rho_AB) comes from the spectrum
+        # already taken for min_eigenvalue; it must equal the direct value
+        direct = [mutual_information(s, ((0,), (1,))) for s in traj.states]
+        assert np.array_equal(traj.mutual_info, direct)
 
     def test_keep_states(self):
         model = rabi_qubit(0.5)
@@ -255,6 +266,52 @@ class TestDenseOracle:
         oracle = propagate_dense(model, rho0, [t_final])[0]
         traj = evolve(model, rho0, t_final, t_final / 4)
         assert np.max(np.abs(traj.final_state.matrix - oracle.matrix)) < 1e-6
+
+
+def reachable_count(model, rho0):
+    return int(np.count_nonzero(_reachable(_liouvillian(model), rho0.matrix)))
+
+
+def small_vdp_case():
+    # fig3's van der Pol pair at N = 6 (D = 36), from the fig3 amplitudes
+    model = build_vdp(dataclasses.replace(PRESETS["fig3"].params, N=6))
+    mode1 = (0.5, np.sqrt(0.75), 0.0, 0.0, 0.0, 0.0)
+    mode2 = (np.sqrt(0.05), np.sqrt(0.95), 0.0, 0.0, 0.0, 0.0)
+    return model, DensityMatrix.product_state(model.layout, [mode1, mode2])
+
+
+class TestReachablePruning:
+    @pytest.mark.parametrize(
+        "name, count", [("fig2a", 4096), ("fig2b", 169), ("fig2c", 4096), ("fig3", 5666)]
+    )
+    def test_preset_reachable_counts(self, name, count):
+        model, rho0 = PRESETS[name].build()
+        assert reachable_count(model, rho0) == count
+
+    def test_reachable_set_is_closed_under_dagger(self):
+        model, rho0 = small_vdp_case()
+        d = model.dim
+        keep = _reachable(_liouvillian(model), rho0.matrix).reshape(d, d)
+        assert np.array_equal(keep, keep.T)
+        assert 0 < keep.sum() < d * d
+
+    def test_pruned_evolve_matches_unpruned_stepper(self):
+        model, rho0 = small_vdp_case()
+        d = model.dim
+        assert reachable_count(model, rho0) < d * d
+        tol = Tolerances()
+        traj = evolve(model, rho0, 2.0, 0.25, tol, keep_states=True)
+        # the full generator, stepped on all D^2 entries with evolve's
+        # per-sample Hermitization
+        stepper = _Dopri5(_liouvillian(model), tol.rel, tol.abs, d * d)
+        y = rho0.matrix.astype(complex)
+        worst = 0.0
+        for i in range(1, len(traj.times)):
+            stepper.invalidate_fsal()
+            y = stepper.advance(y.ravel(), traj.times[i - 1], traj.times[i]).reshape(d, d)
+            y = 0.5 * (y + y.conj().T)
+            worst = max(worst, float(np.max(np.abs(traj.states[i].matrix - y))))
+        assert worst < 1e-12, worst
 
 
 class TestContraction:
