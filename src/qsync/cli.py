@@ -3,7 +3,8 @@
 Subcommands
 -----------
 run       simulate a preset or a config file; writes trajectory.csv,
-          mutual_info.csv, diagnostics.csv and report.json
+          mutual_info.csv, diagnostics.csv, stats.json (integrator
+          counters) and report.json
 analyze   recompute a SyncReport from a trajectory.csv (decoupled from the
           simulation, so thresholds can be revisited after the fact)
 sweep     run a grid of scenarios from a sweep config; writes per-point
@@ -65,6 +66,8 @@ from .opalg import DensityMatrix
 from .syncmeter import AnalysisThresholds, build_sync_report
 
 SWEEP_CAP_DEFAULT = 64
+_RUN_OUTPUTS = ("report.json", "stats.json", "trajectory.csv", "mutual_info.csv",
+               "diagnostics.csv")
 
 
 class ConfigError(ValueError):
@@ -442,13 +445,16 @@ def _extras_from_trajectory(traj: Trajectory) -> dict:
 def run_scenario(cfg: ScenarioConfig, outdir: Path) -> dict:
     """Simulate, write outputs, analyze; returns the report dict.
 
-    A report.json left in `outdir` by an earlier run is removed before the
-    integration starts, so a run that fails leaves no report that looks
-    complete.
+    The outputs an earlier run left in `outdir` are removed before the
+    integration starts, so a run that fails leaves no report and no CSV
+    that looks current; other files in `outdir` are left alone.  The
+    integrator counters go to stats.json, not report.json, which a
+    re-analysis must reproduce field for field.
     """
     model = _build_model(cfg)
     rho0 = _initial_state(cfg, model)
-    (outdir / "report.json").unlink(missing_ok=True)
+    for name in _RUN_OUTPUTS:
+        (outdir / name).unlink(missing_ok=True)
     traj = evolve(
         model,
         rho0,
@@ -473,6 +479,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> dict:
         ["time", "trace_error", "min_eigenvalue"],
         [traj.times, traj.trace_errors, traj.min_eigenvalues],
     )
+    _write_json(outdir / "stats.json", traj.stats)
     catalog_name, catalog = _catalog_for(cfg.catalog, cfg.model, cfg.params)
     report = analyze_trajectory(
         traj,

@@ -10,24 +10,22 @@ The generator is assembled once per model as one sparse CSR matrix L acting
 on the row-stacked vec(rho) = rho.ravel(), for which
 vec(A rho B) = (A kron B^T) vec(rho).  Both `rhs` and `evolve` use it.
 
-`evolve` advances vec(rho) under d/dt vec(rho) = L vec(rho) with an
-embedded Dormand-Prince 5(4) adaptive stepper, one CSR matvec per stage,
-and records observable expectations on a uniform sample grid.  It steps
-only the reachable set: the entries of vec(rho) that the initial state
-reaches through L's sparsity pattern, closed under rho -> rho^dag, on the
-principal submatrix of L.  Every other entry is exactly zero for all t.
-Couplings with a weak U(1) symmetry (excitation exchange, pair creation)
-leave most entries unreachable; a coherent drive reaches all of them, and L
-is then stepped as built.  Each sample is scattered back into the full
-D x D rho, and the RMS error norm divides by the full length D^2, so
-pruning does not change the steps taken.
+`evolve` steps rho in real Hermitian coordinates, Re rho_ii and Re/Im rho_ij
+for i < j (D^2 real numbers), under the real generator L_r = R L E built
+once from L: E maps the coordinates to the complex vec(rho) and R reads them
+back.  A Dormand-Prince 5(4) adaptive stepper advances them in float64, one
+CSR matvec per stage.  Only the reachable set is stepped: the entries that
+the initial state reaches through L's sparsity pattern, closed under
+rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1) couplings
+(excitation exchange, pair creation) leave most entries unreachable; a
+coherent drive reaches all of them.  The RMS error norm runs over all D^2
+coordinates, so pruning does not change the steps taken.
 
-The stepped state is Hermitian only to roundoff, so at every sample rho is
-re-Hermitized ((rho + rho^dag)/2) and its trace renormalized only when it
-drifts beyond 1e-10; this explicit policy keeps runs bit-reproducible for
-identical tolerance settings.  A truncation guard aborts the run when the
-top Fock level of any bosonic factor (dimension >= 3) accumulates more than
-`guard_threshold` population.
+Each sample rebuilds rho = E x, Hermitian by construction, and renormalizes
+its trace only when it drifts beyond 1e-10, an explicit policy that keeps
+runs bit-reproducible.  Observables are one real matrix applied to x.  A
+truncation guard aborts the run when the top Fock level of any bosonic
+factor (dimension >= 3) holds more than `guard_threshold` population.
 
 `dense_liouvillian` / `propagate_dense` build the column-stacked
 superoperator and advance with scipy's scaling-and-squaring matrix
@@ -47,8 +45,7 @@ from .opalg import (
     DensityMatrix,
     Operator,
     SpaceLayout,
-    mutual_information,
-    partial_trace,
+    _mutual_information,
     spectral_entropy,
 )
 
@@ -148,6 +145,7 @@ class Trajectory:
     final_state: DensityMatrix | None = None
     mutual_info: np.ndarray | None = None
     states: list[DensityMatrix] | None = None
+    stats: dict | None = None        # integrator counters, see `evolve`
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -188,9 +186,9 @@ def _reachable(liou: sparse.csr_matrix, rho0: np.ndarray) -> np.ndarray:
     """Mask of the vec(rho) entries that the nonzero entries of rho0 reach under L.
 
     Entry i is reached when a structural nonzero L[i, j] links it to a
-    reached entry j; the set is also closed under rho -> rho^dag, so
-    re-Hermitizing a sample keeps it inside.  Entries outside the mask stay
-    exactly zero for all t.
+    reached entry j; the set is also closed under rho -> rho^dag, so it
+    holds rho_ij exactly when it holds rho_ji.  Entries outside the mask
+    stay exactly zero for all t.
     """
     n = liou.shape[0]
     rows = np.repeat(np.arange(n), np.diff(liou.indptr))
@@ -202,6 +200,37 @@ def _reachable(liou: sparse.csr_matrix, rho0: np.ndarray) -> np.ndarray:
         if np.array_equal(grown, reach):
             return reach.ravel()
         reach = grown
+
+
+def _hermitian_coordinates(idx: np.ndarray, d: int):
+    """Real coordinates of a Hermitian rho supported on the flat indices `idx`.
+
+    `idx` is sorted and closed under (i, j) -> (j, i); coordinate k, at
+    idx[k] = (i, j), is Re rho_ij for i <= j and Im rho_ji for i > j.
+    Returns (E, sel, imag): vec(rho) = E x with E sparse (D^2 x n), and
+    x = R vec(rho) reads entry sel[k] = (min(i, j), max(i, j)), taking its
+    imaginary part where imag[k] and its real part elsewhere.
+    """
+    i, j = np.divmod(idx, d)
+    imag = i > j
+    sel = np.minimum(i, j) * d + np.maximum(i, j)
+    off = i != j
+    upper = np.where(imag, 1j, 1.0)
+    rows = np.concatenate([sel, (np.maximum(i, j) * d + np.minimum(i, j))[off]])
+    cols = np.concatenate([np.arange(len(idx)), np.flatnonzero(off)])
+    e = sparse.csr_matrix((np.concatenate([upper, upper[off].conj()]), (rows, cols)),
+                          shape=(d * d, len(idx)))
+    return e, sel, imag
+
+
+def _real_generator(rows: sparse.csr_matrix, e, imag: np.ndarray):
+    """L_r = R L E as a real CSR matrix, from rows = L[sel], the rows that R reads."""
+    m = rows @ e
+    m.sort_indices()
+    data = np.where(np.repeat(imag, np.diff(m.indptr)), m.data.imag, m.data.real)
+    real = sparse.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+    real.eliminate_zeros()
+    return real
 
 
 def rhs(model: ModelSpec, rho: DensityMatrix) -> np.ndarray:
@@ -242,51 +271,65 @@ _ALPHA = 0.2 - 0.75 * _BETA
 
 
 class _Dopri5:
-    """Adaptive 5(4) stepper for dy/dt = L y, FSAL, PI step control.
+    """Adaptive 5(4) stepper for dy/dt = L y in float64, FSAL, PI step control.
 
-    y is the row-stacked vec(rho), or its reachable entries, and L the CSR
-    generator from `_liouvillian` or its principal submatrix on those
-    entries; each stage is one sparse matvec K[s] = L @ y_s.  Stage
-    combinations run as BLAS gemv against a preallocated stage block.  The
-    RMS norms divide by `n_full`, the length of the unpruned vec(rho):
-    pruned entries are exact zeros that add nothing to the sums, so the
-    step sizes are those of the unpruned run.
+    y holds the real Hermitian coordinates of rho (or of its reachable
+    part) and L is the real generator from `_real_generator`; each stage is
+    one sparse matvec K[s] = L @ y_s.  Stage combinations run as BLAS gemv
+    against a preallocated stage block.  The RMS norms are taken over all
+    `n_full` = D^2 coordinates: each stepped coordinate is scattered to its
+    flat index in `idx` and the pruned ones are exact zeros, so the sums
+    are grouped, and the steps taken, exactly as in the unpruned run.  The
+    counters `matvecs`, `accepted`, `rejected` and `h_min` (the smallest
+    accepted step the controller chose; steps cut short to land on t1 are
+    not counted) accumulate over the stepper's life.
     """
 
-    def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float, n_full: int):
+    def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float,
+                 idx: np.ndarray, n_full: int):
         self.liou = liou
         self.rel = rel_tol
         self.abs = abs_tol
-        self.n_full = n_full
+        self.idx = idx
+        self._full = np.zeros(n_full)
         n = liou.shape[0]
-        self.K = np.empty((7, n), dtype=complex)
-        self._ys = np.empty(n, dtype=complex)
-        self._acc = np.empty(n, dtype=complex)
-        self._a_rows = [np.ascontiguousarray(a, dtype=complex) for a in _DP_A]
-        self._e_row = np.ascontiguousarray(_DP_ERR, dtype=complex)
+        self.K = np.empty((7, n))
+        self._ys = np.empty(n)
+        self._acc = np.empty(n)
         self.h = None
         self.err_prev = 1.0
         self.k_valid = False        # K[0] holds f(y) carried over (FSAL)
+        self.matvecs = 0
+        self.accepted = 0
+        self.rejected = 0
+        self.h_min = np.inf
+
+    def _rms(self, v: np.ndarray) -> float:
+        full = self._full
+        full[self.idx] = v
+        return float(np.sqrt(np.dot(full, full) / full.size))
 
     def _initial_step(self, y, span):
         f0 = self.K[0]
         scale = self.abs + self.rel * np.abs(y)
-        d0 = np.sqrt(np.sum(np.abs(y / scale) ** 2) / self.n_full)
-        d1 = np.sqrt(np.sum(np.abs(f0 / scale) ** 2) / self.n_full)
+        d0 = self._rms(y / scale)
+        d1 = self._rms(f0 / scale)
         h0 = 1e-6 if d1 < 1e-15 else 0.01 * d0 / d1
         h0 = min(h0, span)
         self.K[1] = self.liou @ (y + h0 * f0)
-        d2 = np.sqrt(np.sum(np.abs((self.K[1] - f0) / scale) ** 2) / self.n_full) / h0
+        self.matvecs += 1
+        d2 = self._rms((self.K[1] - f0) / scale) / h0
         dmax = max(d1, d2)
         h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else h0 * 100
         return min(100 * h0, h1, span)
 
     def advance(self, y0: np.ndarray, t0: float, t1: float) -> np.ndarray:
         """Integrate from t0 to t1, landing exactly on t1; returns a new vector."""
-        y = np.array(y0, dtype=complex)
+        y = np.array(y0, dtype=float)
         k, ys, acc = self.K, self._ys, self._acc
         if not self.k_valid:
             k[0] = self.liou @ y
+            self.matvecs += 1
             self.k_valid = True
         if self.h is None:
             self.h = self._initial_step(y, t1 - t0)
@@ -299,18 +342,21 @@ class _Dopri5:
                     f"step size underflow at t={t:.6g} (h={h:.3g})"
                 )
             for s in range(1, 7):
-                np.dot(self._a_rows[s], k[:s], out=acc)
+                np.dot(_DP_A[s], k[:s], out=acc)
                 np.multiply(acc, h, out=acc)
                 np.add(y, acc, out=ys)
                 k[s] = self.liou @ ys
+            self.matvecs += 6
             # the last stage input is the 5th-order solution (FSAL pair)
-            np.dot(self._e_row, k, out=acc)
+            np.dot(_DP_ERR, k, out=acc)
             np.multiply(acc, h, out=acc)
             scale = self.abs + self.rel * np.maximum(np.abs(y), np.abs(ys))
-            ratio = np.abs(acc)
-            ratio /= scale
-            err = float(np.sqrt(np.sum(ratio * ratio) / self.n_full))
+            np.abs(acc, out=acc)
+            acc /= scale
+            err = self._rms(acc)
             if err <= 1.0:
+                if h == self.h:
+                    self.h_min = min(self.h_min, h)
                 t += h
                 np.copyto(y, ys)
                 np.copyto(k[0], k[6])
@@ -318,9 +364,11 @@ class _Dopri5:
                 fac = _SAFETY * err ** (-_ALPHA) * self.err_prev ** _BETA
                 self.h = h * min(_FAC_MAX, max(_FAC_MIN, fac))
                 self.err_prev = err
+                self.accepted += 1
                 rejects = 0
             else:
                 self.h = h * max(_FAC_MIN, _SAFETY * err ** -0.2)
+                self.rejected += 1
                 rejects += 1
                 if rejects > 50:
                     raise StepSizeUnderflowError(
@@ -369,6 +417,11 @@ def evolve(
         between them at every sample.
     keep_states:
         Store the sampled density matrices (memory scales with n*D^2).
+
+    The returned `stats` dict holds the stepper's `matvecs`,
+    `steps_accepted`, `steps_rejected` and `h_min`, the number of stepped
+    real `coordinates` against `dim_squared` = D^2, and the number of trace
+    `renormalizations`.
     """
     if tolerances is None:
         tolerances = Tolerances()
@@ -386,44 +439,44 @@ def evolve(
 
     d = model.dim
     liou = _liouvillian(model)
-    keep = _reachable(liou, rho0.matrix)
-    if keep.all():
-        idx = slice(None)
-    else:
-        idx = np.flatnonzero(keep)
-        liou = liou[idx][:, idx]
-    stepper = _Dopri5(liou, tolerances.rel, tolerances.abs, n_full=d * d)
-    obs = [(name, np.ascontiguousarray(op.matrix)) for name, op in model.observables]
+    idx = np.flatnonzero(_reachable(liou, rho0.matrix))
+    e, sel, imag = _hermitian_coordinates(idx, d)
+    liou = liou[sel]    # only the rows R reads: the full complex L is freed here
+    stepper = _Dopri5(_real_generator(liou, e, imag), tolerances.rel, tolerances.abs,
+                      idx, d * d)
+    del liou
+    names = model.observable_names()
+    # tr(rho O) = vec(O^T) . E x, real for Hermitian O
+    obs = np.array([(e.T @ op.matrix.T.ravel()).real for _, op in model.observables])
+    obs = obs.reshape(len(names), len(idx))
     guards = _top_level_masks(model.layout)
     times = np.arange(n_samples + 1) * sample_dt
 
-    values = np.empty((n_samples + 1, len(obs)))
+    values = np.empty((n_samples + 1, len(names)))
     trace_errors = np.empty(n_samples + 1)
     min_eigs = np.empty(n_samples + 1)
     mi = np.empty(n_samples + 1) if mutual_info_pair is not None else None
     # a pair covering every factor leaves rho whole: reuse its spectrum
     mi_whole = mi is not None and set(mutual_info_pair) == set(range(model.layout.nfactors))
     states: list[DensityMatrix] | None = [] if keep_states else None
+    renorms = 0
+    rho = None
 
-    y = np.array(rho0.matrix, dtype=complex)
-    max_imag = 0.0
-
-    def record(i: int, y: np.ndarray) -> np.ndarray:
-        nonlocal max_imag
-        tr = np.trace(y)
+    def record(i: int, x: np.ndarray) -> np.ndarray:
+        nonlocal renorms, rho
+        rho = (e @ x).reshape(d, d)
+        tr = np.trace(rho).real
         trace_errors[i] = abs(tr - 1.0)
-        y = 0.5 * (y + y.conj().T)
-        tr_real = np.trace(y).real
-        if abs(tr_real - 1.0) > RENORM_THRESHOLD:
-            y = y / tr_real
-        spectrum = np.linalg.eigvalsh(y)
+        if trace_errors[i] > RENORM_THRESHOLD:
+            x = x / tr
+            rho = rho / tr
+            stepper.invalidate_fsal()
+            renorms += 1
+        spectrum = np.linalg.eigvalsh(rho)
         min_eigs[i] = spectrum[0]
-        for j, (_, mat) in enumerate(obs):
-            val = np.einsum("ij,ji->", y, mat)
-            max_imag = max(max_imag, abs(val.imag))
-            values[i, j] = val.real
+        values[i] = obs @ x
         for label, mask in guards:
-            pop = float(np.sum(y.real.diagonal()[mask]))
+            pop = float(np.sum(rho.real.diagonal()[mask]))
             if pop > guard_threshold:
                 raise TruncationError(
                     f"top Fock level of factor '{label}' reached population "
@@ -431,35 +484,36 @@ def evolve(
                     "raise the truncation"
                 )
         if mi is not None:
-            rho2 = partial_trace(DensityMatrix(model.layout, y), mutual_info_pair)
             s_ab = spectral_entropy(spectrum) if mi_whole else None
-            mi[i] = mutual_information(rho2, ((0,), (1,)), s_ab=s_ab)
+            mi[i] = _mutual_information(rho, model.layout.factors, (mutual_info_pair[0],),
+                                        (mutual_info_pair[1],), s_ab)
         if states is not None:
-            states.append(DensityMatrix(model.layout, y))
-        return y
+            states.append(DensityMatrix(model.layout, rho))
+        return x
 
-    y = record(0, y)
-    stepper.invalidate_fsal()
+    rho0_vec = rho0.matrix.ravel()
+    x = record(0, np.where(imag, rho0_vec[sel].imag, rho0_vec[sel].real))
     for i in range(1, n_samples + 1):
-        z = stepper.advance(y.ravel()[idx], times[i - 1], times[i])
-        y = np.zeros(d * d, dtype=complex)
-        y[idx] = z
-        y = record(i, y.reshape(d, d))
-        stepper.invalidate_fsal()
+        x = record(i, stepper.advance(x, times[i - 1], times[i]))
 
-    if max_imag > 1e-8:
-        raise RuntimeError(
-            f"observable expectation acquired imaginary part {max_imag:.3g}"
-        )
     return Trajectory(
         times=times,
         values=values,
-        names=[name for name, _ in obs],
+        names=names,
         trace_errors=trace_errors,
         min_eigenvalues=min_eigs,
-        final_state=DensityMatrix(model.layout, y),
+        final_state=DensityMatrix(model.layout, rho),
         mutual_info=mi,
         states=states,
+        stats={
+            "matvecs": stepper.matvecs,
+            "steps_accepted": stepper.accepted,
+            "steps_rejected": stepper.rejected,
+            "h_min": float(stepper.h_min) if np.isfinite(stepper.h_min) else None,
+            "coordinates": len(idx),
+            "dim_squared": d * d,
+            "renormalizations": renorms,
+        },
     )
 
 

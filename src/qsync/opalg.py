@@ -298,21 +298,25 @@ def embed(op: Operator, layout: SpaceLayout, slot: int) -> Operator:
     return Operator(layout, mat)
 
 
+def _marginal(matrix: np.ndarray, factors: tuple, keep: tuple) -> np.ndarray:
+    """Partial trace of a D x D matrix onto the sorted slots `keep`, as a matrix."""
+    n = len(factors)
+    cols = [n + k if k in keep else k for k in range(n)]
+    d = int(np.prod([factors[k] for k in keep]))
+    out = np.einsum(matrix.reshape(factors + factors), list(range(n)) + cols,
+                    list(keep) + [n + k for k in keep])
+    return out.reshape(d, d)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all factors not in `keep`; kept factors preserve their order."""
-    keep = sorted(set(int(k) for k in keep))
+    keep = tuple(sorted(set(int(k) for k in keep)))
     nf = rho.layout.nfactors
     if not keep:
         raise ValueError("keep set must be non-empty")
     if keep[0] < 0 or keep[-1] >= nf:
         raise ValueError(f"keep set {keep} out of range for {nf} factors")
-    dims = list(rho.layout.factors)
-    work = rho.matrix.reshape(dims + dims)
-    for idx in sorted(set(range(nf)) - set(keep), reverse=True):
-        work = np.trace(work, axis1=idx, axis2=idx + len(dims))
-        dims.pop(idx)
-    d = int(np.prod(dims))
-    return DensityMatrix(rho.layout.sub(keep), work.reshape(d, d))
+    return DensityMatrix(rho.layout.sub(keep), _marginal(rho.matrix, rho.layout.factors, keep))
 
 
 def expectation(rho: DensityMatrix, a: Operator) -> complex:
@@ -351,11 +355,22 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return spectral_entropy(np.linalg.eigvalsh(sym))
 
 
-def mutual_information(rho: DensityMatrix, cut: tuple, *, s_ab: float | None = None) -> float:
-    """I = S(rho_A) + S(rho_B) - S(rho_AB) in nats across a slot bipartition.
+def _mutual_information(matrix: np.ndarray, factors: tuple, part_a: tuple, part_b: tuple,
+                        s_ab: float | None = None) -> float:
+    """S(A) + S(B) - S(AB) of an exactly Hermitian matrix over sorted slot tuples.
 
-    `s_ab` is S(rho) itself, for a caller that already has its spectrum.
+    Slots in neither part are traced out; `s_ab` is S(AB) if already known.
     """
+    def entropy(keep):
+        return spectral_entropy(np.linalg.eigvalsh(_marginal(matrix, factors, keep)))
+
+    if s_ab is None:
+        s_ab = entropy(tuple(sorted(part_a + part_b)))
+    return entropy(part_a) + entropy(part_b) - s_ab
+
+
+def mutual_information(rho: DensityMatrix, cut: tuple) -> float:
+    """I = S(rho_A) + S(rho_B) - S(rho_AB) in nats across a slot bipartition."""
     part_a = tuple(sorted(int(i) for i in cut[0]))
     part_b = tuple(sorted(int(i) for i in cut[1]))
     nf = rho.layout.nfactors
@@ -365,11 +380,10 @@ def mutual_information(rho: DensityMatrix, cut: tuple, *, s_ab: float | None = N
         raise ValueError("cut sides overlap")
     if set(part_a) | set(part_b) != set(range(nf)):
         raise ValueError(f"cut must partition all {nf} factors")
-    s_a = von_neumann_entropy(partial_trace(rho, part_a))
-    s_b = von_neumann_entropy(partial_trace(rho, part_b))
-    if s_ab is None:
-        s_ab = von_neumann_entropy(rho)
-    return s_a + s_b - s_ab
+    if rho.hermiticity_defect() > 1e-8:
+        raise ValueError("entropy requires a Hermitian state")
+    sym = 0.5 * (rho.matrix + rho.matrix.conj().T)
+    return _mutual_information(sym, rho.layout.factors, part_a, part_b)
 
 
 def purity(rho: DensityMatrix) -> float:

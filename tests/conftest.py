@@ -4,11 +4,21 @@ Each preset scenario is simulated once per session through the same code
 path the CLI uses, so the acceptance criteria all judge genuine end-to-end
 artifacts (CSV files plus report.json).  Each fixture returns
 (outdir, report).
+
+BLAS is pinned to one thread before numpy is first imported: the
+generator's sparse matvecs are single-threaded, and a second BLAS thread
+only spins in the small dense kernels around them.  An explicit setting in
+the environment wins.
 """
 
-import pytest
+import os
 
-from qsync.cli import run_scenario, scenario_from_preset
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from qsync.cli import run_scenario, scenario_from_preset  # noqa: E402
 
 
 def _run_preset(tmp_path_factory, name: str):

@@ -163,6 +163,19 @@ class TestRunAnalyze:
         for name in ("trajectory.csv", "mutual_info.csv", "diagnostics.csv", "report.json"):
             assert (outdir / name).exists()
 
+    def test_stats_json_beside_report(self, run_dir):
+        outdir, report = run_dir
+        stats = json.loads((outdir / "stats.json").read_text())
+        assert set(stats) == {"matvecs", "steps_accepted", "steps_rejected", "h_min",
+                              "coordinates", "dim_squared", "renormalizations"}
+        assert stats["coordinates"] == stats["dim_squared"] == 16
+        assert stats["steps_accepted"] > 0 and stats["h_min"] > 0
+        # one matvec per stage: six per attempted step, plus the start-up ones
+        attempts = stats["steps_accepted"] + stats["steps_rejected"]
+        assert 6 * attempts < stats["matvecs"] <= 6 * attempts + 2 + stats["renormalizations"]
+        assert not set(stats) & set(report)
+        assert read_trajectory_csv(outdir / "trajectory.csv").stats is None
+
     def test_report_structure(self, run_dir):
         _, report = run_dir
         assert set(report["pairs"]) == {"sigma_x", "sigma_y", "sigma_z"}
@@ -330,7 +343,11 @@ run.sample_dt = 0.1
         bad = write_config(tmp_path, text.replace("param.Omega1 = 0.1", "param.Omega1 = 5"),
                            "bad.cfg")
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 3
-        assert not (out / "report.json").exists()
+        for name in ("report.json", "trajectory.csv", "mutual_info.csv", "diagnostics.csv"):
+            assert not (out / name).exists(), name
+        # nothing stale is left to re-analyse
+        assert main(["analyze", str(out / "trajectory.csv"), "--out",
+                     str(tmp_path / "re")]) == 4
 
     def test_non_finite_number_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("param.gamma_eff = 0.25", "param.gamma_eff = nan")

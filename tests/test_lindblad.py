@@ -9,8 +9,10 @@ from qsync.lindblad import (
     Tolerances,
     TruncationError,
     _Dopri5,
+    _hermitian_coordinates,
     _liouvillian,
     _reachable,
+    _real_generator,
     dense_liouvillian,
     evolve,
     propagate_dense,
@@ -301,17 +303,64 @@ class TestReachablePruning:
         assert reachable_count(model, rho0) < d * d
         tol = Tolerances()
         traj = evolve(model, rho0, 2.0, 0.25, tol, keep_states=True)
-        # the full generator, stepped on all D^2 entries with evolve's
-        # per-sample Hermitization
-        stepper = _Dopri5(_liouvillian(model), tol.rel, tol.abs, d * d)
-        y = rho0.matrix.astype(complex)
+        assert traj.stats["renormalizations"] == 0
+        # the real generator on all D^2 coordinates, stepped without pruning
+        e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
+        stepper = _Dopri5(_real_generator(_liouvillian(model)[sel], e, imag),
+                          tol.rel, tol.abs, np.arange(d * d), d * d)
+        vec = rho0.matrix.ravel()
+        x = np.where(imag, vec[sel].imag, vec[sel].real)
         worst = 0.0
         for i in range(1, len(traj.times)):
-            stepper.invalidate_fsal()
-            y = stepper.advance(y.ravel(), traj.times[i - 1], traj.times[i]).reshape(d, d)
-            y = 0.5 * (y + y.conj().T)
-            worst = max(worst, float(np.max(np.abs(traj.states[i].matrix - y))))
+            x = stepper.advance(x, traj.times[i - 1], traj.times[i])
+            rho = (e @ x).reshape(d, d)
+            worst = max(worst, float(np.max(np.abs(traj.states[i].matrix - rho))))
         assert worst < 1e-12, worst
+
+
+class TestRealGenerator:
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(7)
+        out = [random_model_and_state(rng)[0] for _ in range(5)]
+        out.append(build_cavity_qubit(
+            CavityQubitParams(0.3, -0.2, 0.1, 0.15, 0.4, -0.5, 0.2, Nc=3)))
+        return [(model, model.layout.dim ** 2) for model in out] + [
+            (small_vdp_case()[0], 676)
+        ]
+
+    def test_matches_complex_generator_on_hermitian_states(self):
+        # L_r x = R(L (E x)) for random Hermitian states on the stepped set
+        rng = np.random.default_rng(11)
+        for model, count in self.cases():
+            d = model.dim
+            liou = _liouvillian(model)
+            rho0 = small_vdp_case()[1] if count < d * d else random_state(rng, model.layout)
+            idx = np.flatnonzero(_reachable(liou, rho0.matrix))
+            assert len(idx) == count
+            e, sel, imag = _hermitian_coordinates(idx, d)
+            real = _real_generator(liou[sel], e, imag)
+            assert real.dtype == np.float64 and real.shape == (count, count)
+            for _ in range(3):
+                x = rng.normal(size=count)
+                rho = (e @ x).reshape(d, d)
+                assert np.array_equal(rho, rho.conj().T)
+                lv = liou @ (e @ x)
+                expected = np.where(imag, lv[sel].imag, lv[sel].real)
+                assert np.max(np.abs(real @ x - expected)) < 1e-12
+
+    def test_coordinates_round_trip(self):
+        rng = np.random.default_rng(3)
+        model, rho0 = small_vdp_case()
+        d = model.dim
+        idx = np.flatnonzero(_reachable(_liouvillian(model), rho0.matrix))
+        e, sel, imag = _hermitian_coordinates(idx, d)
+        assert e.shape == (d * d, len(idx))
+        assert np.max(np.diff(e.tocsc().indptr)) <= 2
+        rho = random_state(rng, model.layout).matrix.ravel()
+        x = np.where(imag, rho[sel].imag, rho[sel].real)
+        back = e @ x
+        assert np.array_equal(back[idx], rho[idx])
 
 
 class TestContraction:
