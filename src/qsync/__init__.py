@@ -4,20 +4,14 @@ from .opalg import (
     DensityMatrix,
     Operator,
     SpaceLayout,
-    commutator,
     destroy,
     embed,
     expectation,
-    hs_inner,
-    identity,
-    make_elementary,
     momentum,
     mutual_information,
     partial_trace,
     pauli,
     position,
-    purity,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
@@ -53,7 +47,6 @@ from .syncmeter import (
     AnalysisThresholds,
     OscillationFit,
     PairVerdict,
-    SyncReport,
     build_sync_report,
     classify_pair,
     degree_of_quantumness,

@@ -5,7 +5,7 @@ Subcommands
 run       simulate a preset or a config file; writes trajectory.csv,
           mutual_info.csv, diagnostics.csv, stats.json (integrator
           counters) and report.json
-analyze   recompute a SyncReport from a trajectory.csv (decoupled from the
+analyze   recompute report.json from a trajectory.csv (decoupled from the
           simulation, so thresholds can be revisited after the fact)
 sweep     run a grid of scenarios from a sweep config; writes per-point
           directories plus summary.csv
@@ -28,7 +28,10 @@ run.t_end must be a positive integer multiple of run.sample_dt, so a sweep
 with a bad sample grid fails before its first point.  Models come from
 `models.MODELS` and presets from `models.PRESETS`.  A fresh run and a
 re-analysis of its trajectory.csv feed the same `lindblad.Trajectory`
-through `analyze_trajectory`.
+through `analyze_trajectory`, which builds every report field except the
+scenario echo.  Each output of `run` and `analyze` is written to a
+temporary sibling and renamed into place, so a crash never leaves a
+partial file under its final name.
 
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, an
 analysis window too short to fit, or tolerances the integrator cannot
@@ -352,31 +355,54 @@ def resolve_catalog(spec: str):
     raise ConfigError(f"unknown catalog '{spec}' (use 'pauli' or 'moments:<N>')")
 
 
+def _write_atomically(path: Path, write):
+    """Call `write(fh)` on a temporary sibling, then rename it onto `path`."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    rows = len(columns[0])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(f"{col[i]:.17g}" for col in columns) + "\n")
+    _write_atomically(path, lambda fh: np.savetxt(
+        fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+        header=",".join(header), comments=""))
+
+
+def _write_json(path: Path, obj: dict):
+    def dump(fh):
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    _write_atomically(path, dump)
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
-    """The samples of a trajectory.csv, without run diagnostics."""
+    """The samples of a `time,...` CSV; a malformed or non-finite one is a ConfigError."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("time"):
             raise ConfigError(f"{path}: first column must be 'time'")
         names = header.split(",")[1:]
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+        body = fh.tell()
+        if not any(line.strip() for line in iter(fh.readline, "")):
+            raise ConfigError(f"{path}: no data rows")   # loadtxt would only warn
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if data.shape[1] != len(names) + 1:
         raise ConfigError(f"{path}: inconsistent column count")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(f"{path}: non-finite value in column "
+                          f"'{(['time'] + names)[col]}' of data row {row + 1}")
     return Trajectory(data[:, 0], data[:, 1:], names)
 
 
@@ -386,23 +412,17 @@ def analyze_trajectory(
     catalog,
     window: tuple[float, float] | None,
     thresholds: AnalysisThresholds,
-    mutual_info_final: float | None,
-):
-    """Shared analysis path for fresh runs and CSV re-analysis."""
+) -> dict:
+    """Every report field but the scenario echo, for fresh runs and CSV re-analysis."""
     if window is None:
         n = len(traj.times)
         window = (float(traj.times[n // 2]), float(traj.times[-1]))
-    missing = []
-    for name, _ in catalog:
-        for k in (1, 2):
-            if f"{name}_{k}" not in traj.names:
-                missing.append(f"{name}_{k}")
+    missing = [col for name, _ in catalog for col in (f"{name}_1", f"{name}_2")
+               if col not in traj.names]
     if missing:
-        raise ConfigError(
-            f"trajectory lacks catalog columns: {', '.join(missing)}"
-        )
-    sync = build_sync_report(
-        traj, catalog, window, thresholds, mutual_info_final,
+        raise ConfigError(f"trajectory lacks catalog columns: {', '.join(missing)}")
+    report = build_sync_report(
+        traj, catalog, window, thresholds,
         notes={
             "catalog": catalog_name,
             # truncated continuous-variable catalogs only bound the true
@@ -410,23 +430,10 @@ def analyze_trajectory(
             "chi_lower_bound_only": catalog_name.startswith("moments:"),
         },
     )
-    report = {
-        "version": __version__,
-        "pairs": {
-            name: {
-                **dataclasses.asdict(verdict),
-                "fit_1": dataclasses.asdict(sync.fits[f"{name}_1"]),
-                "fit_2": dataclasses.asdict(sync.fits[f"{name}_2"]),
-            }
-            for name, verdict in sync.pair_verdicts.items()
-        },
-        "synchronized_set": sync.S,
-        "chi": sync.chi,
-        "c": sync.c,
-        "xi": sync.xi,
-        "mutual_info_final": sync.mutual_info_final,
-        "thresholds": sync.notes,
-    }
+    report["version"] = __version__
+    mi = traj.mutual_info
+    report["mutual_info_final"] = None if mi is None else float(mi[-1])
+    report["extras"] = _extras_from_trajectory(traj)
     return report
 
 
@@ -481,17 +488,9 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> dict:
     )
     _write_json(outdir / "stats.json", traj.stats)
     catalog_name, catalog = _catalog_for(cfg.catalog, cfg.model, cfg.params)
-    report = analyze_trajectory(
-        traj,
-        catalog_name,
-        catalog,
-        cfg.window,
-        cfg.thresholds,
-        mutual_info_final=float(traj.mutual_info[-1]),
-    )
+    report = analyze_trajectory(traj, catalog_name, catalog, cfg.window, cfg.thresholds)
     report["scenario"] = cfg.echo()
     report["model"] = cfg.model
-    report["extras"] = _extras_from_trajectory(traj)
     _write_json(outdir / "report.json", report)
     return report
 
@@ -503,50 +502,29 @@ def analyze_csv(
     thresholds: AnalysisThresholds,
     outdir: Path,
 ) -> dict:
+    """Re-analyze a trajectory.csv with its sibling mutual_info.csv, if any.
+
+    Only the provenance (`scenario`, `model`) comes from a sibling report.json.
+    """
     traj = read_trajectory_csv(csv_path)
     catalog_name, catalog = resolve_catalog(catalog_spec)
-
-    mi_final = None
     mi_path = csv_path.parent / "mutual_info.csv"
     if mi_path.exists():
-        with open(mi_path) as fh:
-            fh.readline()
-            last = None
-            for line in fh:
-                if line.strip():
-                    last = line
-        if last is not None:
-            mi_final = float(last.strip().split(",")[1])
+        mi = read_trajectory_csv(mi_path)
+        if mi.names != ["mutual_info"]:
+            raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info'")
+        traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
 
-    report = analyze_trajectory(traj, catalog_name, catalog, window, thresholds, mi_final)
-
-    # Carry over run provenance so a re-analysis with identical thresholds
-    # reproduces the original report field-for-field.
+    report = analyze_trajectory(traj, catalog_name, catalog, window, thresholds)
     sibling = csv_path.parent / "report.json"
-    scenario = None
-    model = None
-    extras = {}
-    if sibling.exists():
-        with open(sibling) as fh:
-            prior = json.load(fh)
-        scenario = prior.get("scenario")
-        model = prior.get("model")
-        extras = prior.get("extras", {})
-    report["scenario"] = scenario
-    report["model"] = model
-    report["extras"] = extras
+    prior = json.loads(sibling.read_text()) if sibling.exists() else {}
+    if not isinstance(prior, dict):
+        raise ConfigError(f"{sibling}: not a JSON object")
+    report["scenario"] = prior.get("scenario")
+    report["model"] = prior.get("model")
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "report.json", report)
     return report
-
-
-def _write_json(path: Path, obj: dict):
-    """Write `obj` to a temporary sibling, then rename it onto `path`."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 # --- sweep -----------------------------------------------------------------

@@ -134,7 +134,8 @@ class ModelSpec:
 class Trajectory:
     """Sampled run: uniform time grid, real expectations, diagnostics.
 
-    The diagnostic fields are None for a trajectory re-read from CSV.
+    The diagnostic fields are None for a trajectory re-read from CSV;
+    `cli.analyze_csv` fills in `mutual_info` from mutual_info.csv.
     """
 
     times: np.ndarray
@@ -153,14 +154,6 @@ class Trajectory:
         except ValueError:
             raise KeyError(f"trajectory has no observable '{name}'") from None
         return self.values[:, idx]
-
-    @property
-    def max_trace_error(self) -> float:
-        return float(np.max(self.trace_errors))
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(np.min(self.min_eigenvalues))
 
 
 def _liouvillian(model: ModelSpec) -> sparse.csr_matrix:

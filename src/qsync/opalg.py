@@ -11,7 +11,6 @@ Conventions
   coincides with destroy(2).
 * Bosonic operators act on an n-level Fock truncation with
   <k-1| a |k> = sqrt(k); x = (a + a^dag)/sqrt(2), p = -i(a - a^dag)/sqrt(2).
-* The operator inner product is Hilbert-Schmidt, <A, B> = tr(A^dag B).
 
 All values are immutable after construction (wrapped arrays are
 write-locked); operations are pure functions, safe to share across threads.
@@ -25,9 +24,6 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-12
 ENTROPY_EIGEN_FLOOR = 1e-12
-
-_PAULI_KINDS = ("pauli_x", "pauli_y", "pauli_z", "pauli_plus", "pauli_minus")
-_BOSONIC_KINDS = ("destroy", "identity", "position", "momentum")
 
 
 @dataclass(frozen=True)
@@ -61,9 +57,6 @@ class SpaceLayout:
     @property
     def nfactors(self) -> int:
         return len(self.factors)
-
-    def slot(self, label: str) -> int:
-        return self.labels.index(label)
 
     def sub(self, keep) -> "SpaceLayout":
         keep = tuple(sorted(keep))
@@ -123,9 +116,6 @@ class Operator:
     def __sub__(self, other: "Operator") -> "Operator":
         self._check_layout(other)
         return Operator(self.layout, self.matrix - other.matrix)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.layout, -self.matrix)
 
     def __mul__(self, scalar) -> "Operator":
         return Operator(self.layout, self.matrix * complex(scalar))
@@ -198,10 +188,6 @@ class DensityMatrix:
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    def min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(sym)[0])
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, factors={self.layout.factors})"
 
@@ -217,12 +203,6 @@ def destroy(n: int, label: str = "s0") -> Operator:
     for k in range(1, n):
         mat[k - 1, k] = np.sqrt(k)
     return Operator(_single_layout(n, label), mat)
-
-
-def identity(n: int, label: str = "s0") -> Operator:
-    if n < 2:
-        raise ValueError(f"identity needs n >= 2, got {n}")
-    return Operator(_single_layout(n, label), np.eye(n, dtype=complex))
 
 
 def position(n: int, label: str = "s0") -> Operator:
@@ -247,38 +227,6 @@ def pauli(which: str, label: str = "s0") -> Operator:
     if which not in mats:
         raise ValueError(f"unknown pauli kind '{which}'")
     return Operator(_single_layout(2, label), mats[which])
-
-
-def make_elementary(kind: str, n: int | None = None, label: str = "s0") -> Operator:
-    """Build a single-factor operator by kind name.
-
-    Bosonic kinds (destroy, identity, position, momentum) require the
-    truncation n >= 2; pauli kinds are fixed 2x2.
-    """
-    if kind in _PAULI_KINDS:
-        if n not in (None, 2):
-            raise ValueError(f"{kind} is 2x2; n={n} is invalid")
-        return pauli(kind.split("_", 1)[1], label)
-    if kind in _BOSONIC_KINDS:
-        if n is None:
-            raise ValueError(f"{kind} requires a dimension n")
-        builder = {
-            "destroy": destroy,
-            "identity": identity,
-            "position": position,
-            "momentum": momentum,
-        }[kind]
-        return builder(n, label)
-    raise ValueError(f"unknown elementary operator kind '{kind}'")
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; the layout is the concatenation of both factor lists."""
-    labels = a.layout.labels + b.layout.labels
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"tensor would duplicate factor labels: {labels}")
-    layout = SpaceLayout(a.layout.factors + b.layout.factors, labels)
-    return Operator(layout, np.kron(a.matrix, b.matrix))
 
 
 def embed(op: Operator, layout: SpaceLayout, slot: int) -> Operator:
@@ -326,19 +274,6 @@ def expectation(rho: DensityMatrix, a: Operator) -> complex:
     return complex(np.einsum("ij,ji->", rho.matrix, a.matrix))
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    if a.layout != b.layout:
-        raise ValueError("commutator needs operators on the same layout")
-    return Operator(a.layout, a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def hs_inner(a: Operator | np.ndarray, b: Operator | np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dag B)."""
-    amat = a.matrix if isinstance(a, Operator) else np.asarray(a)
-    bmat = b.matrix if isinstance(b, Operator) else np.asarray(b)
-    return complex(np.vdot(amat, bmat))
-
-
 def spectral_entropy(lam: np.ndarray) -> float:
     """-sum(lam ln lam) in nats over the eigenvalues above a small floor."""
     lam = lam[lam > ENTROPY_EIGEN_FLOOR]
@@ -384,10 +319,6 @@ def mutual_information(rho: DensityMatrix, cut: tuple) -> float:
         raise ValueError("entropy requires a Hermitian state")
     sym = 0.5 * (rho.matrix + rho.matrix.conj().T)
     return _mutual_information(sym, rho.layout.factors, part_a, part_b)
-
-
-def purity(rho: DensityMatrix) -> float:
-    return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

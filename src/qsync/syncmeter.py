@@ -26,7 +26,7 @@ models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -88,20 +88,6 @@ class PairVerdict:
     phase_diff: float
     phase_class: str          # in_phase | anti_phase | phase_locked_other
     amplitude_ratio: float
-
-
-@dataclass
-class SyncReport:
-    """Verdicts plus the quantumness indices for one analyzed run."""
-
-    pair_verdicts: dict[str, PairVerdict]
-    fits: dict[str, OscillationFit]
-    S: list[str]
-    chi: int
-    c: int
-    xi: int
-    mutual_info_final: float | None
-    notes: dict = field(default_factory=dict)
 
 
 def wrap_phase(phi: float) -> float:
@@ -431,30 +417,32 @@ def build_sync_report(
     catalog: list[tuple[str, Operator]],
     window: tuple[float, float],
     thresholds: AnalysisThresholds | None = None,
-    mutual_info_final: float | None = None,
     notes: dict | None = None,
-) -> SyncReport:
-    """Full analysis: verdicts, synchronized set and quantumness indices."""
+) -> dict:
+    """report.json's analysis fields: pairs with fits, synchronized set, chi, c, xi, thresholds."""
     if thresholds is None:
         thresholds = AnalysisThresholds()
     analysis = synchronized_set(trajectory, catalog, window, thresholds)
     chi, c, xi = degree_of_quantumness(
         analysis.operators, comm_tol=thresholds.comm_tol, rank_tol=thresholds.rank_tol
     )
-    full_notes = {
-        "window": [float(window[0]), float(window[1])],
-        "signal_scale": analysis.signal_scale,
-        **asdict(thresholds),
+    return {
+        "pairs": {
+            name: {
+                **asdict(verdict),
+                "fit_1": asdict(analysis.fits[f"{name}_1"]),
+                "fit_2": asdict(analysis.fits[f"{name}_2"]),
+            }
+            for name, verdict in analysis.verdicts.items()
+        },
+        "synchronized_set": analysis.names,
+        "chi": chi,
+        "c": c,
+        "xi": xi,
+        "thresholds": {
+            "window": [float(window[0]), float(window[1])],
+            "signal_scale": analysis.signal_scale,
+            **asdict(thresholds),
+            **(notes or {}),
+        },
     }
-    if notes:
-        full_notes.update(notes)
-    return SyncReport(
-        pair_verdicts=analysis.verdicts,
-        fits=analysis.fits,
-        S=analysis.names,
-        chi=chi,
-        c=c,
-        xi=xi,
-        mutual_info_final=mutual_info_final,
-        notes=full_notes,
-    )

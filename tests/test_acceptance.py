@@ -247,8 +247,8 @@ def test_criterion_7_randomized_invariants():
         model = ModelSpec(layout, h, tuple(dis), ())
         rho0 = _random_state(rng, layout)
         traj = evolve(model, rho0, 1.0, 0.25, guard_threshold=np.inf)
-        assert traj.max_trace_error < 1e-8, seed
-        assert traj.min_eigenvalue >= -1e-8, seed
+        assert np.max(traj.trace_errors) < 1e-8, seed
+        assert np.min(traj.min_eigenvalues) >= -1e-8, seed
 
         # entropy bounds on random states
         rho = _random_state(rng, layout)

@@ -5,6 +5,7 @@ import pytest
 
 from qsync.cli import (
     ConfigError,
+    _write_csv,
     analyze_csv,
     main,
     parse_config_text,
@@ -74,6 +75,24 @@ PRESET_PINS = {
         ],
     ),
 }
+
+
+# a small van der Pol pair: its trajectory carries the S_c moments behind `extras`
+SMALL_VDP = """
+model = vdp
+param.omega1 = 1
+param.omega2 = 1
+param.J = 0
+param.Omega1 = 0.1
+param.Omega2 = 0.1
+param.kappa1 = 0.3
+param.kappa2 = 0.3
+param.N = 6
+initial.mode1 = 1 0 0 0 0 0
+initial.mode2 = 1 0 0 0 0 0
+run.t_end = 20
+run.sample_dt = 0.1
+"""
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -199,6 +218,23 @@ class TestRunAnalyze:
         assert np.array_equal(csv.times, traj.times)
         assert np.array_equal(csv.values, traj.values)  # bitwise round-trip
 
+    def test_csv_io_matches_reference_loops(self, tmp_path):
+        # the numpy writer and reader against per-value formatting and float()
+        rng = np.random.default_rng(0)
+        cols = [np.arange(50) * 0.1] + [
+            rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, size=50) for _ in range(3)
+        ]
+        cols[1][0] = -0.0
+        path = tmp_path / "t.csv"
+        _write_csv(path, ["time", "a", "b", "c"], cols)
+        lines = ["time,a,b,c"] + [",".join(f"{c[i]:.17g}" for c in cols) for i in range(50)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        traj = read_trajectory_csv(path)
+        ref = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+        assert traj.names == ["a", "b", "c"]
+        assert traj.times.tobytes() == ref[:, 0].tobytes()
+        assert traj.values.tobytes() == ref[:, 1:].tobytes()
+
     def test_reanalysis_is_field_identical(self, run_dir, tmp_path):
         outdir, report = run_dir
         cfg = scenario_from_mapping(parse_config_text(FAST_SCENARIO))
@@ -225,6 +261,18 @@ class TestRunAnalyze:
         assert report["pairs"]["sigma_x"]["phase_class"] == "in_phase"
         assert report["synchronized_set"] == ["sigma_x"]
         assert report["scenario"] is None
+
+    def test_reanalysis_recomputes_extras(self, tmp_path):
+        cfg = scenario_from_mapping(parse_config_text(SMALL_VDP))
+        outdir = tmp_path / "vdp"
+        report = run_scenario(cfg, outdir)
+        assert set(report["extras"]) == {"s_c_final", "s_c_max", "s_c_min"}
+        (outdir / "report.json").unlink()
+        re_report = analyze_csv(outdir / "trajectory.csv", "moments:6", None,
+                                cfg.thresholds, tmp_path / "re")
+        assert re_report["extras"] == report["extras"]
+        assert re_report["mutual_info_final"] == report["mutual_info_final"]
+        assert re_report["scenario"] is None and re_report["model"] is None
 
     def test_schema_mismatch_missing_columns(self, tmp_path):
         path = tmp_path / "trajectory.csv"
@@ -320,27 +368,12 @@ run.sample_dt = 0.5
         assert "truncation" in capsys.readouterr().err.lower()
 
     def test_failed_rerun_leaves_no_report(self, tmp_path):
-        text = """
-model = vdp
-param.omega1 = 1
-param.omega2 = 1
-param.J = 0
-param.Omega1 = 0.1
-param.Omega2 = 0.1
-param.kappa1 = 0.3
-param.kappa2 = 0.3
-param.N = 6
-initial.mode1 = 1 0 0 0 0 0
-initial.mode2 = 1 0 0 0 0 0
-run.t_end = 20
-run.sample_dt = 0.1
-"""
         out = tmp_path / "o2"
-        good = write_config(tmp_path, text, "good.cfg")
+        good = write_config(tmp_path, SMALL_VDP, "good.cfg")
         assert main(["run", "--config", str(good), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
         # strong gain drives the top Fock level past the guard
-        bad = write_config(tmp_path, text.replace("param.Omega1 = 0.1", "param.Omega1 = 5"),
+        bad = write_config(tmp_path, SMALL_VDP.replace("param.Omega1 = 0.1", "param.Omega1 = 5"),
                            "bad.cfg")
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 3
         for name in ("report.json", "trajectory.csv", "mutual_info.csv", "diagnostics.csv"):
@@ -403,6 +436,49 @@ run.sample_dt = 0.1
         assert rc == 2
         assert err.startswith("error:") and "samples" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("defect", ["nan", "header_only", "ragged", "mi_columns",
+                                        "report_list"])
+    def test_bad_trajectory_csv_exit_code(self, tmp_path, capsys, defect):
+        t = np.arange(0.0, 1001.0)
+        wave = 0.4 * np.cos(0.3 * t)
+        lines = ["time,sigma_x_1,sigma_x_2,sigma_y_1,sigma_y_2,sigma_z_1,sigma_z_2"]
+        lines += [",".join(f"{v:.17g}" for v in (ti, w, w, 0, 0, 0, 0))
+                  for ti, w in zip(t, wave)]
+        if defect == "nan":    # one sigma_x_1 sample inside the window
+            cells = lines[500].split(",")
+            lines[500] = ",".join([cells[0], "nan"] + cells[2:])
+        elif defect == "header_only":
+            lines = lines[:1]
+        elif defect == "ragged":
+            lines[500] = lines[500].rsplit(",", 1)[0]
+        elif defect == "mi_columns":   # a sibling mutual_info.csv without its column
+            (tmp_path / "mutual_info.csv").write_text("time\n0\n1\n")
+        else:                          # a sibling report.json that is no JSON object
+            (tmp_path / "report.json").write_text("[]\n")
+        path = tmp_path / "trajectory.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["analyze", str(path), "--window", "100:1000",
+                   "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "re" / "report.json").exists()
+
+    def test_interrupted_csv_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def failing_savetxt(fh, *args, **kwargs):
+            fh.write("time,partial\n0,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savetxt", failing_savetxt)
+        cfg_path = write_config(tmp_path, FAST_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.json").exists()
+        assert not list(out.glob("*.tmp"))
 
     def test_io_error_exit_code(self, capsys):
         rc = main(["run", "--config", "/nonexistent/path.cfg", "--out", "/tmp/x"])

@@ -14,7 +14,7 @@ from qsync.models import (
     cavity_mode_matrix,
     moment_catalog,
 )
-from qsync.opalg import DensityMatrix, embed, expectation, hs_inner, pauli
+from qsync.opalg import DensityMatrix, embed, expectation, pauli
 
 
 def fig2a_params(**overrides):
@@ -140,7 +140,7 @@ class TestVdp:
 
     def test_moment_catalog_linearly_independent(self):
         ops = [op.matrix for _, op in moment_catalog(12)]
-        gram = np.array([[hs_inner(a, b) for b in ops] for a in ops])
+        gram = np.array([[np.vdot(a, b) for b in ops] for a in ops])
         assert np.linalg.matrix_rank(gram, tol=1e-10) == len(ops)
 
     def test_truncation_minimum(self):
@@ -162,13 +162,13 @@ class TestPresets:
         assert model.dim == 64
         # drive amplitude appears as the qubit-1 sigma_x prefactor
         sx1 = embed(pauli("x"), model.layout, 0)
-        drive = hs_inner(sx1, model.hamiltonian) / hs_inner(sx1, sx1)
+        drive = np.vdot(sx1.matrix, model.hamiltonian.matrix) / np.vdot(sx1.matrix, sx1.matrix)
         assert drive.real == pytest.approx(5e-4, rel=1e-12)
 
     def test_fig2b_drive_off(self):
         model, _ = PRESETS["fig2b"].build()
         sx1 = embed(pauli("x"), model.layout, 0)
-        drive = hs_inner(sx1, model.hamiltonian) / hs_inner(sx1, sx1)
+        drive = np.vdot(sx1.matrix, model.hamiltonian.matrix) / np.vdot(sx1.matrix, sx1.matrix)
         assert abs(drive) < 1e-14
 
     def test_fig2c_detunings(self):
