@@ -29,9 +29,9 @@ with a bad sample grid fails before its first point.  Models come from
 `models.MODELS` and presets from `models.PRESETS`.  A fresh run and a
 re-analysis of its trajectory.csv feed the same `lindblad.Trajectory`
 through `analyze_trajectory`, which builds every report field except the
-scenario echo.  Each output of `run` and `analyze` is written to a
-temporary sibling and renamed into place, so a crash never leaves a
-partial file under its final name.
+scenario echo.  Each output of `run` and `analyze`, and the sweep's
+summary.csv, is written to a temporary sibling and renamed into place, so a
+crash never leaves a partial file under its final name.
 
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, an
 analysis window too short to fit, or tolerances the integrator cannot
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
 import dataclasses
 import itertools
 import json
@@ -596,13 +597,16 @@ def run_sweep(spec: SweepSpec, outdir: Path) -> int:
             successes += 1
         except (ConfigError, TruncationError, RuntimeError) as exc:
             row.update(chi="", c="", xi="", mutual_info_final="",
-                       status=f"error:{type(exc).__name__}")
+                       status=f"error:{type(exc).__name__}: {exc}")
         rows.append(row)
     header = ["point"] + axis_names + ["chi", "c", "xi", "mutual_info_final", "status"]
-    with open(outdir / "summary.csv", "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_summary_cell(row[h]) for h in header) + "\n")
+
+    def write(fh):
+        out = csv.writer(fh, lineterminator="\n")   # QUOTE_MINIMAL: only messages get quoted
+        out.writerow(header)
+        out.writerows([_summary_cell(row[h]) for h in header] for row in rows)
+
+    _write_atomically(outdir / "summary.csv", write)
     return successes
 
 

@@ -217,11 +217,29 @@ def _hermitian_coordinates(idx: np.ndarray, d: int):
 
 
 def _real_generator(rows: sparse.csr_matrix, e, imag: np.ndarray):
-    """L_r = R L E as a real CSR matrix, from rows = L[sel], the rows that R reads."""
-    m = rows @ e
-    m.sort_indices()
-    data = np.where(np.repeat(imag, np.diff(m.indptr)), m.data.imag, m.data.real)
-    real = sparse.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+    """L_r = R L E as a real CSR matrix, from rows = L[sel], the rows that R reads.
+
+    With rows = A + iB and E = C + iF, row k of L_r is Re(rows_k E) =
+    A_k C - B_k F, or Im(rows_k E) = B_k C + A_k F where imag[k].  Each
+    column of E is real or imaginary, so every entry is the same sum of at
+    most two exact products as in the complex product rows @ E, which is
+    never formed.
+    """
+    per_entry = np.repeat(imag, np.diff(rows.indptr))
+    re, im = rows.data.real, rows.data.imag
+
+    def product(data, e_part):
+        # eliminate_zeros works in place, so only on copies of rows' and e's arrays
+        m = sparse.csr_matrix((data, rows.indices.copy(), rows.indptr.copy()),
+                              shape=rows.shape)
+        m.eliminate_zeros()
+        e_part = e_part.copy()      # e.real and e.imag view e's data
+        e_part.eliminate_zeros()
+        return m @ e_part
+
+    real = (product(np.where(per_entry, im, re), e.real)
+            + product(np.where(per_entry, re, -im), e.imag))
+    real.sort_indices()
     real.eliminate_zeros()
     return real
 

@@ -98,20 +98,97 @@ def wrap_phase(phi: float) -> float:
     return out
 
 
-def _vp_residual(t: np.ndarray, y: np.ndarray, omega: float, poly: np.ndarray | None = None):
-    """Variable-projection solve at fixed omega.
+def _full_solve(t: np.ndarray, y: np.ndarray, omega: float, nuisance: np.ndarray):
+    """Least-squares fit of a*cos(omega t) + b*sin(omega t) + nuisance @ c.
 
-    Fits a*cos(omega t) + b*sin(omega t) + B (+ optional polynomial
-    nuisance columns) by linear least squares; returns (ssr, coeffs) with
-    coeffs[:3] = (a, b, B).
+    One full-width solve; returns (ssr, coeffs) with coeffs = (a, b, *c).
     """
-    cols = [np.cos(omega * t), np.sin(omega * t), np.ones_like(t)]
-    if poly is not None:
-        cols.extend(poly.T)
-    design = np.column_stack(cols)
+    design = np.column_stack([np.cos(omega * t), np.sin(omega * t), nuisance])
     coeffs, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coeffs
     return float(resid @ resid), coeffs
+
+
+def _explained(g00: float, g01: float, g11: float, r0: float, r1: float, cut: float) -> float:
+    """r^T G^+ r for the 2x2 Gram matrix G = [[g00, g01], [g01, g11]].
+
+    Eigen-directions of G with eigenvalue <= cut are dropped, as lstsq drops
+    singular values below its cutoff, so a block that lies (numerically)
+    inside the nuisance span explains nothing instead of dividing by a
+    near-zero determinant.
+    """
+    half_gap = math.hypot(0.5 * (g00 - g11), g01)
+    lam1 = 0.5 * (g00 + g11) + half_gap
+    if lam1 <= cut:
+        return 0.0
+    det = g00 * g11 - g01 * g01
+    if det > cut * lam1:     # the smaller eigenvalue det / lam1 is kept too
+        return (g11 * r0 * r0 - 2.0 * g01 * r0 * r1 + g00 * r1 * r1) / det
+    v0, v1 = (lam1 - g11, g01) if g00 >= g11 else (g01, lam1 - g00)
+    return (v0 * r0 + v1 * r1) ** 2 / ((v0 * v0 + v1 * v1) * lam1)
+
+
+class _ProjectedObjective:
+    """Residual sum of squares of the cosine-plus-trend fit at trial frequencies.
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973): the nuisance columns are orthonormalised once (thin QR) and y is
+    projected against them, so each trial frequency leaves a least-squares
+    problem in the two projected columns cos(w t), sin(w t).  Its residual
+    sum of squares equals that of the full-width solve.
+    """
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, nuisance: np.ndarray):
+        n, p = nuisance.shape
+        q, r = np.linalg.qr(nuisance)
+        y_p = y - q @ (q.T @ y)
+        self._t = t
+        self._p = p
+        self._basis_y = np.empty((p + 1, n))      # C order; rows: q^T, then y_p
+        self._basis_y[:p] = q.T
+        self._basis_y[p] = y_p
+        self._yy = float(y_p @ y_p)
+        self._cs = np.empty((2, n))
+        # lstsq's rcond=None cutoff, eps * max(rows, cols) * sigma_max, on
+        # eigenvalues of the projected Gram matrix; the full design's
+        # sigma_max is at most sqrt(|cos|^2 + |sin|^2 + sigma_max(nuisance)^2)
+        # and |cos|^2 + |sin|^2 = n.
+        sigma_max = math.sqrt(n + np.linalg.norm(r, 2) ** 2)
+        self._cut = (np.finfo(float).eps * max(n, p + 2) * sigma_max) ** 2
+
+    def __call__(self, omega: float) -> float:
+        c, s = self._cs
+        np.multiply(omega, self._t, out=s)
+        np.cos(s, out=c)
+        np.sin(s, out=s)
+        return self._ssr()
+
+    def grid(self, omegas: np.ndarray) -> list[float]:
+        """The SSR at equally spaced frequencies.
+
+        exp(i w_j t) is advanced from row to row by one complex multiply,
+        in place of new trig calls.
+        """
+        z = np.multiply(1j * omegas[0], self._t)
+        step = np.multiply(1j * ((omegas[-1] - omegas[0]) / (len(omegas) - 1)), self._t)
+        np.exp(z, out=z)
+        np.exp(step, out=step)
+        out = []
+        for j in range(len(omegas)):
+            if j:
+                z *= step
+            self._cs[0] = z.real
+            self._cs[1] = z.imag
+            out.append(self._ssr())
+        return out
+
+    def _ssr(self) -> float:
+        cs = self._cs
+        a = cs @ self._basis_y.T      # q^T cos, q^T sin and y_p . cos, y_p . sin
+        cs -= a[:, :self._p] @ self._basis_y[:self._p]
+        c, s = cs
+        r0, r1 = a[:, self._p].tolist()
+        return self._yy - _explained(float(c @ c), float(c @ s), float(s @ s), r0, r1, self._cut)
 
 
 def _golden_min(fun, lo: float, hi: float, rel_tol: float = 1e-8):
@@ -147,10 +224,13 @@ def fit_oscillation(
     (`thresholds.detrend_deg`), since the transients of interest are small
     locked oscillations riding on larger relaxation backgrounds.  The
     frequency is seeded by the discrete-Fourier peak of the detrended
-    window and refined locally by variable projection (linear parameters
-    solved exactly at each trial frequency, golden-section refinement to
-    relative tolerance 1e-6).  For data that actually is a constant-offset
-    sinusoid the trend coefficients vanish and the fit is exact.
+    window and refined locally by variable projection: the trend is
+    projected out once per fit, the linear parameters are solved exactly at
+    each trial frequency as a 2x2 least-squares problem, and a 33-point
+    grid is followed by golden-section refinement to relative tolerance
+    1e-8.  Amplitude, phase and offset come from one full-width solve at the
+    chosen frequency.  For data that actually is a constant-offset sinusoid
+    the trend coefficients vanish and the fit is exact.
 
     The reported phase refers to t = 0 of the trajectory, so two fits over
     the same window are directly comparable; the reported offset is the
@@ -188,11 +268,8 @@ def fit_oscillation(
         scale = float(np.max(np.abs(y - np.mean(y))))
 
     deg = int(thresholds.detrend_deg)
-    if deg > 0:
-        u = 2.0 * ts / span - 1.0    # normalized abscissa for conditioning
-        poly = np.column_stack([u ** k for k in range(1, deg + 1)])
-    else:
-        poly = None
+    u = 2.0 * ts / span - 1.0    # normalized abscissa for conditioning
+    nuisance = np.column_stack([u ** k for k in range(max(deg, 0) + 1)])
 
     # DFT seed on the polynomial-detrended window; the same background is
     # removed here and in the fit, so the seed and the refinement see the
@@ -211,20 +288,19 @@ def fit_oscillation(
     lo = max(1e-3 * bin_width, omega_seed - 0.75 * bin_width)
     hi = min(omega_seed + 0.75 * bin_width, math.pi / float(dt[0]))
     grid = np.linspace(lo, hi, 33)
-    ssrs = [_vp_residual(ts, y, w, poly)[0] for w in grid]
-    i_best = int(np.argmin(ssrs))
+    objective = _ProjectedObjective(ts, y, nuisance)
+    i_best = int(np.argmin(objective.grid(grid)))
     g_lo = grid[max(0, i_best - 1)]
     g_hi = grid[min(len(grid) - 1, i_best + 1)]
-    omega = _golden_min(lambda w: _vp_residual(ts, y, w, poly)[0], g_lo, g_hi)
-    ssr, coeffs = _vp_residual(ts, y, omega, poly)
-    ca, cb, const = coeffs[0], coeffs[1], coeffs[2]
+    omega = _golden_min(objective, g_lo, g_hi)
+    del objective       # its buffers would otherwise add to the full solve's peak memory
+    ssr, coeffs = _full_solve(ts, y, omega, nuisance)
+    ca, cb = coeffs[0], coeffs[1]
 
     amplitude = float(math.hypot(ca, cb))
     phase_local = math.atan2(-cb, ca)
     phase = wrap_phase(phase_local - omega * t_ref)
-    offset = float(const)
-    if poly is not None:
-        offset += float(np.mean(poly @ coeffs[3:]))
+    offset = float(coeffs[2]) + float(np.mean(nuisance[:, 1:] @ coeffs[3:]))
     residual_rms = math.sqrt(ssr / n)
 
     oscillating = True

@@ -1,7 +1,11 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsync.cli import (
     ConfigError,
@@ -16,7 +20,7 @@ from qsync.cli import (
     sweep_from_mapping,
     run_sweep,
 )
-from qsync.models import PRESET_NAMES, PRESETS
+from qsync.models import MODELS, PRESET_NAMES, PRESETS
 from qsync.syncmeter import AnalysisThresholds
 
 # a fast scenario: collective-decay qubit pair with a weak drive, run long
@@ -166,6 +170,64 @@ class TestConfigParsing:
         assert cfg.catalog == pin["catalog"]
         assert cfg.thresholds == pin["thresholds"]
         assert [tuple(a) for a in PRESETS[name].initial] == pin["initial"]
+
+
+# one valid scenario per model; the property test overwrites some of its keys
+_BASE_CONFIGS = {
+    "reduced_qubit": FAST_SCENARIO,
+    "vdp": SMALL_VDP,
+    "cavity_qubit": "model = cavity_qubit\n"
+                    + "".join(f"param.{k} = {v}\n" for k, v in _FIG2_PARAMS.items())
+                    + "param.Omega = 0.0005\ninitial.preset = fig2a\n"
+                    + "run.t_end = 20\nrun.sample_dt = 2\n",
+}
+_REAL_KEYS = sorted(
+    {"model", "initial.preset", "run.t_end", "run.sample_dt", "run.rel_tol", "run.abs_tol",
+     "analysis.window", "analysis.catalog", "analysis.tol_freq", "analysis.tol_phase",
+     "analysis.amp_min", "analysis.fit_tol", "analysis.min_cycles", "analysis.rank_tol",
+     "analysis.comm_tol", "sweep.cap"}
+    | {f"initial.{label}" for label in ("qubit1", "qubit2", "cav1", "cav2", "mode1", "mode2")}
+    | {f"{prefix}{f.name}" for cls, _ in MODELS.values() for f in dataclasses.fields(cls)
+       for prefix in ("param.", "sweep.axis.param.")}
+)
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-308", "5e-324",
+                     "0", "-0", "1", "2", "0.5", "12", "-3", "1e20", "+", "", "0x10"]),
+    st.floats().map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+_VALUE_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.sampled_from(sorted(MODELS) + list(PRESET_NAMES) + ["pauli", "moments:3", "moments:x",
+                                                            "moments:1", "moments:1e308"]),
+    # ragged or malformed amplitude lists
+    st.lists(st.one_of(_NUMBER_TEXT, st.sampled_from(["1j", "nanj", "1+", "(1+2j)", "1e400j"])),
+             max_size=6).map(" ".join),
+    # malformed and degenerate windows
+    st.tuples(_NUMBER_TEXT, _NUMBER_TEXT).map(":".join),
+    st.sampled_from([":", "1:2:3", "a:b", "2:1", "1:1"]),
+    st.text(max_size=8),
+)
+_KEY_TEXT = st.one_of(st.sampled_from(_REAL_KEYS), st.text(max_size=8))
+
+
+class TestConfigProperties:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(base=st.sampled_from(sorted(_BASE_CONFIGS)),
+           edits=st.lists(st.tuples(_KEY_TEXT, _VALUE_TEXT), max_size=4),
+           sweep=st.booleans())
+    def test_parsing_raises_only_config_error(self, base, edits, sweep):
+        # any config text is either accepted or refused with a ConfigError;
+        # later lines override earlier ones, so the edits replace base keys
+        axis = "sweep.axis.param.Omega1 = 0.1 0.2\n" if base == "vdp" else \
+            "sweep.axis.param.Omega = 0 0.001\n"
+        text = (_BASE_CONFIGS[base] + (axis if sweep else "")
+                + "".join(f"{k} = {v}\n" for k, v in edits))
+        parse = sweep_from_mapping if sweep else scenario_from_mapping
+        try:
+            parse(parse_config_text(text))
+        except ConfigError:
+            pass
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +387,19 @@ class TestSweep:
         rows = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()[1:]
         assert rows[0].endswith("ok")
         assert "error" in rows[1]
+
+    def test_failed_point_message_in_status(self, tmp_path):
+        # strong gain on the second point drives the top Fock level past the guard
+        sweep_text = SMALL_VDP + "sweep.axis.param.Omega1 = 0.1 5\n"
+        spec = sweep_from_mapping(parse_config_text(sweep_text))
+        assert run_sweep(spec, tmp_path / "sweep") == 1
+        with open(tmp_path / "sweep" / "summary.csv", newline="") as fh:
+            header, ok, failed = csv.reader(fh)
+        assert header[-1] == "status"
+        assert ok[-1] == "ok"
+        assert failed[-1].startswith("error:TruncationError: top Fock level of factor")
+        assert "raise the truncation" in failed[-1]
+        assert not (tmp_path / "sweep" / "summary.csv.tmp").exists()
 
 
 class TestMainEntry:

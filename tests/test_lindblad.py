@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qsync.lindblad import (
     Dissipator,
@@ -347,6 +348,28 @@ class TestRealGenerator:
                 lv = liou @ (e @ x)
                 expected = np.where(imag, lv[sel].imag, lv[sel].real)
                 assert np.max(np.abs(real @ x - expected)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig3"])
+    def test_bitwise_equal_to_complex_product(self, name):
+        # reference: form the complex product L[sel] @ E and keep Re or Im per row
+        model, rho0 = PRESETS[name].build()
+        liou = _liouvillian(model)
+        idx = np.flatnonzero(_reachable(liou, rho0.matrix))
+        e, sel, imag = _hermitian_coordinates(idx, model.dim)
+        rows = liou[sel]
+        m = rows @ e
+        m.sort_indices()
+        data = np.where(np.repeat(imag, np.diff(m.indptr)), m.data.imag, m.data.real)
+        expected = sparse.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+        expected.eliminate_zeros()
+        inputs = [(a.data.copy(), a.indices.copy(), a.indptr.copy()) for a in (rows, e)]
+        real = _real_generator(rows, e, imag)
+        assert np.array_equal(real.data, expected.data)
+        assert np.array_equal(real.indices, expected.indices)
+        assert np.array_equal(real.indptr, expected.indptr)
+        for a, before in zip((rows, e), inputs):    # inputs left intact
+            for got, want in zip((a.data, a.indices, a.indptr), before):
+                assert np.array_equal(got, want)
 
     def test_coordinates_round_trip(self):
         rng = np.random.default_rng(3)

@@ -8,6 +8,7 @@ from qsync.models import mari_measure, moment_catalog, pauli_catalog
 from qsync.opalg import DensityMatrix, SpaceLayout, pauli
 from qsync.syncmeter import (
     OscillationFit,
+    _ProjectedObjective,
     classify_pair,
     degree_of_quantumness,
     fit_oscillation,
@@ -80,6 +81,45 @@ class TestFitOscillation:
         fit = fit_oscillation(t, y, (t[0], t[-1]), signal_scale=1.0)
         assert not fit.oscillating
         assert "amplitude" in fit.diagnostic
+
+
+class TestProjectedObjective:
+    """The per-frequency SSR with the trend projected out, against a full-width lstsq."""
+
+    @staticmethod
+    def reference_ssr(t, y, omega, nuisance):
+        design = np.column_stack([np.cos(omega * t), np.sin(omega * t), nuisance])
+        coeffs = np.linalg.lstsq(design, y, rcond=None)[0]
+        resid = y - design @ coeffs
+        return float(resid @ resid)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("deg", [0, 3])
+    def test_matches_full_width_lstsq(self, seed, deg):
+        # 5000 samples, the size of a 250-unit window at dt = 0.05.  At
+        # 1e-3 bin, cos and sin lie inside the cubic's span below both
+        # solvers' rank cutoff, so both drop them and the SSR is well defined.
+        rng = np.random.default_rng(seed)
+        n, dt = 5000, 0.05
+        t = np.arange(n) * dt
+        bin_width = 2 * np.pi / (n * dt)
+        k = int(rng.integers(3, 60))
+        y = (rng.uniform(0.1, 0.5) * np.exp(-t / rng.uniform(100, 400))
+             * np.cos(k * bin_width * t + rng.uniform(-np.pi, np.pi))
+             + rng.uniform(-0.2, 0.2) * np.exp(-t / rng.uniform(20, 80))
+             + 1e-3 * rng.standard_normal(n))
+        u = 2.0 * t / t[-1] - 1.0
+        nuisance = np.column_stack([u ** j for j in range(deg + 1)])
+        objective = _ProjectedObjective(t, y, nuisance)
+        grid = np.linspace((k - 0.75) * bin_width, (k + 0.75) * bin_width, 33)
+        on_grid = objective.grid(grid)
+        for omega, ssr_grid in zip(grid, on_grid):
+            ref = self.reference_ssr(t, y, omega, nuisance)
+            assert abs(ssr_grid - ref) <= 1e-9 * ref, omega
+            assert abs(objective(omega) - ref) <= 1e-9 * ref, omega
+        omega = 1e-3 * bin_width
+        ref = self.reference_ssr(t, y, omega, nuisance)
+        assert abs(objective(omega) - ref) <= 1e-9 * ref
 
 
 class TestClassifyPair:
