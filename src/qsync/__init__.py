@@ -32,8 +32,9 @@ from .models import (
     PRESET_NAMES,
     PRESETS,
     CavityQubitParams,
-    Preset,
+    ConfigError,
     ReducedQubitParams,
+    Scenario,
     VdpParams,
     build_cavity_qubit,
     build_reduced_qubit,

@@ -25,8 +25,10 @@ Config files are flat `key = value` text with dotted sections, for example::
 Configs are checked when parsed, before anything runs: numbers, initial
 amplitudes and the --tol-freq/--tol-phase flags must be finite, and
 run.t_end must be a positive integer multiple of run.sample_dt, so a sweep
-with a bad sample grid fails before its first point.  Models come from
-`models.MODELS` and presets from `models.PRESETS`.  A fresh run and a
+with a bad sample grid fails before its first point.  `initial.preset =
+NAME` stands for that preset's amplitudes and excludes other initial.* keys.
+Configs and `models.PRESETS` are `models.Scenario` records; parsing builds
+no model, `Scenario.build()` does.  A fresh run and a
 re-analysis of its trajectory.csv feed the same `lindblad.Trajectory`
 through `analyze_trajectory`, which builds every report field except the
 scenario echo.  Each output of `run` and `analyze`, and the sweep's
@@ -50,68 +52,27 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .lindblad import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
-    StepSizeUnderflowError,
-    Tolerances,
-    Trajectory,
-    TruncationError,
-    evolve,
+from .lindblad import StepSizeUnderflowError, Tolerances, Trajectory, TruncationError, evolve
+from .models import (
+    MODELS,
+    PRESET_NAMES,
+    PRESETS,
+    ConfigError,
+    Scenario,
+    moment_catalog,
+    pauli_catalog,
 )
-from .models import MODELS, PRESET_NAMES, PRESETS, moment_catalog, pauli_catalog
-from .opalg import DensityMatrix
 from .syncmeter import AnalysisThresholds, build_sync_report
 
 SWEEP_CAP_DEFAULT = 64
 _RUN_OUTPUTS = ("report.json", "stats.json", "trajectory.csv", "mutual_info.csv",
                "diagnostics.csv")
-
-
-class ConfigError(ValueError):
-    """Configuration or schema problem; maps to exit code 2."""
-
-
-@dataclass
-class ScenarioConfig:
-    """Validated run description; serializes verbatim into reports."""
-
-    model: str
-    params: dict
-    initial: dict              # {'preset': name} or {factor label: [amps...]}
-    t_end: float
-    sample_dt: float
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
-    window: tuple[float, float] | None = None
-    thresholds: AnalysisThresholds = field(default_factory=AnalysisThresholds)
-    catalog: str | None = None       # 'pauli' or 'moments:<N>'; default by model
-
-    def echo(self) -> dict:
-        def amp_text(z):
-            z = complex(z)
-            if z.imag == 0:
-                return f"{z.real:.17g}"
-            return f"{z.real:.17g}{z.imag:+.17g}j"
-
-        return {
-            "model": self.model,
-            "params": dict(self.params),
-            "initial": {k: v if isinstance(v, str) else [amp_text(z) for z in v]
-                        for k, v in self.initial.items()},
-            "run": {
-                "t_end": self.t_end,
-                "sample_dt": self.sample_dt,
-                "rel_tol": self.rel_tol,
-                "abs_tol": self.abs_tol,
-            },
-        }
 
 
 def _parse_number(key: str, text: str) -> float:
@@ -122,6 +83,16 @@ def _parse_number(key: str, text: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"key '{key}': '{text}' is not a finite number")
     return value
+
+
+def _parse_param(key: str, text: str, field: dataclasses.Field):
+    """A model parameter: a finite number, and an integer where the field is one."""
+    number = _parse_number(key, text)
+    if field.type != "int":
+        return number
+    if number != int(number):
+        raise ConfigError(f"key '{key}': expected an integer, got '{text}'")
+    return int(number)
 
 
 def _parse_amplitudes(key: str, text: str) -> list[complex]:
@@ -181,7 +152,7 @@ _ANALYSIS_FLOAT_KEYS = {
 }
 
 
-def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
+def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     mapping = dict(mapping)
     model = mapping.pop("model", None)
     if model is None:
@@ -196,6 +167,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
 
     params: dict = {}
     initial: dict = {}
+    preset = None
     run: dict = {}
     analysis_overrides: dict = {}
     window = None
@@ -206,20 +178,13 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
             name = key[len("param."):]
             if name not in param_fields:
                 raise ConfigError(f"unknown key '{key}' for model '{model}'")
-            typ = param_fields[name].type
-            if typ == "int":
-                number = _parse_number(key, value)
-                if number != int(number):
-                    raise ConfigError(f"key '{key}': expected an integer, got '{value}'")
-                params[name] = int(number)
-            else:
-                params[name] = _parse_number(key, value)
+            params[name] = _parse_param(key, value, param_fields[name])
         elif key.startswith("initial."):
             name = key[len("initial."):]
             if name == "preset":
-                if value not in PRESET_NAMES:
+                if value not in PRESETS:
                     raise ConfigError(f"key '{key}': unknown preset '{value}'")
-                initial["preset"] = value
+                preset = value
             else:
                 initial[name] = _parse_amplitudes(key, value)
         elif key in ("run.t_end", "run.sample_dt", "run.rel_tol", "run.abs_tol"):
@@ -242,7 +207,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     for req in ("t_end", "sample_dt"):
         if req not in run:
             raise ConfigError(f"missing required key: run.{req}")
-    t_end, sample_dt = run["t_end"], run["sample_dt"]
+    t_end, sample_dt = run.pop("t_end"), run.pop("sample_dt")
     if not sample_dt > 0:
         raise ConfigError("key 'run.sample_dt': must be positive")
     ratio = t_end / sample_dt
@@ -251,100 +216,40 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
         raise ConfigError(
             "key 'run.t_end': must be a positive integer multiple of run.sample_dt"
         )
+    if preset is not None:
+        if initial:
+            raise ConfigError(
+                "initial.preset cannot be combined with "
+                + ", ".join("initial." + name for name in initial)
+            )
+        initial = dict(PRESETS[preset].initial)
     if not initial:
         raise ConfigError("missing initial state: provide initial.preset "
                           "or initial.<factor> amplitude lists")
 
-    thresholds = AnalysisThresholds(**analysis_overrides)
-    return ScenarioConfig(
+    return Scenario(
         model=model,
         params=params,
         initial=initial,
         t_end=t_end,
         sample_dt=sample_dt,
-        rel_tol=run.get("rel_tol", DEFAULT_REL_TOL),
-        abs_tol=run.get("abs_tol", DEFAULT_ABS_TOL),
         window=window,
-        thresholds=thresholds,
         catalog=catalog,
+        thresholds=AnalysisThresholds(**analysis_overrides),
+        **run,                       # rel_tol and abs_tol, where given
     )
 
 
-def scenario_from_preset(name: str) -> ScenarioConfig:
+def scenario_from_preset(name: str) -> Scenario:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset '{name}' (known: {', '.join(PRESET_NAMES)})")
-    preset = PRESETS[name]
-    return ScenarioConfig(
-        model=preset.model,
-        params=dataclasses.asdict(preset.params),
-        initial={"preset": name},
-        t_end=preset.t_end,
-        sample_dt=preset.sample_dt,
-        window=preset.window,
-        thresholds=preset.thresholds,
-        catalog=preset.catalog,
-    )
-
-
-def _build_model(cfg: ScenarioConfig):
-    params_cls, builder = MODELS[cfg.model]
-    try:
-        params = params_cls(**cfg.params)
-        model = builder(params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid parameters for model '{cfg.model}': {exc}") from None
-    return model
-
-
-def _initial_state(cfg: ScenarioConfig, model) -> DensityMatrix:
-    if "preset" in cfg.initial:
-        amps = PRESETS[cfg.initial["preset"]].initial
-        if len(amps) != model.layout.nfactors or any(
-            len(a) != d for a, d in zip(amps, model.layout.factors)
-        ):
-            raise ConfigError(
-                f"initial.preset '{cfg.initial['preset']}' does not fit model "
-                f"factors {model.layout.factors}"
-            )
-        return DensityMatrix.product_state(model.layout, amps)
-    labels = model.layout.labels
-    missing = [l for l in labels if l not in cfg.initial]
-    if missing:
-        raise ConfigError(
-            f"missing initial amplitudes for factors: {', '.join('initial.' + m for m in missing)}"
-        )
-    extra = [k for k in cfg.initial if k not in labels]
-    if extra:
-        raise ConfigError(f"unknown initial-state keys: {', '.join(extra)}")
-    amps = []
-    for label, dim in zip(labels, model.layout.factors):
-        vec = np.asarray(cfg.initial[label], dtype=complex)
-        if vec.size != dim:
-            raise ConfigError(
-                f"initial.{label}: expected {dim} amplitudes, got {vec.size}"
-            )
-        norm2 = float(np.sum(np.abs(vec) ** 2))
-        if abs(norm2 - 1.0) > 1e-6:
-            raise ConfigError(
-                f"initial.{label}: amplitudes have squared norm {norm2:.6g}, not 1"
-            )
-        amps.append(vec)
-    return DensityMatrix.product_state(model.layout, amps)
-
-
-def _catalog_for(cfg_catalog: str | None, model_name: str, params: dict):
-    if cfg_catalog is None:
-        if model_name == "vdp":
-            cfg_catalog = f"moments:{int(params.get('N', 12))}"
-        else:
-            cfg_catalog = "pauli"
-    return resolve_catalog(cfg_catalog)
+    return PRESETS[name]
 
 
 def resolve_catalog(spec: str):
-    """Catalog spec: 'pauli' or 'moments:<N>'."""
+    """The (name, operator) pairs of a catalog spec: 'pauli' or 'moments:<N>'."""
     if spec == "pauli":
-        return "pauli", pauli_catalog()
+        return pauli_catalog()
     if spec.startswith("moments:"):
         try:
             n = int(spec.split(":", 1)[1])
@@ -352,7 +257,7 @@ def resolve_catalog(spec: str):
             raise ConfigError(f"bad catalog spec '{spec}'") from None
         if n < 2:
             raise ConfigError(f"catalog truncation must be >= 2, got {n}")
-        return spec, moment_catalog(n)
+        return moment_catalog(n)
     raise ConfigError(f"unknown catalog '{spec}' (use 'pauli' or 'moments:<N>')")
 
 
@@ -409,12 +314,12 @@ def read_trajectory_csv(path: Path) -> Trajectory:
 
 def analyze_trajectory(
     traj: Trajectory,
-    catalog_name: str,
-    catalog,
+    catalog_spec: str,
     window: tuple[float, float] | None,
     thresholds: AnalysisThresholds,
 ) -> dict:
     """Every report field but the scenario echo, for fresh runs and CSV re-analysis."""
+    catalog = resolve_catalog(catalog_spec)
     if window is None:
         n = len(traj.times)
         window = (float(traj.times[n // 2]), float(traj.times[-1]))
@@ -425,10 +330,10 @@ def analyze_trajectory(
     report = build_sync_report(
         traj, catalog, window, thresholds,
         notes={
-            "catalog": catalog_name,
+            "catalog": catalog_spec,
             # truncated continuous-variable catalogs only bound the true
             # synchronized-set cardinality from below
-            "chi_lower_bound_only": catalog_name.startswith("moments:"),
+            "chi_lower_bound_only": catalog_spec.startswith("moments:"),
         },
     )
     report["version"] = __version__
@@ -450,7 +355,7 @@ def _extras_from_trajectory(traj: Trajectory) -> dict:
     }
 
 
-def run_scenario(cfg: ScenarioConfig, outdir: Path) -> dict:
+def run_scenario(cfg: Scenario, outdir: Path) -> dict:
     """Simulate, write outputs, analyze; returns the report dict.
 
     The outputs an earlier run left in `outdir` are removed before the
@@ -459,8 +364,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> dict:
     integrator counters go to stats.json, not report.json, which a
     re-analysis must reproduce field for field.
     """
-    model = _build_model(cfg)
-    rho0 = _initial_state(cfg, model)
+    model, rho0 = cfg.build()
     for name in _RUN_OUTPUTS:
         (outdir / name).unlink(missing_ok=True)
     traj = evolve(
@@ -488,8 +392,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> dict:
         [traj.times, traj.trace_errors, traj.min_eigenvalues],
     )
     _write_json(outdir / "stats.json", traj.stats)
-    catalog_name, catalog = _catalog_for(cfg.catalog, cfg.model, cfg.params)
-    report = analyze_trajectory(traj, catalog_name, catalog, cfg.window, cfg.thresholds)
+    report = analyze_trajectory(traj, cfg.catalog_spec(), cfg.window, cfg.thresholds)
     report["scenario"] = cfg.echo()
     report["model"] = cfg.model
     _write_json(outdir / "report.json", report)
@@ -508,7 +411,6 @@ def analyze_csv(
     Only the provenance (`scenario`, `model`) comes from a sibling report.json.
     """
     traj = read_trajectory_csv(csv_path)
-    catalog_name, catalog = resolve_catalog(catalog_spec)
     mi_path = csv_path.parent / "mutual_info.csv"
     if mi_path.exists():
         mi = read_trajectory_csv(mi_path)
@@ -516,7 +418,7 @@ def analyze_csv(
             raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info'")
         traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
 
-    report = analyze_trajectory(traj, catalog_name, catalog, window, thresholds)
+    report = analyze_trajectory(traj, catalog_spec, window, thresholds)
     sibling = csv_path.parent / "report.json"
     prior = json.loads(sibling.read_text()) if sibling.exists() else {}
     if not isinstance(prior, dict):
@@ -533,37 +435,36 @@ def analyze_csv(
 
 @dataclass
 class SweepSpec:
-    base: ScenarioConfig
+    base: Scenario
     axes: list[tuple[str, list[float]]]    # (param name, values), file order
     cap: int = SWEEP_CAP_DEFAULT
 
 
 def sweep_from_mapping(mapping: dict[str, str]) -> SweepSpec:
     mapping = dict(mapping)
-    axes: list[tuple[str, list[float]]] = []
+    axis_text: dict[str, str] = {}
     cap = SWEEP_CAP_DEFAULT
     for key in list(mapping):
         if key.startswith("sweep.axis.param."):
-            name = key[len("sweep.axis.param."):]
-            values = [
-                _parse_number(key, tok)
-                for tok in mapping.pop(key).replace(",", " ").split()
-            ]
-            if not values:
-                raise ConfigError(f"key '{key}': empty value list")
-            axes.append((name, values))
+            axis_text[key[len("sweep.axis.param."):]] = mapping.pop(key)
         elif key == "sweep.cap":
             cap = int(_parse_number(key, mapping.pop(key)))
-    if not axes:
+    if not axis_text:
         raise ConfigError("sweep config needs at least one sweep.axis.param.<name> line")
     base = scenario_from_mapping(mapping)
-    params_cls, _ = MODELS[base.model]
-    known = {f.name for f in dataclasses.fields(params_cls)}
-    for name, _ in axes:
-        if name not in known:
+    param_fields = {f.name: f for f in dataclasses.fields(MODELS[base.model][0])}
+    axes = []
+    for name, text in axis_text.items():
+        if name not in param_fields:
             raise ConfigError(
                 f"sweep axis 'param.{name}' is not a parameter of model '{base.model}'"
             )
+        key = f"sweep.axis.param.{name}"
+        values = [_parse_param(key, tok, param_fields[name])
+                  for tok in text.replace(",", " ").split()]
+        if not values:
+            raise ConfigError(f"key '{key}': empty value list")
+        axes.append((name, values))
     return SweepSpec(base=base, axes=axes, cap=cap)
 
 
@@ -643,9 +544,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate a preset or config")
-    p_run.add_argument("preset_pos", nargs="?", default=None,
-                       help="preset name (shorthand for --preset)")
-    p_run.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
+    p_run.add_argument("preset", nargs="?", default=None,
+                       help=f"preset name, one of: {', '.join(PRESET_NAMES)}")
     p_run.add_argument("--config", help="path to a scenario config file")
     p_run.add_argument("--out", required=True, help="output directory")
     _add_threshold_flags(p_run)
@@ -684,13 +584,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "run":
-        preset_name = args.preset or args.preset_pos
-        if args.preset and args.preset_pos and args.preset != args.preset_pos:
-            raise ConfigError("conflicting preset names given")
-        if preset_name and args.config:
+        if args.preset and args.config:
             raise ConfigError("give either a preset or --config, not both")
-        if preset_name:
-            cfg = scenario_from_preset(preset_name)
+        if args.preset:
+            cfg = scenario_from_preset(args.preset)
         elif args.config:
             cfg = scenario_from_mapping(
                 parse_config_text(Path(args.config).read_text())
@@ -713,8 +610,6 @@ def _dispatch(args) -> int:
         spec = sweep_from_mapping(parse_config_text(Path(args.config).read_text()))
         successes = run_sweep(spec, Path(args.out))
         return 0 if successes > 0 else 5
-
-    raise ConfigError(f"unknown command {args.command}")
 
 
 def console_main():

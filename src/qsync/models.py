@@ -23,21 +23,21 @@ vdp
     Omega_j), two-photon loss (jump a^2, rate kappa_j), and the pair-
     creating coupling i*J*(a1^dag a2^dag - a1 a2).
 
-MODELS maps each model name to its (params class, builder) pair.  PRESETS
-maps each scenario name to one frozen `Preset` record holding everything a
-run and its analysis need; `Preset.build()` returns the model and initial
-state.  `mari_measure` evaluates the complete-synchronization figure S_c on
+MODELS maps each model name to its (params class, builder) pair.  A
+`Scenario` holds everything a run and its analysis need, for the built-in
+PRESETS and for parsed configs alike; `Scenario.build()` is where its model
+and initial state are made.  `mari_measure` evaluates the complete-synchronization figure S_c on
 a two-mode state from the same relative-quadrature operators that `vdp`
 records as the `xminus2`/`pminus2` observables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lindblad import Dissipator, ModelSpec
+from .lindblad import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Dissipator, ModelSpec
 from .opalg import (
     DensityMatrix,
     Operator,
@@ -253,28 +253,92 @@ MODELS = {
 }
 
 
-@dataclass(frozen=True)
-class Preset:
-    """One named scenario: model, initial state, run grid and analysis defaults.
+class ConfigError(ValueError):
+    """Configuration or schema problem; maps to exit code 2."""
 
+
+@dataclass(frozen=True)
+class Scenario:
+    """One run: model, initial state, run grid and analysis settings.
+
+    `params` holds the model's params-class keyword arguments and `initial`
+    each factor label's amplitudes, ground first; `build()` checks both.
     `thresholds` relaxes individual lock criteria where a preset's physics
     requires it (short transient windows limit the attainable
     frequency-estimate precision); every value used ends up in the report.
     """
 
     model: str                              # a key of MODELS
-    params: CavityQubitParams | VdpParams
-    initial: tuple[tuple[float, ...], ...]  # per-factor amplitudes, ground first
+    params: dict
+    initial: dict
     t_end: float
     sample_dt: float
-    window: tuple[float, float]
-    catalog: str                            # 'pauli' or 'moments:<N>'
+    window: tuple[float, float] | None = None
+    catalog: str | None = None              # 'pauli', 'moments:<N>' or the model's default
     thresholds: AnalysisThresholds = AnalysisThresholds()
+    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: float = DEFAULT_ABS_TOL
 
     def build(self) -> tuple[ModelSpec, DensityMatrix]:
-        _, builder = MODELS[self.model]
-        model = builder(self.params)
-        return model, DensityMatrix.product_state(model.layout, self.initial)
+        """The model and initial state; ConfigError where either does not fit."""
+        params_cls, builder = MODELS[self.model]
+        try:
+            model = builder(params_cls(**self.params))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid parameters for model '{self.model}': {exc}") from None
+        labels = model.layout.labels
+        missing = [label for label in labels if label not in self.initial]
+        if missing:
+            raise ConfigError(
+                "missing initial amplitudes for factors: "
+                + ", ".join("initial." + label for label in missing)
+            )
+        extra = [key for key in self.initial if key not in labels]
+        if extra:
+            raise ConfigError(f"unknown initial-state keys: {', '.join(extra)}")
+        amps = []
+        for label, dim in zip(labels, model.layout.factors):
+            vec = np.asarray(self.initial[label], dtype=complex)
+            if vec.size != dim:
+                raise ConfigError(
+                    f"initial.{label}: expected {dim} amplitudes, got {vec.size}"
+                )
+            norm2 = float(np.sum(np.abs(vec) ** 2))
+            if abs(norm2 - 1.0) > 1e-6:
+                raise ConfigError(
+                    f"initial.{label}: amplitudes have squared norm {norm2:.6g}, not 1"
+                )
+            amps.append(vec)
+        return model, DensityMatrix.product_state(model.layout, amps)
+
+    def catalog_spec(self) -> str:
+        """`catalog`, else 'moments:<N>' at the run's own truncation for vdp, else 'pauli'."""
+        if self.catalog is not None:
+            return self.catalog
+        if self.model == "vdp":
+            return f"moments:{self.params.get('N', VdpParams.N)}"
+        return "pauli"
+
+    def echo(self) -> dict:
+        """The scenario as report.json records it."""
+        def amp_text(z):
+            z = complex(z)
+            if z.imag == 0:
+                return f"{z.real:.17g}"
+            return f"{z.real:.17g}{z.imag:+.17g}j"
+
+        return {
+            "model": self.model,
+            "params": dict(self.params),
+            "initial": {label: [amp_text(z) for z in amps]
+                        for label, amps in self.initial.items()},
+            "run": {
+                "t_end": self.t_end,
+                "sample_dt": self.sample_dt,
+                "rel_tol": self.rel_tol,
+                "abs_tol": self.abs_tol,
+            },
+        }
 
 
 def _padded(amps: tuple, n: int) -> tuple:
@@ -286,45 +350,45 @@ def _padded(amps: tuple, n: int) -> tuple:
 # chosen so that the analysis window contains a few periods of the slowest
 # synchronized oscillation while the final state is close to stationary.
 
-_FIG2_INITIAL = (
-    (np.sqrt(0.9), np.sqrt(0.1)),
-    (np.sqrt(0.7), np.sqrt(0.3)),
-    _padded((1.0,), 4),
-    _padded((1.0,), 4),
-)
-_FIG3_INITIAL = (
-    _padded((0.5, np.sqrt(0.75)), 12),
-    _padded((np.sqrt(0.05), np.sqrt(0.95)), 12),
-)
+_FIG2_INITIAL = {
+    "qubit1": (np.sqrt(0.9), np.sqrt(0.1)),
+    "qubit2": (np.sqrt(0.7), np.sqrt(0.3)),
+    "cav1": _padded((1.0,), 4),
+    "cav2": _padded((1.0,), 4),
+}
+_FIG3_INITIAL = {
+    "mode1": _padded((0.5, np.sqrt(0.75)), 12),
+    "mode2": _padded((np.sqrt(0.05), np.sqrt(0.95)), 12),
+}
 
-PRESETS: dict[str, Preset] = {
-    "fig2a": Preset(
+PRESETS: dict[str, Scenario] = {
+    "fig2a": Scenario(
         "cavity_qubit",
-        CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
-                          g0=0.5, J=-10.0, Omega=5e-4),
+        asdict(CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
+                                 g0=0.5, J=-10.0, Omega=5e-4)),
         _FIG2_INITIAL, t_end=3000.0, sample_dt=2.0,
         window=(300.0, 1100.0), catalog="pauli",
     ),
-    "fig2b": Preset(
+    "fig2b": Scenario(
         "cavity_qubit",
-        CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
-                          g0=0.5, J=-10.0, Omega=0.0),
+        asdict(CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
+                                 g0=0.5, J=-10.0, Omega=0.0)),
         _FIG2_INITIAL, t_end=3000.0, sample_dt=2.0,
         window=(800.0, 2400.0), catalog="pauli",
     ),
-    "fig2c": Preset(
+    "fig2c": Scenario(
         "cavity_qubit",
-        CavityQubitParams(delta1=10.0, delta2=22.5, deltaq1=0.08, deltaq2=0.02,
-                          g0=0.5, J=-10.0, Omega=1e-3),
+        asdict(CavityQubitParams(delta1=10.0, delta2=22.5, deltaq1=0.08, deltaq2=0.02,
+                                 g0=0.5, J=-10.0, Omega=1e-3)),
         _FIG2_INITIAL, t_end=1000.0, sample_dt=0.5,
         # Window covers the lifetime of the inter-qubit excitation-exchange
         # transient (decay time ~160, period ~120).
         window=(20.0, 300.0), catalog="pauli",
     ),
-    "fig3": Preset(
+    "fig3": Scenario(
         "vdp",
-        VdpParams(omega1=1.0, omega2=1.0, J=0.5, Omega1=1e-3, Omega2=1e-3,
-                  kappa1=2.0, kappa2=2.0, N=12),
+        asdict(VdpParams(omega1=1.0, omega2=1.0, J=0.5, Omega1=1e-3, Omega2=1e-3,
+                         kappa1=2.0, kappa2=2.0, N=12)),
         _FIG3_INITIAL, t_end=20.0, sample_dt=0.02,
         # ~2 quadrature periods fit in the transient window, which limits
         # per-column frequency estimates to a few percent; the lock

@@ -142,6 +142,7 @@ class _ProjectedObjective:
         n, p = nuisance.shape
         q, r = np.linalg.qr(nuisance)
         y_p = y - q @ (q.T @ y)
+        self.y_p = y_p                            # y with the trend projected out
         self._t = t
         self._p = p
         self._basis_y = np.empty((p + 1, n))      # C order; rows: q^T, then y_p
@@ -271,11 +272,10 @@ def fit_oscillation(
     u = 2.0 * ts / span - 1.0    # normalized abscissa for conditioning
     nuisance = np.column_stack([u ** k for k in range(max(deg, 0) + 1)])
 
-    # DFT seed on the polynomial-detrended window; the same background is
-    # removed here and in the fit, so the seed and the refinement see the
-    # same residual oscillation.
-    y_det = y - np.polyval(np.polyfit(ts, y, max(deg, 1)), ts)
-    spectrum = np.abs(np.fft.rfft(y_det))
+    # DFT seed on the window with the trend projected out: the seed and the
+    # refinement see the same residual oscillation.
+    objective = _ProjectedObjective(ts, y, nuisance)
+    spectrum = np.abs(np.fft.rfft(objective.y_p))
     if len(spectrum) < 2:
         raise ValueError("window too short for a spectral seed")
     k_peak = 1 + int(np.argmax(spectrum[1:]))
@@ -288,7 +288,6 @@ def fit_oscillation(
     lo = max(1e-3 * bin_width, omega_seed - 0.75 * bin_width)
     hi = min(omega_seed + 0.75 * bin_width, math.pi / float(dt[0]))
     grid = np.linspace(lo, hi, 33)
-    objective = _ProjectedObjective(ts, y, nuisance)
     i_best = int(np.argmin(objective.grid(grid)))
     g_lo = grid[max(0, i_best - 1)]
     g_hi = grid[min(len(grid) - 1, i_best + 1)]

@@ -5,7 +5,6 @@ a few minutes in total; they are shared session-wide).  Each criterion
 prints one PASS line when it holds; a failed assertion is the FAIL line.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -28,7 +27,9 @@ from qsync.lindblad import (
 )
 from qsync.models import (
     PRESETS,
+    CavityQubitParams,
     ReducedQubitParams,
+    VdpParams,
     build_reduced_qubit,
     build_vdp,
     cavity_mode_matrix,
@@ -93,9 +94,9 @@ def test_criterion_3_fig2c_classical_synchronization(fig2c_run):
 def test_criterion_4a_reduced_model_trace_distance():
     model_full, rho0_full = PRESETS["fig2b"].build()
     p = PRESETS["fig2b"].params
-    gamma_eff = p.g0 ** 2 / p.kappa
+    gamma_eff = p["g0"] ** 2 / p["kappa"]
     model_red = build_reduced_qubit(
-        ReducedQubitParams(p.deltaq1, p.deltaq2, p.Omega, gamma_eff)
+        ReducedQubitParams(p["deltaq1"], p["deltaq2"], p["Omega"], gamma_eff)
     )
     rho0_red = DensityMatrix.product_state(model_red.layout, FIG2_QUBITS)
     t_end = 10.0 / gamma_eff
@@ -114,7 +115,7 @@ def test_criterion_4a_reduced_model_trace_distance():
 
 
 def test_criterion_4b_normal_mode_frequencies():
-    p = PRESETS["fig2b"].params
+    p = CavityQubitParams(**PRESETS["fig2b"].params)
     eigs = np.sort(np.linalg.eigvalsh(cavity_mode_matrix(p)))
     expected = np.sort([p.delta1 - p.J, p.delta1 + p.J])
     assert np.max(np.abs(eigs - expected)) <= 1e-12
@@ -188,9 +189,7 @@ def test_criterion_6_fig3_moment_synchronization(fig3_run):
 
     # truncation robustness: rebuild at N = 16 and compare every reported
     # moment on the shared grid
-    p12 = PRESETS["fig3"].params
-    p16 = dataclasses.replace(p12, N=16)
-    model16 = build_vdp(p16)
+    model16 = build_vdp(VdpParams(**{**PRESETS["fig3"].params, "N": 16}))
     mode1 = tuple([0.5, np.sqrt(0.75)] + [0.0] * 14)
     mode2 = tuple([np.sqrt(0.05), np.sqrt(0.95)] + [0.0] * 14)
     rho0_16 = DensityMatrix.product_state(model16.layout, [mode1, mode2])

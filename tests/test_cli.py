@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -43,12 +45,12 @@ analysis.window = 40:400
 # to literals
 _FIG2_PARAMS = {"delta1": 10.0, "delta2": 10.0, "deltaq1": 0.0, "deltaq2": 0.0,
                 "g0": 0.5, "J": -10.0, "kappa": 1.0, "Nc": 4}
-_FIG2_INITIAL = [
-    (0.9486832980505138, 0.31622776601683794),
-    (0.8366600265340756, 0.5477225575051661),
-    (1.0, 0.0, 0.0, 0.0),
-    (1.0, 0.0, 0.0, 0.0),
-]
+_FIG2_INITIAL = {
+    "qubit1": (0.9486832980505138, 0.31622776601683794),
+    "qubit2": (0.8366600265340756, 0.5477225575051661),
+    "cav1": (1.0, 0.0, 0.0, 0.0),
+    "cav2": (1.0, 0.0, 0.0, 0.0),
+}
 PRESET_PINS = {
     "fig2a": dict(
         model="cavity_qubit", params={**_FIG2_PARAMS, "Omega": 0.0005},
@@ -73,10 +75,10 @@ PRESET_PINS = {
                 "Omega2": 0.001, "kappa1": 2.0, "kappa2": 2.0, "N": 12},
         t_end=20.0, sample_dt=0.02, window=(2.0, 12.0), catalog="moments:12",
         thresholds=AnalysisThresholds(tol_freq=0.05),
-        initial=[
-            (0.5, 0.8660254037844386) + (0.0,) * 10,
-            (0.22360679774997896, 0.9746794344808963) + (0.0,) * 10,
-        ],
+        initial={
+            "mode1": (0.5, 0.8660254037844386) + (0.0,) * 10,
+            "mode2": (0.22360679774997896, 0.9746794344808963) + (0.0,) * 10,
+        },
     ),
 }
 
@@ -162,14 +164,46 @@ class TestConfigParsing:
         assert cfg.echo() == {
             "model": pin["model"],
             "params": pin["params"],
-            "initial": {"preset": name},
+            "initial": {label: [f"{a:.17g}" for a in amps]
+                        for label, amps in pin["initial"].items()},
             "run": {"t_end": pin["t_end"], "sample_dt": pin["sample_dt"],
                     "rel_tol": 1e-08, "abs_tol": 1e-10},
         }
         assert cfg.window == pin["window"]
         assert cfg.catalog == pin["catalog"]
         assert cfg.thresholds == pin["thresholds"]
-        assert [tuple(a) for a in PRESETS[name].initial] == pin["initial"]
+        assert {k: tuple(a) for k, a in PRESETS[name].initial.items()} == pin["initial"]
+
+    def test_initial_preset_expands_to_amplitudes(self):
+        cfg = scenario_from_mapping(parse_config_text(_BASE_CONFIGS["cavity_qubit"]))
+        assert cfg.initial == PRESETS["fig2a"].initial
+        assert cfg.echo()["initial"] == PRESETS["fig2a"].echo()["initial"]
+
+    def test_initial_preset_refuses_other_initial_keys(self, tmp_path, capsys):
+        text = _BASE_CONFIGS["cavity_qubit"] + "initial.qubit1 = 0 1\ninitial.bogus = 1 0\n"
+        with pytest.raises(ConfigError, match="initial.qubit1, initial.bogus"):
+            scenario_from_mapping(parse_config_text(text))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial.preset") and "initial.bogus" in err
+        assert not out.exists()
+
+    def test_benchmark_harness_view(self, tmp_path):
+        # what bench/workloads.py and bench/selfcheck.py read of a parsed scenario
+        cfg = scenario_from_mapping(parse_config_text(FAST_SCENARIO))
+        params_cls, build = MODELS[cfg.model]
+        assert build(params_cls(**cfg.params)).dim == 4
+        assert (cfg.window, cfg.thresholds) == ((40.0, 400.0), AnalysisThresholds())
+        # a replaced record is not validated; run_scenario refuses it
+        off_grid = dataclasses.replace(cfg, t_end=cfg.t_end + cfg.sample_dt / 3)
+        with pytest.raises(ValueError, match="multiple of sample_dt"):
+            run_scenario(off_grid, tmp_path / "out")
+        spec = sweep_from_mapping(parse_config_text(
+            FAST_SCENARIO + "sweep.axis.param.Omega = 0 0.001\n"))
+        assert (spec.base.t_end, spec.base.sample_dt, spec.cap) == (400.0, 0.5, 64)
+        assert dataclasses.replace(spec, cap=1).cap == 1
 
 
 # one valid scenario per model; the property test overwrites some of its keys
@@ -210,6 +244,22 @@ _VALUE_TEXT = st.one_of(
 )
 _KEY_TEXT = st.one_of(st.sampled_from(_REAL_KEYS), st.text(max_size=8))
 
+# short runs of the cheap base configs: 128 samples, the last 65 in the window
+_SHORT_RUNS = {
+    "reduced_qubit": FAST_SCENARIO
+    + "run.t_end = 32\nrun.sample_dt = 0.25\nanalysis.window = 16:32\n",
+    "vdp": SMALL_VDP + "run.t_end = 8\nrun.sample_dt = 0.0625\nanalysis.window = 4:8\n",
+}
+# edits that keep a run short: parameters only take small values, and the
+# run grid stays as given (the parse property above covers the rest)
+_PARAM_KEYS = [k for k in _REAL_KEYS if k.startswith("param.")]
+_PARAM_TEXT = st.sampled_from(["nan", "inf", "-1", "0", "1e-308", "0.5", "1", "2", "x", ""])
+_RUN_KEY_TEXT = st.one_of(
+    st.sampled_from([k for k in _REAL_KEYS
+                     if not k.startswith(("param.", "sweep.", "run.t_end", "run.sample_dt"))]),
+    st.text(max_size=8),
+)
+
 
 class TestConfigProperties:
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -228,6 +278,22 @@ class TestConfigProperties:
             parse(parse_config_text(text))
         except ConfigError:
             pass
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(base=st.sampled_from(sorted(_SHORT_RUNS)),
+           edits=st.lists(st.one_of(st.tuples(st.sampled_from(_PARAM_KEYS), _PARAM_TEXT),
+                                    st.tuples(_RUN_KEY_TEXT, _VALUE_TEXT)), max_size=4))
+    def test_run_exits_with_documented_code(self, tmp_path_factory, base, edits):
+        # `qsync run --config` on any such text exits 0 or with a documented
+        # code and a one-line message; no exception escapes main
+        work = tmp_path_factory.mktemp("cli_property")
+        path = write_config(work, _SHORT_RUNS[base] + "".join(f"{k} = {v}\n" for k, v in edits))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", str(path), "--out", str(work / "out")])
+        assert rc in (0, 2, 3, 4, 5)
+        if rc:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -269,12 +335,10 @@ class TestRunAnalyze:
     def test_csv_full_precision_roundtrip(self, run_dir):
         outdir, _ = run_dir
         csv = read_trajectory_csv(outdir / "trajectory.csv")
-        from qsync.cli import _build_model, _initial_state
         from qsync.lindblad import evolve
 
         cfg = scenario_from_mapping(parse_config_text(FAST_SCENARIO))
-        model = _build_model(cfg)
-        rho0 = _initial_state(cfg, model)
+        model, rho0 = cfg.build()
         traj = evolve(model, rho0, cfg.t_end, cfg.sample_dt, mutual_info_pair=(0, 1))
         assert csv.names == traj.names
         assert np.array_equal(csv.times, traj.times)
@@ -387,6 +451,24 @@ class TestSweep:
         rows = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()[1:]
         assert rows[0].endswith("ok")
         assert "error" in rows[1]
+
+    def test_vdp_default_catalog_follows_each_point(self, tmp_path):
+        # no analysis.catalog and no base param.N (VdpParams' default N = 12):
+        # each point is analysed with the moments of its own truncation
+        text = SMALL_VDP.replace("param.N = 6\n", "") + "sweep.axis.param.N = 6 7\n"
+        spec = sweep_from_mapping(parse_config_text(text))
+        assert spec.axes == [("N", [6, 7])]
+        assert [type(v) for v in spec.axes[0][1]] == [int, int]
+        assert run_sweep(spec, tmp_path / "sweep") == 1
+        report = json.loads((tmp_path / "sweep" / "point_0000" / "report.json").read_text())
+        assert report["thresholds"]["catalog"] == "moments:6"
+        assert report["scenario"]["params"]["N"] == 6
+        # the N = 7 point is built at N = 7, where the six amplitudes per mode do not fit
+        with open(tmp_path / "sweep" / "summary.csv", newline="") as fh:
+            _, ok, failed = csv.reader(fh)
+        assert ok[1:2] == ["6"] and ok[-1] == "ok"
+        assert failed[1:2] == ["7"]
+        assert failed[-1] == "error:ConfigError: initial.mode1: expected 7 amplitudes, got 6"
 
     def test_failed_point_message_in_status(self, tmp_path):
         # strong gain on the second point drives the top Fock level past the guard

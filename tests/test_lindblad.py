@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -276,7 +274,7 @@ def reachable_count(model, rho0):
 
 def small_vdp_case():
     # fig3's van der Pol pair at N = 6 (D = 36), from the fig3 amplitudes
-    model = build_vdp(dataclasses.replace(PRESETS["fig3"].params, N=6))
+    model = build_vdp(VdpParams(**{**PRESETS["fig3"].params, "N": 6}))
     mode1 = (0.5, np.sqrt(0.75), 0.0, 0.0, 0.0, 0.0)
     mode2 = (np.sqrt(0.05), np.sqrt(0.95), 0.0, 0.0, 0.0, 0.0)
     return model, DensityMatrix.product_state(model.layout, [mode1, mode2])

@@ -173,10 +173,10 @@ class TestPresets:
 
     def test_fig2c_detunings(self):
         p = PRESETS["fig2c"].params
-        assert p.deltaq1 == pytest.approx(0.08)
-        assert p.deltaq2 == pytest.approx(0.02)
-        assert p.delta2 == pytest.approx(-2.25 * p.J)
-        assert p.Omega == pytest.approx(1e-3)
+        assert p["deltaq1"] == pytest.approx(0.08)
+        assert p["deltaq2"] == pytest.approx(0.02)
+        assert p["delta2"] == pytest.approx(-2.25 * p["J"])
+        assert p["Omega"] == pytest.approx(1e-3)
 
     def test_fig2_initial_state(self):
         model, rho0 = PRESETS["fig2a"].build()
@@ -199,10 +199,10 @@ class TestPresets:
 
     def test_fig3_rates(self):
         p = PRESETS["fig3"].params
-        assert p.kappa1 == p.kappa2 == pytest.approx(2 * p.omega1)
-        assert p.omega2 == pytest.approx(p.omega1)
-        assert p.J == pytest.approx(0.5 * p.omega1)
-        assert p.Omega1 == p.Omega2 == pytest.approx(1e-3 * p.omega1)
+        assert p["kappa1"] == p["kappa2"] == pytest.approx(2 * p["omega1"])
+        assert p["omega2"] == pytest.approx(p["omega1"])
+        assert p["J"] == pytest.approx(0.5 * p["omega1"])
+        assert p["Omega1"] == p["Omega2"] == pytest.approx(1e-3 * p["omega1"])
 
     def test_analysis_defaults_exist(self):
         for preset in PRESETS.values():
