@@ -52,7 +52,6 @@ from .syncmeter import (
     classify_pair,
     degree_of_quantumness,
     fit_oscillation,
-    synchronized_set,
 )
 
 __version__ = "0.1.0"

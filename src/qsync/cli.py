@@ -23,17 +23,21 @@ Config files are flat `key = value` text with dotted sections, for example::
     analysis.window = 300:1100
 
 Configs are checked when parsed, before anything runs: numbers, initial
-amplitudes and the --tol-freq/--tol-phase flags must be finite, and
-run.t_end must be a positive integer multiple of run.sample_dt, so a sweep
-with a bad sample grid fails before its first point.  `initial.preset =
-NAME` stands for that preset's amplitudes and excludes other initial.* keys.
-Configs and `models.PRESETS` are `models.Scenario` records; parsing builds
-no model, `Scenario.build()` does.  A fresh run and a
-re-analysis of its trajectory.csv feed the same `lindblad.Trajectory`
-through `analyze_trajectory`, which builds every report field except the
-scenario echo.  Each output of `run` and `analyze`, and the sweep's
-summary.csv, is written to a temporary sibling and renamed into place, so a
-crash never leaves a partial file under its final name.
+amplitudes and the --tol-freq/--tol-phase flags must be finite, run.t_end
+a positive integer multiple of run.sample_dt, tolerances and sweep.cap
+positive, and analysis.catalog a valid spec, so a bad sweep config fails
+before its first point.  `initial.preset = NAME` stands for that preset's
+amplitudes and excludes other initial.* keys.  Configs and `models.PRESETS`
+are `models.Scenario` records; `Scenario.build()` makes the model, which
+fixes the catalog its run is analysed with, and refuses a different
+analysis.catalog.  A window too short to fit is refused before the
+integration.  A fresh run and a re-analysis of its trajectory.csv feed the
+same `lindblad.Trajectory` through `analyze_trajectory`, which adds the
+version, the final mutual information and the S_c extras to the analysis
+fields of `syncmeter.build_sync_report`.  Each output of `run` and
+`analyze`, and the sweep's summary.csv, is written to a temporary sibling
+and renamed into place, so a crash never leaves a partial file under its
+final name.
 
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, an
 analysis window too short to fit, or tolerances the integrator cannot
@@ -58,17 +62,24 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .lindblad import StepSizeUnderflowError, Tolerances, Trajectory, TruncationError, evolve
+from .lindblad import (
+    StepSizeUnderflowError,
+    Tolerances,
+    Trajectory,
+    TruncationError,
+    evolve,
+    sample_grid,
+)
 from .models import (
     MODELS,
     PRESET_NAMES,
     PRESETS,
     ConfigError,
     Scenario,
-    moment_catalog,
-    pauli_catalog,
+    resolve_catalog,
+    s_c_extras,
 )
-from .syncmeter import AnalysisThresholds, build_sync_report
+from .syncmeter import AnalysisThresholds, analysis_window, build_sync_report
 
 SWEEP_CAP_DEFAULT = 64
 _RUN_OUTPUTS = ("report.json", "stats.json", "trajectory.csv", "mutual_info.csv",
@@ -85,14 +96,16 @@ def _parse_number(key: str, text: str) -> float:
     return value
 
 
-def _parse_param(key: str, text: str, field: dataclasses.Field):
-    """A model parameter: a finite number, and an integer where the field is one."""
+def _parse_int(key: str, text: str) -> int:
     number = _parse_number(key, text)
-    if field.type != "int":
-        return number
     if number != int(number):
         raise ConfigError(f"key '{key}': expected an integer, got '{text}'")
     return int(number)
+
+
+def _parse_param(key: str, text: str, field: dataclasses.Field):
+    """A model parameter: a finite number, and an integer where the field is one."""
+    return _parse_int(key, text) if field.type == "int" else _parse_number(key, text)
 
 
 def _parse_amplitudes(key: str, text: str) -> list[complex]:
@@ -141,15 +154,9 @@ def _parse_window(key: str, text: str) -> tuple[float, float]:
     return (t0, t1)
 
 
-_ANALYSIS_FLOAT_KEYS = {
-    "analysis.tol_freq": "tol_freq",
-    "analysis.tol_phase": "tol_phase",
-    "analysis.amp_min": "amp_min",
-    "analysis.fit_tol": "fit_tol",
-    "analysis.min_cycles": "min_cycles",
-    "analysis.rank_tol": "rank_tol",
-    "analysis.comm_tol": "comm_tol",
-}
+# every float field of AnalysisThresholds is an analysis.* key
+_ANALYSIS_FLOAT_KEYS = {f"analysis.{f.name}": f.name
+                        for f in dataclasses.fields(AnalysisThresholds) if f.type == "float"}
 
 
 def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
@@ -192,6 +199,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         elif key == "analysis.window":
             window = _parse_window(key, value)
         elif key == "analysis.catalog":
+            resolve_catalog(value)          # a malformed spec is refused here
             catalog = value
         elif key in _ANALYSIS_FLOAT_KEYS:
             analysis_overrides[_ANALYSIS_FLOAT_KEYS[key]] = _parse_number(key, value)
@@ -207,9 +215,10 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     for req in ("t_end", "sample_dt"):
         if req not in run:
             raise ConfigError(f"missing required key: run.{req}")
+    for name in ("sample_dt", "rel_tol", "abs_tol"):
+        if name in run and not run[name] > 0:
+            raise ConfigError(f"key 'run.{name}': must be positive")
     t_end, sample_dt = run.pop("t_end"), run.pop("sample_dt")
-    if not sample_dt > 0:
-        raise ConfigError("key 'run.sample_dt': must be positive")
     ratio = t_end / sample_dt
     n_samples = round(ratio) if math.isfinite(ratio) else 0
     if n_samples < 1 or abs(n_samples * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
@@ -244,21 +253,6 @@ def scenario_from_preset(name: str) -> Scenario:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset '{name}' (known: {', '.join(PRESET_NAMES)})")
     return PRESETS[name]
-
-
-def resolve_catalog(spec: str):
-    """The (name, operator) pairs of a catalog spec: 'pauli' or 'moments:<N>'."""
-    if spec == "pauli":
-        return pauli_catalog()
-    if spec.startswith("moments:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad catalog spec '{spec}'") from None
-        if n < 2:
-            raise ConfigError(f"catalog truncation must be >= 2, got {n}")
-        return moment_catalog(n)
-    raise ConfigError(f"unknown catalog '{spec}' (use 'pauli' or 'moments:<N>')")
 
 
 def _write_atomically(path: Path, write):
@@ -314,59 +308,46 @@ def read_trajectory_csv(path: Path) -> Trajectory:
 
 def analyze_trajectory(
     traj: Trajectory,
-    catalog_spec: str,
+    catalog: str,
     window: tuple[float, float] | None,
     thresholds: AnalysisThresholds,
 ) -> dict:
     """Every report field but the scenario echo, for fresh runs and CSV re-analysis."""
-    catalog = resolve_catalog(catalog_spec)
-    if window is None:
-        n = len(traj.times)
-        window = (float(traj.times[n // 2]), float(traj.times[-1]))
-    missing = [col for name, _ in catalog for col in (f"{name}_1", f"{name}_2")
+    members = resolve_catalog(catalog)
+    missing = [col for name, _ in members for col in (f"{name}_1", f"{name}_2")
                if col not in traj.names]
     if missing:
         raise ConfigError(f"trajectory lacks catalog columns: {', '.join(missing)}")
     report = build_sync_report(
-        traj, catalog, window, thresholds,
+        traj, members, window, thresholds,
         notes={
-            "catalog": catalog_spec,
+            "catalog": catalog,
             # truncated continuous-variable catalogs only bound the true
             # synchronized-set cardinality from below
-            "chi_lower_bound_only": catalog_spec.startswith("moments:"),
+            "chi_lower_bound_only": catalog.startswith("moments:"),
         },
     )
     report["version"] = __version__
     mi = traj.mutual_info
     report["mutual_info_final"] = None if mi is None else float(mi[-1])
-    report["extras"] = _extras_from_trajectory(traj)
+    report["extras"] = s_c_extras(traj)
     return report
 
 
-def _extras_from_trajectory(traj: Trajectory) -> dict:
-    if "xminus2" not in traj.names or "pminus2" not in traj.names:
-        return {}
-    var_sum = traj.column("xminus2") + traj.column("pminus2")
-    s_c = 1.0 / var_sum
-    return {
-        "s_c_final": float(s_c[-1]),
-        "s_c_max": float(np.max(s_c)),
-        "s_c_min": float(np.min(s_c)),
-    }
-
-
 def run_scenario(cfg: Scenario, outdir: Path) -> dict:
-    """Simulate, write outputs, analyze; returns the report dict.
+    """Simulate, write outputs, analyze with the model's catalog; returns the report dict.
 
-    The outputs an earlier run left in `outdir` are removed before the
-    integration starts, so a run that fails leaves no report and no CSV
-    that looks current; other files in `outdir` are left alone.  The
-    integrator counters go to stats.json, not report.json, which a
-    re-analysis must reproduce field for field.
+    The outputs an earlier run left in `outdir` are removed first, so a run
+    that fails, in `cfg.build()` or later, leaves no report and no CSV that
+    looks current; other files in `outdir` are left alone.  A window too
+    short to fit is refused before the integration.  The integrator
+    counters go to stats.json, not report.json, which a re-analysis must
+    reproduce field for field.
     """
-    model, rho0 = cfg.build()
     for name in _RUN_OUTPUTS:
         (outdir / name).unlink(missing_ok=True)
+    model, rho0 = cfg.build()
+    analysis_window(sample_grid(cfg.t_end, cfg.sample_dt), cfg.window)
     traj = evolve(
         model,
         rho0,
@@ -392,7 +373,7 @@ def run_scenario(cfg: Scenario, outdir: Path) -> dict:
         [traj.times, traj.trace_errors, traj.min_eigenvalues],
     )
     _write_json(outdir / "stats.json", traj.stats)
-    report = analyze_trajectory(traj, cfg.catalog_spec(), cfg.window, cfg.thresholds)
+    report = analyze_trajectory(traj, model.catalog, cfg.window, cfg.thresholds)
     report["scenario"] = cfg.echo()
     report["model"] = cfg.model
     _write_json(outdir / "report.json", report)
@@ -401,7 +382,7 @@ def run_scenario(cfg: Scenario, outdir: Path) -> dict:
 
 def analyze_csv(
     csv_path: Path,
-    catalog_spec: str,
+    catalog: str,
     window: tuple[float, float] | None,
     thresholds: AnalysisThresholds,
     outdir: Path,
@@ -418,7 +399,7 @@ def analyze_csv(
             raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info'")
         traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
 
-    report = analyze_trajectory(traj, catalog_spec, window, thresholds)
+    report = analyze_trajectory(traj, catalog, window, thresholds)
     sibling = csv_path.parent / "report.json"
     prior = json.loads(sibling.read_text()) if sibling.exists() else {}
     if not isinstance(prior, dict):
@@ -448,7 +429,9 @@ def sweep_from_mapping(mapping: dict[str, str]) -> SweepSpec:
         if key.startswith("sweep.axis.param."):
             axis_text[key[len("sweep.axis.param."):]] = mapping.pop(key)
         elif key == "sweep.cap":
-            cap = int(_parse_number(key, mapping.pop(key)))
+            cap = _parse_int(key, mapping.pop(key))
+            if cap < 1:
+                raise ConfigError(f"key '{key}': must be a positive integer")
     if not axis_text:
         raise ConfigError("sweep config needs at least one sweep.axis.param.<name> line")
     base = scenario_from_mapping(mapping)

@@ -90,16 +90,17 @@ class Dissipator:
 class ModelSpec:
     """Hamiltonian + dissipators + named Hermitian observables.
 
-    All rates and frequencies are dimensionless multiples of
-    `reference_rate` (for example the cavity decay rate, or the first
-    oscillator frequency); times are in units of its inverse.
+    `catalog` is the spec, 'pauli' or 'moments:<N>' (see
+    `models.resolve_catalog`), of the single-subsystem observables whose two
+    embeddings '<name>_1', '<name>_2' the model records and a run analyses;
+    None for a model without one.
     """
 
     layout: SpaceLayout
     hamiltonian: Operator
     dissipators: tuple[Dissipator, ...]
     observables: tuple[tuple[str, Operator], ...]
-    reference_rate: float = 1.0
+    catalog: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dissipators", tuple(self.dissipators))
@@ -406,6 +407,16 @@ def _top_level_masks(layout: SpaceLayout) -> list[tuple[str, np.ndarray]]:
     return masks
 
 
+def sample_grid(t_end: float, sample_dt: float) -> np.ndarray:
+    """The sample times 0, sample_dt, ..., t_end; ValueError unless t_end is such a multiple."""
+    if t_end <= 0 or sample_dt <= 0:
+        raise ValueError("t_end and sample_dt must be positive")
+    n = int(round(t_end / sample_dt))
+    if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
+        raise ValueError("t_end must be a positive integer multiple of sample_dt")
+    return np.arange(n + 1) * sample_dt
+
+
 def evolve(
     model: ModelSpec,
     rho0: DensityMatrix,
@@ -436,17 +447,14 @@ def evolve(
     """
     if tolerances is None:
         tolerances = Tolerances()
-    if t_end <= 0 or sample_dt <= 0:
-        raise ValueError("t_end and sample_dt must be positive")
+    times = sample_grid(t_end, sample_dt)
+    n_samples = len(times) - 1
     if rho0.layout != model.layout:
         raise ValueError("initial state layout does not match model layout")
     if rho0.trace_error() > 1e-8:
         raise ValueError(f"initial state trace error {rho0.trace_error():.3g} > 1e-8")
     if rho0.hermiticity_defect() > 1e-10:
         raise ValueError("initial state is not Hermitian to 1e-10")
-    n_samples = int(round(t_end / sample_dt))
-    if n_samples < 1 or abs(n_samples * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
-        raise ValueError("t_end must be a positive integer multiple of sample_dt")
 
     d = model.dim
     liou = _liouvillian(model)
@@ -461,7 +469,6 @@ def evolve(
     obs = np.array([(e.T @ op.matrix.T.ravel()).real for _, op in model.observables])
     obs = obs.reshape(len(names), len(idx))
     guards = _top_level_masks(model.layout)
-    times = np.arange(n_samples + 1) * sample_dt
 
     values = np.empty((n_samples + 1, len(names)))
     trace_errors = np.empty(n_samples + 1)

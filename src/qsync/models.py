@@ -1,9 +1,9 @@
 """Builders for the three concrete systems and their preset scenarios.
 
-All three models are expressed in dimensionless units of a declared
-reference rate (cavity decay kappa for the cavity-qubit systems, the first
-oscillator frequency omega1 for the coupled van der Pol pair); times are in
-units of its inverse.
+All three models are expressed in dimensionless units of a reference rate
+(cavity decay kappa for the cavity-qubit systems, the first oscillator
+frequency omega1 for the coupled van der Pol pair); times are in units of
+its inverse.
 
 cavity_qubit
     Two cavities, one qubit each, in the frame rotating at the drive
@@ -23,11 +23,17 @@ vdp
     Omega_j), two-photon loss (jump a^2, rate kappa_j), and the pair-
     creating coupling i*J*(a1^dag a2^dag - a1 a2).
 
+Each builder fixes its model's catalog (`ModelSpec.catalog`): 'pauli' for
+the two qubit models, 'moments:<N>' at the run's own truncation for vdp.
+`resolve_catalog` is the one parser of such specs; the builders record the
+two subsystem embeddings '<name>_1', '<name>_2' of every member through it.
+
 MODELS maps each model name to its (params class, builder) pair.  A
 `Scenario` holds everything a run and its analysis need, for the built-in
 PRESETS and for parsed configs alike; `Scenario.build()` is where its model
-and initial state are made.  `mari_measure` evaluates the complete-synchronization figure S_c on
-a two-mode state from the same relative-quadrature operators that `vdp`
+and initial state are made.  `mari_measure` evaluates the complete-
+synchronization figure S_c on a two-mode state, and `s_c_extras` on a
+recorded run, from the same relative-quadrature operators that `vdp`
 records as the `xminus2`/`pminus2` observables.
 """
 
@@ -50,6 +56,10 @@ from .opalg import (
     position,
 )
 from .syncmeter import AnalysisThresholds
+
+
+class ConfigError(ValueError):
+    """Configuration or schema problem; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -137,12 +147,25 @@ def moment_catalog(n: int) -> list[tuple[str, Operator]]:
     ]
 
 
-def _pair_observables(layout, catalog, slots=(0, 1)) -> list[tuple[str, Operator]]:
-    obs = []
-    for name, op in catalog:
-        for k, slot in enumerate(slots, start=1):
-            obs.append((f"{name}_{k}", embed(op, layout, slot)))
-    return obs
+def resolve_catalog(spec: str) -> list[tuple[str, Operator]]:
+    """The (name, operator) pairs of a catalog spec: 'pauli' or 'moments:<N>'."""
+    if spec == "pauli":
+        return pauli_catalog()
+    if spec.startswith("moments:"):
+        try:
+            n = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"bad catalog spec '{spec}'") from None
+        if n < 2:
+            raise ConfigError(f"catalog truncation must be >= 2, got {n}")
+        return moment_catalog(n)
+    raise ConfigError(f"unknown catalog '{spec}' (use 'pauli' or 'moments:<N>')")
+
+
+def _pair_observables(layout: SpaceLayout, catalog: str) -> list[tuple[str, Operator]]:
+    """'<name>_1' and '<name>_2': each catalog member embedded in factors 0 and 1."""
+    return [(f"{name}_{k}", embed(op, layout, k - 1))
+            for name, op in resolve_catalog(catalog) for k in (1, 2)]
 
 
 def build_cavity_qubit(p: CavityQubitParams) -> ModelSpec:
@@ -167,8 +190,7 @@ def build_cavity_qubit(p: CavityQubitParams) -> ModelSpec:
         h = h + 1j * p.g0 * (a[j].dag() @ sm[j] - a[j] @ sp[j])
 
     dissipators = (Dissipator(p.kappa, a[0]), Dissipator(p.kappa, a[1]))
-    observables = tuple(_pair_observables(layout, pauli_catalog()))
-    return ModelSpec(layout, h, dissipators, observables, reference_rate=p.kappa)
+    return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli")
 
 
 def build_reduced_qubit(p: ReducedQubitParams) -> ModelSpec:
@@ -180,8 +202,7 @@ def build_reduced_qubit(p: ReducedQubitParams) -> ModelSpec:
     h = 0.5 * p.deltaq1 * sz[0] + 0.5 * p.deltaq2 * sz[1] + p.Omega * sx1
     collective_lower = (sm[0] + sm[1]) / np.sqrt(2.0)
     dissipators = (Dissipator(p.gamma_eff, collective_lower),)
-    observables = tuple(_pair_observables(layout, pauli_catalog()))
-    return ModelSpec(layout, h, dissipators, observables, reference_rate=1.0)
+    return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli")
 
 
 def build_vdp(p: VdpParams) -> ModelSpec:
@@ -202,13 +223,14 @@ def build_vdp(p: VdpParams) -> ModelSpec:
     )
     # Joint relative-quadrature second moments feed the complete-
     # synchronization figure of merit S_c = 1/<x_minus^2 + p_minus^2>.
+    catalog = f"moments:{p.N}"
     xm2, pm2 = _relative_quadrature_moments(layout)
     observables = (
-        *_pair_observables(layout, moment_catalog(p.N)),
+        *_pair_observables(layout, catalog),
         ("xminus2", xm2),
         ("pminus2", pm2),
     )
-    return ModelSpec(layout, h, dissipators, observables, reference_rate=p.omega1)
+    return ModelSpec(layout, h, dissipators, observables, catalog)
 
 
 def _relative_quadrature_moments(layout: SpaceLayout) -> tuple[Operator, Operator]:
@@ -218,6 +240,18 @@ def _relative_quadrature_moments(layout: SpaceLayout) -> tuple[Operator, Operato
     xm = (x[0] - x[1]) / np.sqrt(2.0)
     pm = (p[0] - p[1]) / np.sqrt(2.0)
     return xm @ xm, pm @ pm
+
+
+def s_c_extras(trajectory) -> dict:
+    """Final, largest and smallest S_c = 1/<x_-^2 + p_-^2> of a run; {} without those columns."""
+    if "xminus2" not in trajectory.names or "pminus2" not in trajectory.names:
+        return {}
+    s_c = 1.0 / (trajectory.column("xminus2") + trajectory.column("pminus2"))
+    return {
+        "s_c_final": float(s_c[-1]),
+        "s_c_max": float(np.max(s_c)),
+        "s_c_min": float(np.min(s_c)),
+    }
 
 
 def mari_measure(rho: DensityMatrix) -> float:
@@ -253,10 +287,6 @@ MODELS = {
 }
 
 
-class ConfigError(ValueError):
-    """Configuration or schema problem; maps to exit code 2."""
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One run: model, initial state, run grid and analysis settings.
@@ -274,7 +304,7 @@ class Scenario:
     t_end: float
     sample_dt: float
     window: tuple[float, float] | None = None
-    catalog: str | None = None              # 'pauli', 'moments:<N>' or the model's default
+    catalog: str | None = None              # where given, must be the model's catalog
     thresholds: AnalysisThresholds = AnalysisThresholds()
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = DEFAULT_ABS_TOL
@@ -286,6 +316,9 @@ class Scenario:
             model = builder(params_cls(**self.params))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid parameters for model '{self.model}': {exc}") from None
+        if self.catalog is not None and self.catalog != model.catalog:
+            raise ConfigError(f"analysis.catalog '{self.catalog}' differs from the "
+                              f"catalog '{model.catalog}' that this model records")
         labels = model.layout.labels
         missing = [label for label in labels if label not in self.initial]
         if missing:
@@ -310,14 +343,6 @@ class Scenario:
                 )
             amps.append(vec)
         return model, DensityMatrix.product_state(model.layout, amps)
-
-    def catalog_spec(self) -> str:
-        """`catalog`, else 'moments:<N>' at the run's own truncation for vdp, else 'pauli'."""
-        if self.catalog is not None:
-            return self.catalog
-        if self.model == "vdp":
-            return f"moments:{self.params.get('N', VdpParams.N)}"
-        return "pauli"
 
     def echo(self) -> dict:
         """The scenario as report.json records it."""

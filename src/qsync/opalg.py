@@ -12,8 +12,9 @@ Conventions
 * Bosonic operators act on an n-level Fock truncation with
   <k-1| a |k> = sqrt(k); x = (a + a^dag)/sqrt(2), p = -i(a - a^dag)/sqrt(2).
 
-All values are immutable after construction (wrapped arrays are
-write-locked); operations are pure functions, safe to share across threads.
+All values are immutable after construction (each wraps a write-locked
+private copy of the caller's array); operations are pure functions, safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class SpaceLayout:
 
 
 def _lock(matrix: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(matrix, dtype=complex)
+    """A read-only private copy: the caller's array stays writeable."""
+    out = np.array(matrix, dtype=complex, order="C")
     out.setflags(write=False)
     return out
 

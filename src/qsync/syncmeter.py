@@ -18,9 +18,11 @@ explicit, recorded in every report, and deliberately conservative about
 monotone drifts (a decaying exponential must not count as an oscillation).
 
 The analysis reads recorded series only: any `lindblad.Trajectory`, whether
-just simulated or re-read from CSV, plus the catalog operators.  Figures of
-merit evaluated on states, such as `models.mari_measure`, live with the
-models.
+just simulated or re-read from CSV, plus the catalog operators.
+`build_sync_report` is the one function that turns them into report.json's
+analysis fields; `analysis_window` is the one check that a window holds
+enough samples to fit.  Figures of merit built on the models' own
+operators, such as the S_c of `models.mari_measure`, live with the models.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .opalg import (
-    Operator,
-    mutual_information,  # noqa: F401  (public re-export)
-)
+from .opalg import Operator
 
 MIN_WINDOW_SAMPLES = 64
 
@@ -211,11 +210,32 @@ def _golden_min(fun, lo: float, hi: float, rel_tol: float = 1e-8):
     return (a + b) / 2.0
 
 
+def analysis_window(
+    times: np.ndarray, window: tuple[float, float] | None = None
+) -> tuple[tuple[float, float], np.ndarray]:
+    """`window` (default: the second half of `times`) and the mask of its samples.
+
+    ValueError where the window is empty or too short to fit.
+    """
+    if window is None:
+        window = (times[len(times) // 2], times[-1])
+    t0, t1 = float(window[0]), float(window[1])
+    if not t1 > t0:
+        raise ValueError(f"empty analysis window [{t0}, {t1}]")
+    mask = (times >= t0) & (times <= t1)
+    n = int(np.count_nonzero(mask))
+    if n < MIN_WINDOW_SAMPLES:
+        raise ValueError(
+            f"window [{t0}, {t1}] contains {n} samples, needs >= {MIN_WINDOW_SAMPLES}"
+        )
+    return (t0, t1), mask
+
+
 def fit_oscillation(
     times: np.ndarray,
     values: np.ndarray,
     window: tuple[float, float],
-    thresholds: AnalysisThresholds | None = None,
+    thresholds: AnalysisThresholds = AnalysisThresholds(),
     *,
     signal_scale: float | None = None,
 ) -> OscillationFit:
@@ -242,21 +262,11 @@ def fit_oscillation(
     a common scale so that near-zero channels are not self-normalized into
     fake oscillations.
     """
-    if thresholds is None:
-        thresholds = AnalysisThresholds()
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    t0, t1 = float(window[0]), float(window[1])
-    if not t1 > t0:
-        raise ValueError(f"empty analysis window [{t0}, {t1}]")
-    mask = (times >= t0) & (times <= t1)
-    n = int(np.count_nonzero(mask))
-    if n < MIN_WINDOW_SAMPLES:
-        raise ValueError(
-            f"window [{t0}, {t1}] contains {n} samples, needs >= {MIN_WINDOW_SAMPLES}"
-        )
+    _, mask = analysis_window(times, window)
     t = times[mask]
-    y = values[mask]
+    y = np.asarray(values, dtype=float)[mask]
+    n = len(t)
     dt = np.diff(t)
     if np.max(np.abs(dt - dt[0])) > 1e-6 * dt[0]:
         raise ValueError("fit window requires a uniform sample grid")
@@ -334,11 +344,9 @@ def fit_oscillation(
 
 
 def classify_pair(
-    a: OscillationFit, b: OscillationFit, thresholds: AnalysisThresholds | None = None
+    a: OscillationFit, b: OscillationFit, thresholds: AnalysisThresholds = AnalysisThresholds()
 ) -> PairVerdict:
     """Lock verdict for two fits taken over the same window."""
-    if thresholds is None:
-        thresholds = AnalysisThresholds()
     f_max = max(a.frequency, b.frequency)
     freq_mismatch = 0.0 if f_max == 0 else abs(a.frequency - b.frequency) / f_max
     synced = bool(a.oscillating and b.oscillating and freq_mismatch <= thresholds.tol_freq)
@@ -382,75 +390,6 @@ def independent_subset(
     return kept
 
 
-@dataclass
-class SetAnalysis:
-    """Intermediate result of synchronized-set construction."""
-
-    fits: dict[str, OscillationFit]
-    verdicts: dict[str, PairVerdict]
-    names: list[str]              # synchronized, independence-filtered
-    operators: list[Operator]
-    signal_scale: float
-
-
-def synchronized_set(
-    trajectory,
-    catalog: list[tuple[str, Operator]],
-    window: tuple[float, float],
-    thresholds: AnalysisThresholds | None = None,
-) -> SetAnalysis:
-    """Build S: catalog members whose two embeddings lock, made independent.
-
-    The trajectory must contain columns '<name>_1' and '<name>_2' for every
-    catalog entry.  One common signal scale (the largest in-window deviation
-    across the whole catalog family) feeds every amplitude gate.
-    """
-    if thresholds is None:
-        thresholds = AnalysisThresholds()
-    times = trajectory.times
-    t0, t1 = window
-    mask = (times >= t0) & (times <= t1)
-    if not np.any(mask):
-        raise ValueError(f"window [{t0}, {t1}] contains no samples")
-
-    scale = 0.0
-    series = {}
-    for name, _ in catalog:
-        for k in (1, 2):
-            col = f"{name}_{k}"
-            y = trajectory.column(col)
-            series[col] = y
-            yw = y[mask]
-            scale = max(scale, float(np.max(np.abs(yw - np.mean(yw)))))
-
-    fits: dict[str, OscillationFit] = {}
-    verdicts: dict[str, PairVerdict] = {}
-    synced_names: list[str] = []
-    for name, _ in catalog:
-        fit1 = fit_oscillation(times, series[f"{name}_1"], window, thresholds,
-                               signal_scale=scale)
-        fit2 = fit_oscillation(times, series[f"{name}_2"], window, thresholds,
-                               signal_scale=scale)
-        fits[f"{name}_1"] = fit1
-        fits[f"{name}_2"] = fit2
-        verdict = classify_pair(fit1, fit2, thresholds)
-        verdicts[name] = verdict
-        if verdict.synced:
-            synced_names.append(name)
-
-    ops_by_name = dict(catalog)
-    candidates = [ops_by_name[name].matrix for name in synced_names]
-    kept = independent_subset(candidates, thresholds.rank_tol)
-    names = [synced_names[i] for i in kept]
-    return SetAnalysis(
-        fits=fits,
-        verdicts=verdicts,
-        names=names,
-        operators=[ops_by_name[n] for n in names],
-        signal_scale=scale,
-    )
-
-
 def degree_of_quantumness(
     ops: list[Operator] | list[np.ndarray],
     comm_tol: float = 1e-10,
@@ -490,33 +429,50 @@ def degree_of_quantumness(
 def build_sync_report(
     trajectory,
     catalog: list[tuple[str, Operator]],
-    window: tuple[float, float],
-    thresholds: AnalysisThresholds | None = None,
+    window: tuple[float, float] | None = None,
+    thresholds: AnalysisThresholds = AnalysisThresholds(),
     notes: dict | None = None,
 ) -> dict:
-    """report.json's analysis fields: pairs with fits, synchronized set, chi, c, xi, thresholds."""
-    if thresholds is None:
-        thresholds = AnalysisThresholds()
-    analysis = synchronized_set(trajectory, catalog, window, thresholds)
+    """report.json's analysis fields: pairs with fits, synchronized set, chi, c, xi, thresholds.
+
+    The trajectory must hold columns '<name>_1' and '<name>_2' for every
+    catalog member (KeyError otherwise).  One common signal scale, the
+    largest in-window deviation across the whole catalog family, feeds every
+    amplitude gate.  S holds the members whose two embeddings lock, filtered
+    to a linearly independent set; chi, c and xi are counted on it.
+    """
+    times = trajectory.times
+    window, mask = analysis_window(times, window)
+    series = {f"{name}_{k}": trajectory.column(f"{name}_{k}")
+              for name, _ in catalog for k in (1, 2)}
+    scale = 0.0
+    for y in series.values():
+        yw = y[mask]
+        scale = max(scale, float(np.max(np.abs(yw - np.mean(yw)))))
+
+    pairs = {}
+    synced = []
+    for name, op in catalog:
+        fit1, fit2 = [fit_oscillation(times, series[f"{name}_{k}"], window, thresholds,
+                                      signal_scale=scale) for k in (1, 2)]
+        verdict = classify_pair(fit1, fit2, thresholds)
+        pairs[name] = {**asdict(verdict), "fit_1": asdict(fit1), "fit_2": asdict(fit2)}
+        if verdict.synced:
+            synced.append((name, op))
+    kept = independent_subset([op.matrix for _, op in synced], thresholds.rank_tol)
+    s = [synced[i] for i in kept]
     chi, c, xi = degree_of_quantumness(
-        analysis.operators, comm_tol=thresholds.comm_tol, rank_tol=thresholds.rank_tol
+        [op for _, op in s], comm_tol=thresholds.comm_tol, rank_tol=thresholds.rank_tol
     )
     return {
-        "pairs": {
-            name: {
-                **asdict(verdict),
-                "fit_1": asdict(analysis.fits[f"{name}_1"]),
-                "fit_2": asdict(analysis.fits[f"{name}_2"]),
-            }
-            for name, verdict in analysis.verdicts.items()
-        },
-        "synchronized_set": analysis.names,
+        "pairs": pairs,
+        "synchronized_set": [name for name, _ in s],
         "chi": chi,
         "c": c,
         "xi": xi,
         "thresholds": {
-            "window": [float(window[0]), float(window[1])],
-            "signal_scale": analysis.signal_scale,
+            "window": list(window),
+            "signal_scale": scale,
             **asdict(thresholds),
             **(notes or {}),
         },

@@ -39,11 +39,12 @@ from qsync.opalg import (
     SpaceLayout,
     destroy,
     embed,
+    mutual_information,
     partial_trace,
     trace_distance,
     von_neumann_entropy,
 )
-from qsync.syncmeter import degree_of_quantumness, mutual_information
+from qsync.syncmeter import degree_of_quantumness
 
 FIG2_QUBITS = [(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.7), np.sqrt(0.3))]
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsync.cli
 from qsync.cli import (
     ConfigError,
     _write_csv,
@@ -137,6 +138,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             scenario_from_mapping(parse_config_text(text))
 
+    @pytest.mark.parametrize("key, value", [
+        ("run.rel_tol", "-1"),
+        ("run.abs_tol", "0"),
+        ("sweep.cap", "2.9"),
+        ("sweep.cap", "0"),
+        ("sweep.cap", "-1"),
+    ])
+    def test_bad_run_setting_rejected(self, key, value):
+        # refused when the sweep config is parsed, before any point runs
+        text = FAST_SCENARIO + f"sweep.axis.param.Omega = 0 0.001\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=key):
+            sweep_from_mapping(parse_config_text(text))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="param.bogus"):
             scenario_from_mapping(parse_config_text(FAST_SCENARIO + "param.bogus = 1\n"))
@@ -195,6 +209,14 @@ class TestConfigParsing:
         cfg = scenario_from_mapping(parse_config_text(FAST_SCENARIO))
         params_cls, build = MODELS[cfg.model]
         assert build(params_cls(**cfg.params)).dim == 4
+        # the reanalyze set-up resolves the catalog through the cli module
+        assert [name for name, _ in qsync.cli.resolve_catalog("pauli")] == [
+            "sigma_x", "sigma_y", "sigma_z"]
+        assert qsync.cli.AnalysisThresholds() == AnalysisThresholds()
+        # the bench configs name the model's own catalog
+        with_catalog = scenario_from_mapping(parse_config_text(
+            FAST_SCENARIO + "analysis.catalog = pauli\n"))
+        assert with_catalog.build()[0].catalog == "pauli"
         assert (cfg.window, cfg.thresholds) == ((40.0, 400.0), AnalysisThresholds())
         # a replaced record is not validated; run_scenario refuses it
         off_grid = dataclasses.replace(cfg, t_end=cfg.t_end + cfg.sample_dt / 3)
@@ -517,8 +539,9 @@ param.N = 6
 initial.mode1 = 1 0 0 0 0 0
 initial.mode2 = 1 0 0 0 0 0
 run.t_end = 20
-run.sample_dt = 0.5
+run.sample_dt = 0.125
 """
+        # 81 samples in the default window 10:20, so the run is not refused before it starts
         cfg_path = write_config(tmp_path, text)
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 3
@@ -527,17 +550,64 @@ run.sample_dt = 0.5
     def test_failed_rerun_leaves_no_report(self, tmp_path):
         out = tmp_path / "o2"
         good = write_config(tmp_path, SMALL_VDP, "good.cfg")
-        assert main(["run", "--config", str(good), "--out", str(out)]) == 0
-        assert (out / "report.json").exists()
-        # strong gain drives the top Fock level past the guard
-        bad = write_config(tmp_path, SMALL_VDP.replace("param.Omega1 = 0.1", "param.Omega1 = 5"),
-                           "bad.cfg")
-        assert main(["run", "--config", str(bad), "--out", str(out)]) == 3
-        for name in ("report.json", "trajectory.csv", "mutual_info.csv", "diagnostics.csv"):
-            assert not (out / name).exists(), name
-        # nothing stale is left to re-analyse
-        assert main(["analyze", str(out / "trajectory.csv"), "--out",
-                     str(tmp_path / "re")]) == 4
+        bad_runs = [
+            # strong gain drives the top Fock level past the guard
+            (SMALL_VDP.replace("param.Omega1 = 0.1", "param.Omega1 = 5"), 3),
+            # unnormalised amplitudes: Scenario.build() refuses them
+            (SMALL_VDP.replace("initial.mode1 = 1 0", "initial.mode1 = 1 1"), 2),
+            # a catalog the model does not record: Scenario.build() refuses it
+            (SMALL_VDP + "analysis.catalog = pauli\n", 2),
+        ]
+        for k, (text, code) in enumerate(bad_runs):
+            assert main(["run", "--config", str(good), "--out", str(out)]) == 0
+            assert (out / "report.json").exists()
+            bad = write_config(tmp_path, text, f"bad{k}.cfg")
+            assert main(["run", "--config", str(bad), "--out", str(out)]) == code
+            for name in ("report.json", "stats.json", "trajectory.csv", "mutual_info.csv",
+                         "diagnostics.csv"):
+                assert not (out / name).exists(), (k, name)
+            # nothing stale is left to re-analyse
+            assert main(["analyze", str(out / "trajectory.csv"), "--out",
+                         str(tmp_path / "re")]) == 4
+
+    @pytest.mark.parametrize("model", ["reduced_qubit", "vdp"])
+    def test_catalog_other_than_models_refused(self, tmp_path, capsys, model):
+        # moments:6 for the qubit pair, and for a vdp pair truncated at N = 8
+        text = FAST_SCENARIO if model == "reduced_qubit" else (
+            SMALL_VDP.replace("param.N = 6", "param.N = 8")
+            .replace("1 0 0 0 0 0", "1 0 0 0 0 0 0 0"))
+        out = tmp_path / "out"
+        path = write_config(tmp_path, text + "analysis.catalog = moments:6\n")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: analysis.catalog 'moments:6' differs")
+        assert not (out / "trajectory.csv").exists()
+        # the same run with the model's own catalog succeeds
+        own = "pauli" if model == "reduced_qubit" else "moments:8"
+        path.write_text(text + f"analysis.catalog = {own}\n")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["thresholds"]["catalog"] == own
+
+    def test_sweep_bad_catalog_exits_before_first_point(self, tmp_path, capsys):
+        text = FAST_SCENARIO + "sweep.axis.param.Omega = 0 0.001\nanalysis.catalog = moments:x\n"
+        path = write_config(tmp_path, text, "sweep.cfg")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err == "error: bad catalog spec 'moments:x'\n"
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("edit, window", [
+        (("analysis.window = 40:400", "analysis.window = 0:10"), "[0.0, 10.0]"),
+        # no analysis.window: the default is the second half of the samples
+        (("analysis.window = 40:400", "run.t_end = 20"), "[10.0, 20.0]"),
+    ], ids=["given", "default"])
+    def test_short_run_window_refused_before_integration(self, tmp_path, capsys, edit, window):
+        path = write_config(tmp_path, FAST_SCENARIO.replace(*edit))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: window {window} contains 21 samples, needs >= 64\n")
+        assert not out.exists()
 
     def test_non_finite_number_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("param.gamma_eff = 0.25", "param.gamma_eff = nan")

@@ -301,3 +301,11 @@ class TestHelpers:
         sx = pauli("x")
         with pytest.raises(ValueError):
             sx.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("cls", [Operator, DensityMatrix])
+    def test_wrapping_leaves_callers_array_writeable(self, cls):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        wrapped = cls(qubit_layout(), m)
+        assert m.flags.writeable and not wrapped.matrix.flags.writeable
+        m[0, 0] = 0.5
+        assert wrapped.matrix[0, 0] == 1.0

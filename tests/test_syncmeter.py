@@ -5,16 +5,15 @@ import pytest
 
 from qsync.lindblad import Trajectory
 from qsync.models import mari_measure, moment_catalog, pauli_catalog
-from qsync.opalg import DensityMatrix, SpaceLayout, pauli
+from qsync.opalg import DensityMatrix, SpaceLayout, mutual_information, pauli
 from qsync.syncmeter import (
     OscillationFit,
     _ProjectedObjective,
+    build_sync_report,
     classify_pair,
     degree_of_quantumness,
     fit_oscillation,
     independent_subset,
-    mutual_information,
-    synchronized_set,
     wrap_phase,
 )
 
@@ -162,6 +161,7 @@ def trajectory(times, columns):
 
 
 class TestSynchronizedSet:
+    # the synchronized set as build_sync_report's dict records it
     def make_traj(self, synced_names, freq=1.2, n=2000, dt=0.02):
         t = np.arange(n) * dt
         cols = {}
@@ -178,14 +178,14 @@ class TestSynchronizedSet:
 
     def test_all_pauli_synced(self):
         traj = self.make_traj({"sigma_x", "sigma_y", "sigma_z"})
-        res = synchronized_set(traj, pauli_catalog(), (0.0, 39.0))
-        assert res.names == ["sigma_x", "sigma_y", "sigma_z"]
+        res = build_sync_report(traj, pauli_catalog(), (0.0, 39.0))
+        assert res["synchronized_set"] == ["sigma_x", "sigma_y", "sigma_z"]
 
     def test_partial_sync(self):
         traj = self.make_traj({"sigma_x", "sigma_y"})
-        res = synchronized_set(traj, pauli_catalog(), (0.0, 39.0))
-        assert res.names == ["sigma_x", "sigma_y"]
-        assert not res.verdicts["sigma_z"].synced
+        res = build_sync_report(traj, pauli_catalog(), (0.0, 39.0))
+        assert res["synchronized_set"] == ["sigma_x", "sigma_y"]
+        assert not res["pairs"]["sigma_z"]["synced"]
 
     def test_duplicate_operator_removed_by_rank_filter(self):
         catalog = [("sigma_x", pauli("x")), ("sigma_x_copy", pauli("x")),
@@ -197,14 +197,14 @@ class TestSynchronizedSet:
             cols[f"{name}_1"] = wave
             cols[f"{name}_2"] = 0.7 * wave
         traj = trajectory(t, cols)
-        res = synchronized_set(traj, catalog, (0.0, 39.0))
-        assert res.names == ["sigma_x", "sigma_y"]
+        res = build_sync_report(traj, catalog, (0.0, 39.0))
+        assert res["synchronized_set"] == ["sigma_x", "sigma_y"]
 
     def test_missing_column_raises(self):
         t = np.arange(2000) * 0.02
         traj = trajectory(t, {"sigma_x_1": np.cos(t)})
         with pytest.raises(KeyError):
-            synchronized_set(traj, pauli_catalog(), (0.0, 39.0))
+            build_sync_report(traj, pauli_catalog(), (0.0, 39.0))
 
 
 class TestDegreeOfQuantumness:
