@@ -19,13 +19,11 @@ from .lindblad import (
     Dissipator,
     ModelSpec,
     StepSizeUnderflowError,
-    Tolerances,
     Trajectory,
     TruncationError,
     dense_liouvillian,
     evolve,
     propagate_dense,
-    rhs,
 )
 from .models import (
     MODELS,

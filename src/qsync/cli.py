@@ -5,8 +5,8 @@ Subcommands
 run       simulate a preset or a config file; writes trajectory.csv,
           mutual_info.csv, diagnostics.csv, stats.json (integrator
           counters) and report.json
-analyze   recompute report.json from a trajectory.csv (decoupled from the
-          simulation, so thresholds can be revisited after the fact)
+analyze   recompute report.json from a trajectory.csv with the catalog its
+          run recorded (window and thresholds can be revisited afterwards)
 sweep     run a grid of scenarios from a sweep config; writes per-point
           directories plus summary.csv
 presets   list the built-in scenario names
@@ -30,9 +30,10 @@ before its first point.  `initial.preset = NAME` stands for that preset's
 amplitudes and excludes other initial.* keys.  Configs and `models.PRESETS`
 are `models.Scenario` records; `Scenario.build()` makes the model, which
 fixes the catalog its run is analysed with, and refuses a different
-analysis.catalog.  A window too short to fit is refused before the
-integration.  A fresh run and a re-analysis of its trajectory.csv feed the
-same `lindblad.Trajectory` through `analyze_trajectory`, which adds the
+analysis.catalog, as `analyze` refuses a --catalog other than the one the
+run's report.json records.  A window too short to fit is refused before
+the integration.  A fresh run and a re-analysis of its trajectory.csv feed
+the same `lindblad.Trajectory` through `analyze_trajectory`, which adds the
 version, the final mutual information and the S_c extras to the analysis
 fields of `syncmeter.build_sync_report`.  Each output of `run` and
 `analyze`, and the sweep's summary.csv, is written to a temporary sibling
@@ -64,10 +65,10 @@ import numpy as np
 from . import __version__
 from .lindblad import (
     StepSizeUnderflowError,
-    Tolerances,
     Trajectory,
     TruncationError,
     evolve,
+    sample_count,
     sample_grid,
 )
 from .models import (
@@ -219,12 +220,12 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         if name in run and not run[name] > 0:
             raise ConfigError(f"key 'run.{name}': must be positive")
     t_end, sample_dt = run.pop("t_end"), run.pop("sample_dt")
-    ratio = t_end / sample_dt
-    n_samples = round(ratio) if math.isfinite(ratio) else 0
-    if n_samples < 1 or abs(n_samples * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
+    try:
+        sample_count(t_end, sample_dt)
+    except ValueError:
         raise ConfigError(
             "key 'run.t_end': must be a positive integer multiple of run.sample_dt"
-        )
+        ) from None
     if preset is not None:
         if initial:
             raise ConfigError(
@@ -353,7 +354,7 @@ def run_scenario(cfg: Scenario, outdir: Path) -> dict:
         rho0,
         cfg.t_end,
         cfg.sample_dt,
-        Tolerances(rel=cfg.rel_tol, abs=cfg.abs_tol),
+        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
         mutual_info_pair=(0, 1),
     )
     outdir.mkdir(parents=True, exist_ok=True)
@@ -382,28 +383,40 @@ def run_scenario(cfg: Scenario, outdir: Path) -> dict:
 
 def analyze_csv(
     csv_path: Path,
-    catalog: str,
+    catalog: str | None,
     window: tuple[float, float] | None,
     thresholds: AnalysisThresholds,
     outdir: Path,
 ) -> dict:
     """Re-analyze a trajectory.csv with its sibling mutual_info.csv, if any.
 
-    Only the provenance (`scenario`, `model`) comes from a sibling report.json.
+    From a sibling report.json come the provenance and the run's catalog,
+    which is the default and which a given `catalog` must match.
     """
     traj = read_trajectory_csv(csv_path)
     mi_path = csv_path.parent / "mutual_info.csv"
     if mi_path.exists():
         mi = read_trajectory_csv(mi_path)
-        if mi.names != ["mutual_info"]:
-            raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info'")
+        if mi.names != ["mutual_info"] or not np.array_equal(mi.times, traj.times):
+            raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info' on the "
+                              f"time column of {csv_path}")
         traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
-
-    report = analyze_trajectory(traj, catalog, window, thresholds)
     sibling = csv_path.parent / "report.json"
     prior = json.loads(sibling.read_text()) if sibling.exists() else {}
     if not isinstance(prior, dict):
         raise ConfigError(f"{sibling}: not a JSON object")
+    record = prior.get("thresholds")
+    recorded = record.get("catalog") if isinstance(record, dict) else None
+    if catalog is None:
+        catalog = recorded
+    elif recorded not in (None, catalog):
+        raise ConfigError(f"catalog '{catalog}' differs from the catalog '{recorded}' "
+                          f"recorded in {sibling}")
+    if catalog is None:
+        raise ConfigError(f"{csv_path}: no report.json beside it records the catalog; "
+                          "give --catalog")
+
+    report = analyze_trajectory(traj, catalog, window, thresholds)
     report["scenario"] = prior.get("scenario")
     report["model"] = prior.get("model")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -535,8 +548,8 @@ def main(argv=None) -> int:
 
     p_an = sub.add_parser("analyze", help="re-analyze a trajectory.csv")
     p_an.add_argument("csv", help="path to trajectory.csv")
-    p_an.add_argument("--catalog", default="pauli",
-                      help="'pauli' or 'moments:<N>' (default pauli)")
+    p_an.add_argument("--catalog", help="'pauli' or 'moments:<N>' (default, and checked "
+                      "against: the catalog in the report.json beside the CSV)")
     p_an.add_argument("--out", required=True, help="output directory")
     _add_threshold_flags(p_an)
 

@@ -8,7 +8,7 @@ so the printed rate multiplies the full 2 L rho L^dag form (no extra 1/2).
 
 The generator is assembled once per model as one sparse CSR matrix L acting
 on the row-stacked vec(rho) = rho.ravel(), for which
-vec(A rho B) = (A kron B^T) vec(rho).  Both `rhs` and `evolve` use it.
+vec(A rho B) = (A kron B^T) vec(rho).
 
 `evolve` steps rho in real Hermitian coordinates, Re rho_ii and Re/Im rho_ij
 for i < j (D^2 real numbers), under the real generator L_r = R L E built
@@ -35,6 +35,7 @@ the independent cross-validation oracle for small systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,16 +63,6 @@ class TruncationError(RuntimeError):
 
 class StepSizeUnderflowError(RuntimeError):
     """Adaptive stepper could not meet tolerances with a representable step."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    rel: float = DEFAULT_REL_TOL
-    abs: float = DEFAULT_ABS_TOL
-
-    def __post_init__(self):
-        if self.rel <= 0 or self.abs <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -245,14 +236,6 @@ def _real_generator(rows: sparse.csr_matrix, e, imag: np.ndarray):
     return real
 
 
-def rhs(model: ModelSpec, rho: DensityMatrix) -> np.ndarray:
-    """d rho/dt for the model's generator; traceless and Hermitian."""
-    if rho.layout != model.layout:
-        raise ValueError("state layout does not match model layout")
-    d = model.dim
-    return (_liouvillian(model) @ rho.matrix.ravel()).reshape(d, d)
-
-
 # Dormand-Prince 5(4) tableau (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
@@ -407,14 +390,18 @@ def _top_level_masks(layout: SpaceLayout) -> list[tuple[str, np.ndarray]]:
     return masks
 
 
-def sample_grid(t_end: float, sample_dt: float) -> np.ndarray:
-    """The sample times 0, sample_dt, ..., t_end; ValueError unless t_end is such a multiple."""
-    if t_end <= 0 or sample_dt <= 0:
-        raise ValueError("t_end and sample_dt must be positive")
-    n = int(round(t_end / sample_dt))
+def sample_count(t_end: float, sample_dt: float) -> int:
+    """t_end / sample_dt; ValueError unless t_end is a positive integer multiple, to 1e-9."""
+    ratio = t_end / sample_dt if t_end > 0 and sample_dt > 0 else 0.0
+    n = round(ratio) if math.isfinite(ratio) else 0     # the ratio may overflow
     if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError("t_end must be a positive integer multiple of sample_dt")
-    return np.arange(n + 1) * sample_dt
+    return n
+
+
+def sample_grid(t_end: float, sample_dt: float) -> np.ndarray:
+    """The sample times 0, sample_dt, ..., t_end; see `sample_count`."""
+    return np.arange(sample_count(t_end, sample_dt) + 1) * sample_dt
 
 
 def evolve(
@@ -422,8 +409,9 @@ def evolve(
     rho0: DensityMatrix,
     t_end: float,
     sample_dt: float,
-    tolerances: Tolerances | None = None,
     *,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
     mutual_info_pair: tuple[int, int] | None = None,
     keep_states: bool = False,
     guard_threshold: float = GUARD_THRESHOLD,
@@ -434,6 +422,8 @@ def evolve(
     ----------
     t_end, sample_dt:
         Run length and sample spacing (t_end must be an integer multiple).
+    rel_tol, abs_tol:
+        The stepper's relative and absolute error tolerances; both positive.
     mutual_info_pair:
         Optional pair of factor slots; records the mutual information
         between them at every sample.
@@ -445,8 +435,8 @@ def evolve(
     real `coordinates` against `dim_squared` = D^2, and the number of trace
     `renormalizations`.
     """
-    if tolerances is None:
-        tolerances = Tolerances()
+    if not (rel_tol > 0 and abs_tol > 0):
+        raise ValueError("tolerances must be positive")
     times = sample_grid(t_end, sample_dt)
     n_samples = len(times) - 1
     if rho0.layout != model.layout:
@@ -461,8 +451,7 @@ def evolve(
     idx = np.flatnonzero(_reachable(liou, rho0.matrix))
     e, sel, imag = _hermitian_coordinates(idx, d)
     liou = liou[sel]    # only the rows R reads: the full complex L is freed here
-    stepper = _Dopri5(_real_generator(liou, e, imag), tolerances.rel, tolerances.abs,
-                      idx, d * d)
+    stepper = _Dopri5(_real_generator(liou, e, imag), rel_tol, abs_tol, idx, d * d)
     del liou
     names = model.observable_names()
     # tr(rho O) = vec(O^T) . E x, real for Hermitian O

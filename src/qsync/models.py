@@ -151,7 +151,7 @@ def resolve_catalog(spec: str) -> list[tuple[str, Operator]]:
     """The (name, operator) pairs of a catalog spec: 'pauli' or 'moments:<N>'."""
     if spec == "pauli":
         return pauli_catalog()
-    if spec.startswith("moments:"):
+    if isinstance(spec, str) and spec.startswith("moments:"):
         try:
             n = int(spec.split(":", 1)[1])
         except ValueError:
@@ -392,14 +392,14 @@ PRESETS: dict[str, Scenario] = {
         asdict(CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
                                  g0=0.5, J=-10.0, Omega=5e-4)),
         _FIG2_INITIAL, t_end=3000.0, sample_dt=2.0,
-        window=(300.0, 1100.0), catalog="pauli",
+        window=(300.0, 1100.0),
     ),
     "fig2b": Scenario(
         "cavity_qubit",
         asdict(CavityQubitParams(delta1=10.0, delta2=10.0, deltaq1=0.0, deltaq2=0.0,
                                  g0=0.5, J=-10.0, Omega=0.0)),
         _FIG2_INITIAL, t_end=3000.0, sample_dt=2.0,
-        window=(800.0, 2400.0), catalog="pauli",
+        window=(800.0, 2400.0),
     ),
     "fig2c": Scenario(
         "cavity_qubit",
@@ -408,7 +408,7 @@ PRESETS: dict[str, Scenario] = {
         _FIG2_INITIAL, t_end=1000.0, sample_dt=0.5,
         # Window covers the lifetime of the inter-qubit excitation-exchange
         # transient (decay time ~160, period ~120).
-        window=(20.0, 300.0), catalog="pauli",
+        window=(20.0, 300.0),
     ),
     "fig3": Scenario(
         "vdp",
@@ -418,7 +418,7 @@ PRESETS: dict[str, Scenario] = {
         # ~2 quadrature periods fit in the transient window, which limits
         # per-column frequency estimates to a few percent; the lock
         # tolerance is relaxed accordingly.
-        window=(2.0, 12.0), catalog="moments:12",
+        window=(2.0, 12.0),
         thresholds=AnalysisThresholds(tol_freq=0.05),
     ),
 }

@@ -184,7 +184,7 @@ class TestConfigParsing:
                     "rel_tol": 1e-08, "abs_tol": 1e-10},
         }
         assert cfg.window == pin["window"]
-        assert cfg.catalog == pin["catalog"]
+        assert cfg.build()[0].catalog == pin["catalog"]
         assert cfg.thresholds == pin["thresholds"]
         assert {k: tuple(a) for k, a in PRESETS[name].initial.items()} == pin["initial"]
 
@@ -204,7 +204,7 @@ class TestConfigParsing:
         assert err.startswith("error: initial.preset") and "initial.bogus" in err
         assert not out.exists()
 
-    def test_benchmark_harness_view(self, tmp_path):
+    def test_benchmark_harness_view(self, run_dir, tmp_path):
         # what bench/workloads.py and bench/selfcheck.py read of a parsed scenario
         cfg = scenario_from_mapping(parse_config_text(FAST_SCENARIO))
         params_cls, build = MODELS[cfg.model]
@@ -226,6 +226,19 @@ class TestConfigParsing:
             FAST_SCENARIO + "sweep.axis.param.Omega = 0 0.001\n"))
         assert (spec.base.t_end, spec.base.sample_dt, spec.cap) == (400.0, 0.5, 64)
         assert dataclasses.replace(spec, cap=1).cap == 1
+        # the transient checks re-analyse a run beside its own report.json,
+        # naming its catalog positionally
+        outdir, report = run_dir
+        again = analyze_csv(outdir / "trajectory.csv", "pauli", cfg.window, cfg.thresholds,
+                            tmp_path / "redo")
+        assert again == report
+        # the reanalyze workload passes "pauli" for a CSV with no report.json beside it
+        bare = tmp_path / "input" / "trajectory.csv"
+        bare.parent.mkdir()
+        bare.write_bytes((outdir / "trajectory.csv").read_bytes())
+        alone = analyze_csv(bare, "pauli", cfg.window, AnalysisThresholds(), tmp_path / "w0")
+        assert alone["thresholds"]["catalog"] == "pauli"
+        assert alone["pairs"] == report["pairs"] and alone["scenario"] is None
 
 
 # one valid scenario per model; the property test overwrites some of its keys
@@ -665,7 +678,7 @@ run.sample_dt = 0.125
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("defect", ["nan", "header_only", "ragged", "mi_columns",
-                                        "report_list"])
+                                        "mi_grid", "report_list"])
     def test_bad_trajectory_csv_exit_code(self, tmp_path, capsys, defect):
         t = np.arange(0.0, 1001.0)
         wave = 0.4 * np.cos(0.3 * t)
@@ -681,6 +694,9 @@ run.sample_dt = 0.125
             lines[500] = lines[500].rsplit(",", 1)[0]
         elif defect == "mi_columns":   # a sibling mutual_info.csv without its column
             (tmp_path / "mutual_info.csv").write_text("time\n0\n1\n")
+        elif defect == "mi_grid":      # a sibling mutual_info.csv cut short
+            (tmp_path / "mutual_info.csv").write_text(
+                "time,mutual_info\n" + "".join(f"{ti:.17g},0.1\n" for ti in t[:500]))
         else:                          # a sibling report.json that is no JSON object
             (tmp_path / "report.json").write_text("[]\n")
         path = tmp_path / "trajectory.csv"
@@ -723,6 +739,42 @@ run.sample_dt = 0.125
         original = json.loads((tmp_path / "out" / "report.json").read_text())
         renewed = json.loads((tmp_path / "re" / "report.json").read_text())
         assert renewed == original
+
+    def test_analyze_takes_recorded_catalog(self, fig3_run, tmp_path):
+        # no --catalog: the moments:12 catalog that fig3's report.json records
+        outdir, report = fig3_run
+        rc = main(["analyze", str(outdir / "trajectory.csv"), "--window", "2:12",
+                   "--tol-freq", "0.05", "--out", str(tmp_path / "re")])
+        assert rc == 0
+        renewed = json.loads((tmp_path / "re" / "report.json").read_text())
+        assert renewed == json.loads((outdir / "report.json").read_text())
+        assert renewed["thresholds"]["catalog"] == "moments:12"
+
+    def test_analyze_catalog_other_than_recorded_exit_code(self, fig3_run, tmp_path, capsys):
+        outdir, _ = fig3_run
+        rc = main(["analyze", str(outdir / "trajectory.csv"), "--catalog", "pauli",
+                   "--window", "2:12", "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: catalog 'pauli' differs from the catalog 'moments:12'")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "re" / "report.json").exists()
+
+    def test_analyze_bare_csv_needs_catalog(self, run_dir, tmp_path, capsys):
+        outdir, _ = run_dir
+        bare = tmp_path / "trajectory.csv"
+        bare.write_bytes((outdir / "trajectory.csv").read_bytes())
+        args = ["analyze", str(bare), "--window", "40:400", "--out", str(tmp_path / "re")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bare}:") and "--catalog" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "re" / "report.json").exists()
+        assert main(args + ["--catalog", "pauli"]) == 0
+        # a recorded catalog that is no spec is refused like a bad --catalog
+        (tmp_path / "report.json").write_text('{"thresholds": {"catalog": 5}}\n')
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: unknown catalog '5'")
 
     def test_sweep_cli_exit_codes(self, tmp_path):
         sweep_path = write_config(

@@ -3,9 +3,10 @@ import pytest
 from scipy import sparse
 
 from qsync.lindblad import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_REL_TOL,
     Dissipator,
     ModelSpec,
-    Tolerances,
     TruncationError,
     _Dopri5,
     _hermitian_coordinates,
@@ -15,7 +16,8 @@ from qsync.lindblad import (
     dense_liouvillian,
     evolve,
     propagate_dense,
-    rhs,
+    sample_count,
+    sample_grid,
 )
 from qsync.models import (
     PRESETS,
@@ -85,6 +87,11 @@ def random_model_and_state(rng, dims=(2, 3), n_dissipators=2):
     return model, random_state(rng, lay)
 
 
+def rhs(model, rho):
+    """d rho/dt: the model's generator applied to the row-stacked vec(rho)."""
+    return (_liouvillian(model) @ rho.matrix.ravel()).reshape(model.dim, model.dim)
+
+
 class TestRhs:
     def test_excited_state_decay_slope(self):
         # closed form: rho_ee(t) = exp(-2 kappa t), so d(rho_ee)/dt = -2 kappa
@@ -110,12 +117,6 @@ class TestRhs:
             assert abs(np.trace(deriv)) < 1e-12
             assert np.max(np.abs(deriv - deriv.conj().T)) < 1e-12
 
-    def test_layout_mismatch_rejected(self):
-        model = single_qubit_decay()
-        bad = DensityMatrix(SpaceLayout((3,), ("m",)), np.eye(3) / 3)
-        with pytest.raises(ValueError):
-            rhs(model, bad)
-
 
 class TestEvolve:
     def test_rabi_oscillation_analytic(self):
@@ -126,6 +127,12 @@ class TestEvolve:
         traj = evolve(model, rho0, 10.0, 0.05)
         expected = -np.cos(2 * omega * traj.times)
         assert np.max(np.abs(traj.column("sigma_z") - expected)) < 1e-6
+
+    def test_layout_mismatch_rejected(self):
+        model = single_qubit_decay()
+        bad = DensityMatrix(SpaceLayout((3,), ("m",)), np.eye(3) / 3)
+        with pytest.raises(ValueError, match="layout"):
+            evolve(model, bad, 1.0, 0.5)
 
     def test_excited_decay_matches_closed_form(self):
         kappa = 0.4
@@ -164,8 +171,8 @@ class TestEvolve:
         rho0 = DensityMatrix.product_state(
             model.layout, [(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.7), np.sqrt(0.3))]
         )
-        base = evolve(model, rho0, 40.0, 1.0, Tolerances(rel=1e-8, abs=1e-10))
-        fine = evolve(model, rho0, 40.0, 1.0, Tolerances(rel=5e-9, abs=5e-11))
+        base = evolve(model, rho0, 40.0, 1.0, rel_tol=1e-8, abs_tol=1e-10)
+        fine = evolve(model, rho0, 40.0, 1.0, rel_tol=5e-9, abs_tol=5e-11)
         assert np.max(np.abs(base.values - fine.values)) < 1e-6
 
     def test_truncation_guard_fires(self):
@@ -197,6 +204,21 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(model, rho0, 1.0, 0.3)
 
+    def test_sample_grid_rule(self):
+        assert sample_count(3.0, 0.5) == 6
+        assert np.array_equal(sample_grid(1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
+        # at (1e308, 1e-308) t_end / sample_dt overflows to inf: still a ValueError
+        for t_end, sample_dt in [(1e308, 1e-308), (1.0, 0.3), (0.0, 1.0), (1.0, 0.0)]:
+            with pytest.raises(ValueError, match="multiple of sample_dt"):
+                sample_grid(t_end, sample_dt)
+
+    @pytest.mark.parametrize("tol", [{"rel_tol": 0.0}, {"abs_tol": -1e-10}])
+    def test_tolerances_must_be_positive(self, tol):
+        model = rabi_qubit(1.0)
+        rho0 = DensityMatrix.product_state(model.layout, [(1, 0)])
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            evolve(model, rho0, 1.0, 0.5, **tol)
+
     def test_mutual_info_recording(self):
         model = build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 0.0, 0.25))
         rho0 = DensityMatrix.product_state(
@@ -222,7 +244,7 @@ class TestEvolve:
 class TestDenseOracle:
     def test_liouvillian_matches_rhs_on_vectorized_inputs(self):
         # random dense jumps, plus the ladder jumps (a, a^dag, a^2) of the
-        # package's models, which also pin rhs's row-stacked vec convention
+        # package's models, which also pin the generator's row-stacked vec convention
         # against the oracle's column-stacked one
         rng = np.random.default_rng(0)
         structured = [
@@ -299,13 +321,12 @@ class TestReachablePruning:
         model, rho0 = small_vdp_case()
         d = model.dim
         assert reachable_count(model, rho0) < d * d
-        tol = Tolerances()
-        traj = evolve(model, rho0, 2.0, 0.25, tol, keep_states=True)
+        traj = evolve(model, rho0, 2.0, 0.25, keep_states=True)
         assert traj.stats["renormalizations"] == 0
         # the real generator on all D^2 coordinates, stepped without pruning
         e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
         stepper = _Dopri5(_real_generator(_liouvillian(model)[sel], e, imag),
-                          tol.rel, tol.abs, np.arange(d * d), d * d)
+                          DEFAULT_REL_TOL, DEFAULT_ABS_TOL, np.arange(d * d), d * d)
         vec = rho0.matrix.ravel()
         x = np.where(imag, vec[sel].imag, vec[sel].real)
         worst = 0.0

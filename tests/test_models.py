@@ -206,7 +206,7 @@ class TestPresets:
 
     def test_analysis_defaults_exist(self):
         for preset in PRESETS.values():
-            assert preset.catalog in ("pauli", "moments:12")
+            assert preset.build()[0].catalog in ("pauli", "moments:12")
             assert preset.window is not None
 
     def test_every_built_hamiltonian_hermitian(self):
