@@ -24,8 +24,9 @@ Config files are flat `key = value` text with dotted sections, for example::
 
 Configs are checked when parsed, before anything runs: numbers, initial
 amplitudes and the --tol-freq/--tol-phase flags must be finite, run.t_end
-a positive integer multiple of run.sample_dt, tolerances and sweep.cap
-positive, and analysis.catalog a valid spec, so a bad sweep config fails
+a positive integer multiple of run.sample_dt of at most
+`lindblad.MAX_SAMPLES` samples, tolerances and sweep.cap positive, analysis
+thresholds >= 0, and analysis.catalog a valid spec, so a bad sweep config fails
 before its first point.  `initial.preset = NAME` stands for that preset's
 amplitudes and excludes other initial.* keys.  Configs and `models.PRESETS`
 are `models.Scenario` records; `Scenario.build()` makes the model, which
@@ -222,10 +223,8 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     t_end, sample_dt = run.pop("t_end"), run.pop("sample_dt")
     try:
         sample_count(t_end, sample_dt)
-    except ValueError:
-        raise ConfigError(
-            "key 'run.t_end': must be a positive integer multiple of run.sample_dt"
-        ) from None
+    except ValueError as exc:
+        raise ConfigError(f"key 'run.t_end': {exc}") from None
     if preset is not None:
         if initial:
             raise ConfigError(
@@ -237,6 +236,11 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         raise ConfigError("missing initial state: provide initial.preset "
                           "or initial.<factor> amplitude lists")
 
+    try:
+        thresholds = AnalysisThresholds(**analysis_overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
     return Scenario(
         model=model,
         params=params,
@@ -245,7 +249,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         sample_dt=sample_dt,
         window=window,
         catalog=catalog,
-        thresholds=AnalysisThresholds(**analysis_overrides),
+        thresholds=thresholds,
         **run,                       # rel_tol and abs_tol, where given
     )
 
@@ -355,7 +359,6 @@ def run_scenario(cfg: Scenario, outdir: Path) -> dict:
         cfg.t_end,
         cfg.sample_dt,
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        mutual_info_pair=(0, 1),
     )
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -402,7 +405,10 @@ def analyze_csv(
                               f"time column of {csv_path}")
         traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
     sibling = csv_path.parent / "report.json"
-    prior = json.loads(sibling.read_text()) if sibling.exists() else {}
+    try:
+        prior = json.loads(sibling.read_text()) if sibling.exists() else {}
+    except ValueError as exc:       # malformed JSON or not UTF-8
+        raise ConfigError(f"{sibling}: {exc}") from None
     if not isinstance(prior, dict):
         raise ConfigError(f"{sibling}: not a JSON object")
     record = prior.get("thresholds")

@@ -55,6 +55,7 @@ DEFAULT_ABS_TOL = 1e-10
 GUARD_THRESHOLD = 1e-4
 RENORM_THRESHOLD = 1e-10
 ORACLE_CAP = 16
+MAX_SAMPLES = 10**6     # 500x the largest preset's 2,001 samples
 
 
 class TruncationError(RuntimeError):
@@ -211,26 +212,11 @@ def _hermitian_coordinates(idx: np.ndarray, d: int):
 def _real_generator(rows: sparse.csr_matrix, e, imag: np.ndarray):
     """L_r = R L E as a real CSR matrix, from rows = L[sel], the rows that R reads.
 
-    With rows = A + iB and E = C + iF, row k of L_r is Re(rows_k E) =
-    A_k C - B_k F, or Im(rows_k E) = B_k C + A_k F where imag[k].  Each
-    column of E is real or imaginary, so every entry is the same sum of at
-    most two exact products as in the complex product rows @ E, which is
-    never formed.
+    Row k of L_r is Re(rows_k E), or Im(rows_k E) where imag[k].
     """
-    per_entry = np.repeat(imag, np.diff(rows.indptr))
-    re, im = rows.data.real, rows.data.imag
-
-    def product(data, e_part):
-        # eliminate_zeros works in place, so only on copies of rows' and e's arrays
-        m = sparse.csr_matrix((data, rows.indices.copy(), rows.indptr.copy()),
-                              shape=rows.shape)
-        m.eliminate_zeros()
-        e_part = e_part.copy()      # e.real and e.imag view e's data
-        e_part.eliminate_zeros()
-        return m @ e_part
-
-    real = (product(np.where(per_entry, im, re), e.real)
-            + product(np.where(per_entry, re, -im), e.imag))
+    m = rows @ e
+    data = np.where(np.repeat(imag, np.diff(m.indptr)), m.data.imag, m.data.real)
+    real = sparse.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
     real.sort_indices()
     real.eliminate_zeros()
     return real
@@ -391,11 +377,14 @@ def _top_level_masks(layout: SpaceLayout) -> list[tuple[str, np.ndarray]]:
 
 
 def sample_count(t_end: float, sample_dt: float) -> int:
-    """t_end / sample_dt; ValueError unless t_end is a positive integer multiple, to 1e-9."""
+    """t_end / sample_dt; ValueError unless t_end is a positive integer multiple, to 1e-9,
+    of at most MAX_SAMPLES steps."""
     ratio = t_end / sample_dt if t_end > 0 and sample_dt > 0 else 0.0
     n = round(ratio) if math.isfinite(ratio) else 0     # the ratio may overflow
     if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError("t_end must be a positive integer multiple of sample_dt")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"t_end / sample_dt = {n} exceeds the cap of {MAX_SAMPLES} samples")
     return n
 
 
@@ -412,7 +401,6 @@ def evolve(
     *,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
-    mutual_info_pair: tuple[int, int] | None = None,
     keep_states: bool = False,
     guard_threshold: float = GUARD_THRESHOLD,
 ) -> Trajectory:
@@ -424,13 +412,12 @@ def evolve(
         Run length and sample spacing (t_end must be an integer multiple).
     rel_tol, abs_tol:
         The stepper's relative and absolute error tolerances; both positive.
-    mutual_info_pair:
-        Optional pair of factor slots; records the mutual information
-        between them at every sample.
     keep_states:
         Store the sampled density matrices (memory scales with n*D^2).
 
-    The returned `stats` dict holds the stepper's `matvecs`,
+    With two or more factors, `mutual_info` records the mutual information
+    of factors 0 and 1 at every sample; with one factor it is None.  The
+    returned `stats` dict holds the stepper's `matvecs`,
     `steps_accepted`, `steps_rejected` and `h_min`, the number of stepped
     real `coordinates` against `dim_squared` = D^2, and the number of trace
     `renormalizations`.
@@ -462,9 +449,8 @@ def evolve(
     values = np.empty((n_samples + 1, len(names)))
     trace_errors = np.empty(n_samples + 1)
     min_eigs = np.empty(n_samples + 1)
-    mi = np.empty(n_samples + 1) if mutual_info_pair is not None else None
-    # a pair covering every factor leaves rho whole: reuse its spectrum
-    mi_whole = mi is not None and set(mutual_info_pair) == set(range(model.layout.nfactors))
+    nfactors = model.layout.nfactors
+    mi = np.empty(n_samples + 1) if nfactors >= 2 else None
     states: list[DensityMatrix] | None = [] if keep_states else None
     renorms = 0
     rho = None
@@ -491,17 +477,20 @@ def evolve(
                     "raise the truncation"
                 )
         if mi is not None:
-            s_ab = spectral_entropy(spectrum) if mi_whole else None
-            mi[i] = _mutual_information(rho, model.layout.factors, (mutual_info_pair[0],),
-                                        (mutual_info_pair[1],), s_ab)
+            # with two factors the pair leaves rho whole: reuse its spectrum
+            s_ab = spectral_entropy(spectrum) if nfactors == 2 else None
+            mi[i] = _mutual_information(rho, model.layout.factors, (0,), (1,), s_ab)
         if states is not None:
             states.append(DensityMatrix(model.layout, rho))
         return x
 
     rho0_vec = rho0.matrix.ravel()
     x = record(0, np.where(imag, rho0_vec[sel].imag, rho0_vec[sel].real))
-    for i in range(1, n_samples + 1):
-        x = record(i, stepper.advance(x, times[i - 1], times[i]))
+    # an error norm that overflows reads inf and rejects the step, so
+    # tolerances too tight to meet end in StepSizeUnderflowError
+    with np.errstate(over="ignore"):
+        for i in range(1, n_samples + 1):
+            x = record(i, stepper.advance(x, times[i - 1], times[i]))
 
     return Trajectory(
         times=times,
@@ -545,16 +534,14 @@ def dense_liouvillian(model: ModelSpec, cap: int = ORACLE_CAP) -> np.ndarray:
     return liou
 
 
-def propagate_dense(
-    model: ModelSpec, rho0: DensityMatrix, times, cap: int = ORACLE_CAP
-) -> list[DensityMatrix]:
+def propagate_dense(model: ModelSpec, rho0: DensityMatrix, times) -> list[DensityMatrix]:
     """Oracle propagation exp(L t) vec(rho0) at the given times."""
     if rho0.layout != model.layout:
         raise ValueError("initial state layout does not match model layout")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a non-empty strictly increasing 1-D grid")
-    liou = dense_liouvillian(model, cap=cap)
+    liou = dense_liouvillian(model)
     d = model.dim
     vec = rho0.matrix.ravel(order="F").astype(complex)
     out = []

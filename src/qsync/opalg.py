@@ -75,9 +75,9 @@ def _lock(matrix: np.ndarray) -> np.ndarray:
 
 
 class Operator:
-    """Dense operator on a composite space, with cached hermiticity."""
+    """Dense operator on a composite space."""
 
-    __slots__ = ("layout", "matrix", "_hermitian")
+    __slots__ = ("layout", "matrix")
 
     def __init__(self, layout: SpaceLayout, matrix):
         matrix = np.asarray(matrix, dtype=complex)
@@ -89,7 +89,6 @@ class Operator:
             )
         self.layout = layout
         self.matrix = _lock(matrix)
-        self._hermitian = None
 
     @property
     def dim(self) -> int:
@@ -97,10 +96,8 @@ class Operator:
 
     @property
     def is_hermitian(self) -> bool:
-        if self._hermitian is None:
-            defect = np.max(np.abs(self.matrix - self.matrix.conj().T))
-            self._hermitian = bool(defect <= HERMITIAN_ATOL)
-        return self._hermitian
+        defect = np.max(np.abs(self.matrix - self.matrix.conj().T))
+        return bool(defect <= HERMITIAN_ATOL)
 
     def dag(self) -> "Operator":
         return Operator(self.layout, self.matrix.conj().T)

@@ -28,7 +28,7 @@ operators, such as the S_c of `models.mari_measure`, live with the models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class AnalysisThresholds:
                  constant.
     rank_tol:    relative Hilbert-Schmidt tolerance for independence
     comm_tol:    max-entry tolerance for declaring two operators commuting
+
+    Every value must be >= 0 (ValueError otherwise).
     """
 
     tol_freq: float = 0.01
@@ -65,6 +67,12 @@ class AnalysisThresholds:
     detrend_deg: int = 3
     rank_tol: float = 1e-10
     comm_tol: float = 1e-10
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value >= 0:      # NaN too
+                raise ValueError(f"analysis.{f.name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)

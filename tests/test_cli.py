@@ -23,6 +23,7 @@ from qsync.cli import (
     sweep_from_mapping,
     run_sweep,
 )
+from qsync.lindblad import propagate_dense
 from qsync.models import MODELS, PRESET_NAMES, PRESETS
 from qsync.syncmeter import AnalysisThresholds
 
@@ -131,6 +132,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("t_end, sample_dt, key", [
         ("400", "0", "run.sample_dt"),
         ("1e308", "1e-308", "run.t_end"),   # t_end / sample_dt overflows
+        ("1e15", "0.5", "run.t_end"),       # 2e15 samples: over the cap
     ])
     def test_bad_sample_grid_rejected(self, t_end, sample_dt, key):
         text = FAST_SCENARIO.replace("run.t_end = 400", f"run.t_end = {t_end}")
@@ -144,6 +146,8 @@ class TestConfigParsing:
         ("sweep.cap", "2.9"),
         ("sweep.cap", "0"),
         ("sweep.cap", "-1"),
+        *((f"analysis.{name}", "-0.5") for name in
+          ("tol_freq", "tol_phase", "amp_min", "fit_tol", "min_cycles", "rank_tol", "comm_tol")),
     ])
     def test_bad_run_setting_rejected(self, key, value):
         # refused when the sweep config is parsed, before any point runs
@@ -226,6 +230,11 @@ class TestConfigParsing:
             FAST_SCENARIO + "sweep.axis.param.Omega = 0 0.001\n"))
         assert (spec.base.t_end, spec.base.sample_dt, spec.cap) == (400.0, 0.5, 64)
         assert dataclasses.replace(spec, cap=1).cap == 1
+        # the sweep workload's oracle takes the model, state and times positionally
+        model, rho0 = cfg.build()
+        times = np.arange(3) * cfg.sample_dt
+        states = propagate_dense(model, rho0, times)
+        assert [s.matrix.ravel(order="F").shape for s in states] == [(16,)] * 3
         # the transient checks re-analyse a run beside its own report.json,
         # naming its catalog positionally
         outdir, report = run_dir
@@ -374,7 +383,7 @@ class TestRunAnalyze:
 
         cfg = scenario_from_mapping(parse_config_text(FAST_SCENARIO))
         model, rho0 = cfg.build()
-        traj = evolve(model, rho0, cfg.t_end, cfg.sample_dt, mutual_info_pair=(0, 1))
+        traj = evolve(model, rho0, cfg.t_end, cfg.sample_dt)
         assert csv.names == traj.names
         assert np.array_equal(csv.times, traj.times)
         assert np.array_equal(csv.values, traj.values)  # bitwise round-trip
@@ -655,6 +664,31 @@ run.sample_dt = 0.125
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "re" / "report.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--tol-freq", "--tol-phase"])
+    def test_negative_tolerance_flag_exit_code(self, run_dir, tmp_path, capsys, flag):
+        outdir, _ = run_dir
+        rc = main(["analyze", str(outdir / "trajectory.csv"), flag, "-0.5",
+                   "--window", "40:400", "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: analysis.{flag[2:].replace('-', '_')} must be >= 0, got -0.5\n"
+        assert not (tmp_path / "re" / "report.json").exists()
+
+    def test_unmeetable_tolerances_exit_code(self, tmp_path, capsys):
+        # the error norm overflows; the stepper rejects those steps and gives up
+        text = FAST_SCENARIO + "run.rel_tol = 1e-300\nrun.abs_tol = 1e-300\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (out / "report.json").exists()
+        sweep = write_config(tmp_path, text + "sweep.axis.param.Omega = 0\n", "sweep.cfg")
+        assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw")]) == 5
+        with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+            _, failed = csv.reader(fh)
+        assert failed[-1].startswith("error:StepSizeUnderflowError: ")
+
     def test_sweep_bad_sample_grid_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("run.t_end = 400", "run.t_end = 400.2")
         sweep_path = write_config(
@@ -678,7 +712,7 @@ run.sample_dt = 0.125
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("defect", ["nan", "header_only", "ragged", "mi_columns",
-                                        "mi_grid", "report_list"])
+                                        "mi_grid", "report_list", "report_json"])
     def test_bad_trajectory_csv_exit_code(self, tmp_path, capsys, defect):
         t = np.arange(0.0, 1001.0)
         wave = 0.4 * np.cos(0.3 * t)
@@ -697,8 +731,10 @@ run.sample_dt = 0.125
         elif defect == "mi_grid":      # a sibling mutual_info.csv cut short
             (tmp_path / "mutual_info.csv").write_text(
                 "time,mutual_info\n" + "".join(f"{ti:.17g},0.1\n" for ti in t[:500]))
-        else:                          # a sibling report.json that is no JSON object
+        elif defect == "report_list":  # a sibling report.json that is no JSON object
             (tmp_path / "report.json").write_text("[]\n")
+        else:                          # a sibling report.json that is no JSON at all
+            (tmp_path / "report.json").write_text("{not json\n")
         path = tmp_path / "trajectory.csv"
         path.write_text("\n".join(lines) + "\n")
         rc = main(["analyze", str(path), "--window", "100:1000",

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from qsync.lindblad import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
+    MAX_SAMPLES,
     Dissipator,
     ModelSpec,
     TruncationError,
@@ -211,6 +211,10 @@ class TestEvolve:
         for t_end, sample_dt in [(1e308, 1e-308), (1.0, 0.3), (0.0, 1.0), (1.0, 0.0)]:
             with pytest.raises(ValueError, match="multiple of sample_dt"):
                 sample_grid(t_end, sample_dt)
+        # the cap is checked on the count, before any grid is allocated
+        assert sample_count(MAX_SAMPLES * 0.5, 0.5) == MAX_SAMPLES
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            sample_count(1e15, 0.5)
 
     @pytest.mark.parametrize("tol", [{"rel_tol": 0.0}, {"abs_tol": -1e-10}])
     def test_tolerances_must_be_positive(self, tol):
@@ -224,7 +228,7 @@ class TestEvolve:
         rho0 = DensityMatrix.product_state(
             model.layout, [(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.7), np.sqrt(0.3))]
         )
-        traj = evolve(model, rho0, 20.0, 1.0, mutual_info_pair=(0, 1), keep_states=True)
+        traj = evolve(model, rho0, 20.0, 1.0, keep_states=True)
         assert traj.mutual_info is not None
         assert traj.mutual_info[0] == pytest.approx(0.0, abs=1e-9)  # product state
         assert np.all(traj.mutual_info > -1e-9)
@@ -237,6 +241,7 @@ class TestEvolve:
         model = rabi_qubit(0.5)
         rho0 = DensityMatrix.product_state(model.layout, [(1, 0)])
         traj = evolve(model, rho0, 2.0, 0.5, keep_states=True)
+        assert traj.mutual_info is None     # one factor: no pair to record
         assert len(traj.states) == 5
         assert np.allclose(traj.states[-1].matrix, traj.final_state.matrix)
 
@@ -358,8 +363,14 @@ class TestRealGenerator:
             idx = np.flatnonzero(_reachable(liou, rho0.matrix))
             assert len(idx) == count
             e, sel, imag = _hermitian_coordinates(idx, d)
-            real = _real_generator(liou[sel], e, imag)
+            rows = liou[sel]
+            inputs = [(a.data.copy(), a.indices.copy(), a.indptr.copy()) for a in (rows, e)]
+            real = _real_generator(rows, e, imag)
             assert real.dtype == np.float64 and real.shape == (count, count)
+            assert real.has_sorted_indices and np.all(real.data != 0)
+            for a, before in zip((rows, e), inputs):    # inputs left intact
+                for got, want in zip((a.data, a.indices, a.indptr), before):
+                    assert np.array_equal(got, want)
             for _ in range(3):
                 x = rng.normal(size=count)
                 rho = (e @ x).reshape(d, d)
@@ -367,28 +378,6 @@ class TestRealGenerator:
                 lv = liou @ (e @ x)
                 expected = np.where(imag, lv[sel].imag, lv[sel].real)
                 assert np.max(np.abs(real @ x - expected)) < 1e-12
-
-    @pytest.mark.parametrize("name", ["fig2a", "fig3"])
-    def test_bitwise_equal_to_complex_product(self, name):
-        # reference: form the complex product L[sel] @ E and keep Re or Im per row
-        model, rho0 = PRESETS[name].build()
-        liou = _liouvillian(model)
-        idx = np.flatnonzero(_reachable(liou, rho0.matrix))
-        e, sel, imag = _hermitian_coordinates(idx, model.dim)
-        rows = liou[sel]
-        m = rows @ e
-        m.sort_indices()
-        data = np.where(np.repeat(imag, np.diff(m.indptr)), m.data.imag, m.data.real)
-        expected = sparse.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
-        expected.eliminate_zeros()
-        inputs = [(a.data.copy(), a.indices.copy(), a.indptr.copy()) for a in (rows, e)]
-        real = _real_generator(rows, e, imag)
-        assert np.array_equal(real.data, expected.data)
-        assert np.array_equal(real.indices, expected.indices)
-        assert np.array_equal(real.indptr, expected.indptr)
-        for a, before in zip((rows, e), inputs):    # inputs left intact
-            for got, want in zip((a.data, a.indices, a.indptr), before):
-                assert np.array_equal(got, want)
 
     def test_coordinates_round_trip(self):
         rng = np.random.default_rng(3)
