@@ -28,7 +28,9 @@ a positive integer multiple of run.sample_dt of at most
 `lindblad.MAX_SAMPLES` samples, tolerances and sweep.cap positive, analysis
 thresholds >= 0, and analysis.catalog a valid spec, so a bad sweep config fails
 before its first point.  `initial.preset = NAME` stands for that preset's
-amplitudes and excludes other initial.* keys.  Configs and `models.PRESETS`
+amplitudes and excludes other initial.* keys.  `opalg.DensityMatrix.product_state`
+zero-pads an initial.* list shorter than its factor, so one list serves every
+point of a sweep over a truncation.  Configs and `models.PRESETS`
 are `models.Scenario` records; `Scenario.build()` makes the model, which
 fixes the catalog its run is analysed with, and refuses a different
 analysis.catalog, as `analyze` refuses a --catalog other than the one the
@@ -41,10 +43,11 @@ fields of `syncmeter.build_sync_report`.  Each output of `run` and
 and renamed into place, so a crash never leaves a partial file under its
 final name.
 
-Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, an
-analysis window too short to fit, or tolerances the integrator cannot
-meet), 3 truncation-guard abort, 4 I/O error, 5 sweep with no successful
-point.  Every failure prints a one-line `error:` message to stderr.
+Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, a
+model or catalog over `opalg.MAX_DIM` dimensions, an analysis window too
+short to fit, or tolerances the integrator cannot meet), 3 truncation-guard
+abort, 4 I/O error, 5 sweep with no successful point.  Every failure prints
+a one-line `error:` message to stderr.
 """
 
 from __future__ import annotations

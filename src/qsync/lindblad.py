@@ -18,8 +18,9 @@ CSR matvec per stage.  Only the reachable set is stepped: the entries that
 the initial state reaches through L's sparsity pattern, closed under
 rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1) couplings
 (excitation exchange, pair creation) leave most entries unreachable; a
-coherent drive reaches all of them.  The RMS error norm runs over all D^2
-coordinates, so pruning does not change the steps taken.
+coherent drive reaches all of them.  The RMS error norm divides by D^2, as
+if the pruned coordinates, exact zeros, were stepped too, so pruning changes
+the steps taken only by rounding.
 
 Each sample rebuilds rho = E x, Hermitian by construction, and renormalizes
 its trace only when it drifts beyond 1e-10, an explicit policy that keeps
@@ -257,22 +258,19 @@ class _Dopri5:
     y holds the real Hermitian coordinates of rho (or of its reachable
     part) and L is the real generator from `_real_generator`; each stage is
     one sparse matvec K[s] = L @ y_s.  Stage combinations run as BLAS gemv
-    against a preallocated stage block.  The RMS norms are taken over all
-    `n_full` = D^2 coordinates: each stepped coordinate is scattered to its
-    flat index in `idx` and the pruned ones are exact zeros, so the sums
-    are grouped, and the steps taken, exactly as in the unpruned run.  The
-    counters `matvecs`, `accepted`, `rejected` and `h_min` (the smallest
-    accepted step the controller chose; steps cut short to land on t1 are
-    not counted) accumulate over the stepper's life.
+    against a preallocated stage block.  The RMS norms divide by `n_full` =
+    D^2: the pruned coordinates are exact zeros that add nothing to the sum
+    of squares, so the steps taken are those of the unpruned run up to
+    rounding.  The counters `matvecs`, `accepted`, `rejected` and `h_min`
+    (the smallest accepted step the controller chose; steps cut short to
+    land on t1 are not counted) accumulate over the stepper's life.
     """
 
-    def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float,
-                 idx: np.ndarray, n_full: int):
+    def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float, n_full: int):
         self.liou = liou
         self.rel = rel_tol
         self.abs = abs_tol
-        self.idx = idx
-        self._full = np.zeros(n_full)
+        self.n_full = n_full
         n = liou.shape[0]
         self.K = np.empty((7, n))
         self._ys = np.empty(n)
@@ -286,9 +284,7 @@ class _Dopri5:
         self.h_min = np.inf
 
     def _rms(self, v: np.ndarray) -> float:
-        full = self._full
-        full[self.idx] = v
-        return float(np.sqrt(np.dot(full, full) / full.size))
+        return float(np.sqrt(np.dot(v, v) / self.n_full))
 
     def _initial_step(self, y, span):
         f0 = self.K[0]
@@ -438,7 +434,7 @@ def evolve(
     idx = np.flatnonzero(_reachable(liou, rho0.matrix))
     e, sel, imag = _hermitian_coordinates(idx, d)
     liou = liou[sel]    # only the rows R reads: the full complex L is freed here
-    stepper = _Dopri5(_real_generator(liou, e, imag), rel_tol, abs_tol, idx, d * d)
+    stepper = _Dopri5(_real_generator(liou, e, imag), rel_tol, abs_tol, d * d)
     del liou
     names = model.observable_names()
     # tr(rho O) = vec(O^T) . E x, real for Hermitian O

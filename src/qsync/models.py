@@ -156,9 +156,10 @@ def resolve_catalog(spec: str) -> list[tuple[str, Operator]]:
             n = int(spec.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad catalog spec '{spec}'") from None
-        if n < 2:
-            raise ConfigError(f"catalog truncation must be >= 2, got {n}")
-        return moment_catalog(n)
+        try:
+            return moment_catalog(n)
+        except ValueError as exc:       # n < 2, or over the dimension cap
+            raise ConfigError(f"catalog '{spec}': {exc}") from None
     raise ConfigError(f"unknown catalog '{spec}' (use 'pauli' or 'moments:<N>')")
 
 
@@ -292,7 +293,8 @@ class Scenario:
     """One run: model, initial state, run grid and analysis settings.
 
     `params` holds the model's params-class keyword arguments and `initial`
-    each factor label's amplitudes, ground first; `build()` checks both.
+    each factor label's leading amplitudes, ground first (zero-padded by
+    `DensityMatrix.product_state`); `build()` checks both.
     `thresholds` relaxes individual lock criteria where a preset's physics
     requires it (short transient windows limit the attainable
     frequency-estimate precision); every value used ends up in the report.
@@ -329,20 +331,12 @@ class Scenario:
         extra = [key for key in self.initial if key not in labels]
         if extra:
             raise ConfigError(f"unknown initial-state keys: {', '.join(extra)}")
-        amps = []
-        for label, dim in zip(labels, model.layout.factors):
-            vec = np.asarray(self.initial[label], dtype=complex)
-            if vec.size != dim:
-                raise ConfigError(
-                    f"initial.{label}: expected {dim} amplitudes, got {vec.size}"
-                )
-            norm2 = float(np.sum(np.abs(vec) ** 2))
-            if abs(norm2 - 1.0) > 1e-6:
-                raise ConfigError(
-                    f"initial.{label}: amplitudes have squared norm {norm2:.6g}, not 1"
-                )
-            amps.append(vec)
-        return model, DensityMatrix.product_state(model.layout, amps)
+        try:
+            rho0 = DensityMatrix.product_state(model.layout,
+                                               [self.initial[label] for label in labels])
+        except ValueError as exc:       # its message starts with the factor label
+            raise ConfigError(f"initial.{exc}") from None
+        return model, rho0
 
     def echo(self) -> dict:
         """The scenario as report.json records it."""
@@ -366,10 +360,6 @@ class Scenario:
         }
 
 
-def _padded(amps: tuple, n: int) -> tuple:
-    return tuple(amps) + (0.0,) * (n - len(amps))
-
-
 # Parameters and initial states follow the three synchronization regimes of
 # the cavity-qubit system and the van der Pol transient; run windows are
 # chosen so that the analysis window contains a few periods of the slowest
@@ -378,12 +368,12 @@ def _padded(amps: tuple, n: int) -> tuple:
 _FIG2_INITIAL = {
     "qubit1": (np.sqrt(0.9), np.sqrt(0.1)),
     "qubit2": (np.sqrt(0.7), np.sqrt(0.3)),
-    "cav1": _padded((1.0,), 4),
-    "cav2": _padded((1.0,), 4),
+    "cav1": (1.0,),
+    "cav2": (1.0,),
 }
 _FIG3_INITIAL = {
-    "mode1": _padded((0.5, np.sqrt(0.75)), 12),
-    "mode2": _padded((np.sqrt(0.05), np.sqrt(0.95)), 12),
+    "mode1": (0.5, np.sqrt(0.75)),
+    "mode2": (np.sqrt(0.05), np.sqrt(0.95)),
 }
 
 PRESETS: dict[str, Scenario] = {

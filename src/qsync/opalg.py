@@ -19,19 +19,22 @@ share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
 ENTROPY_EIGEN_FLOOR = 1e-12
+MAX_DIM = 1024      # total dimension cap: 4x the largest tested space (vdp N=16, D=256)
 
 
 @dataclass(frozen=True)
 class SpaceLayout:
     """Ordered factorization of a composite Hilbert space.
 
-    factors holds the subsystem dimensions, labels a unique name per factor.
+    factors holds the subsystem dimensions, labels a unique name per factor;
+    their product, the total dimension, is at most MAX_DIM.
     """
 
     factors: tuple[int, ...]
@@ -50,6 +53,8 @@ class SpaceLayout:
             raise ValueError("labels must match factors one-to-one")
         if len(set(labels)) != len(labels):
             raise ValueError(f"factor labels must be unique, got {labels}")
+        if math.prod(factors) > MAX_DIM:
+            raise ValueError(f"factors {factors} exceed the dimension cap of {MAX_DIM}")
 
     @property
     def dim(self) -> int:
@@ -159,7 +164,12 @@ class DensityMatrix:
 
     @classmethod
     def product_state(cls, layout: SpaceLayout, amplitudes) -> "DensityMatrix":
-        """Pure product state from per-factor amplitude lists (ground first)."""
+        """Pure product state from per-factor amplitude lists (ground first).
+
+        A list shorter than its factor is zero-padded.  A longer list, or
+        one whose squared norm is more than 1e-6 from 1, is a ValueError
+        whose message starts with the factor's label.
+        """
         if len(amplitudes) != layout.nfactors:
             raise ValueError(
                 f"need {layout.nfactors} amplitude lists (one per factor), got {len(amplitudes)}"
@@ -167,11 +177,12 @@ class DensityMatrix:
         vec = np.array([1.0 + 0j])
         for amps, d, label in zip(amplitudes, layout.factors, layout.labels):
             amps = np.asarray(amps, dtype=complex).ravel()
-            if amps.size != d:
-                raise ValueError(
-                    f"factor '{label}' needs {d} amplitudes, got {amps.size}"
-                )
-            vec = np.kron(vec, amps)
+            if amps.size > d:
+                raise ValueError(f"{label}: expected at most {d} amplitudes, got {amps.size}")
+            norm2 = float(np.sum(np.abs(amps) ** 2))
+            if not abs(norm2 - 1.0) <= 1e-6:
+                raise ValueError(f"{label}: amplitudes have squared norm {norm2:.6g}, not 1")
+            vec = np.kron(vec, np.pad(amps, (0, d - amps.size)))
         return cls.from_state_vector(layout, vec)
 
     @property
@@ -196,12 +207,11 @@ def _single_layout(dim: int, label: str) -> SpaceLayout:
 
 
 def destroy(n: int, label: str = "s0") -> Operator:
-    if n < 2:
-        raise ValueError(f"bosonic truncation needs n >= 2, got {n}")
+    layout = _single_layout(n, label)     # refuses n < 2 and n > MAX_DIM before allocating
     mat = np.zeros((n, n), dtype=complex)
     for k in range(1, n):
         mat[k - 1, k] = np.sqrt(k)
-    return Operator(_single_layout(n, label), mat)
+    return Operator(layout, mat)
 
 
 def position(n: int, label: str = "s0") -> Operator:

@@ -5,6 +5,7 @@ a few minutes in total; they are shared session-wide).  Each criterion
 prints one PASS line when it holds; a failed assertion is the FAIL line.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -29,9 +30,7 @@ from qsync.models import (
     PRESETS,
     CavityQubitParams,
     ReducedQubitParams,
-    VdpParams,
     build_reduced_qubit,
-    build_vdp,
     cavity_mode_matrix,
 )
 from qsync.opalg import (
@@ -190,10 +189,8 @@ def test_criterion_6_fig3_moment_synchronization(fig3_run):
 
     # truncation robustness: rebuild at N = 16 and compare every reported
     # moment on the shared grid
-    model16 = build_vdp(VdpParams(**{**PRESETS["fig3"].params, "N": 16}))
-    mode1 = tuple([0.5, np.sqrt(0.75)] + [0.0] * 14)
-    mode2 = tuple([np.sqrt(0.05), np.sqrt(0.95)] + [0.0] * 14)
-    rho0_16 = DensityMatrix.product_state(model16.layout, [mode1, mode2])
+    fig3 = PRESETS["fig3"]
+    model16, rho0_16 = dataclasses.replace(fig3, params={**fig3.params, "N": 16}).build()
     traj16 = evolve(model16, rho0_16, 20.0, 0.02)
     worst = 0.0
     for j, name in enumerate(traj16.names):

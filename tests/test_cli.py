@@ -50,8 +50,8 @@ _FIG2_PARAMS = {"delta1": 10.0, "delta2": 10.0, "deltaq1": 0.0, "deltaq2": 0.0,
 _FIG2_INITIAL = {
     "qubit1": (0.9486832980505138, 0.31622776601683794),
     "qubit2": (0.8366600265340756, 0.5477225575051661),
-    "cav1": (1.0, 0.0, 0.0, 0.0),
-    "cav2": (1.0, 0.0, 0.0, 0.0),
+    "cav1": (1.0,),
+    "cav2": (1.0,),
 }
 PRESET_PINS = {
     "fig2a": dict(
@@ -78,8 +78,8 @@ PRESET_PINS = {
         t_end=20.0, sample_dt=0.02, window=(2.0, 12.0), catalog="moments:12",
         thresholds=AnalysisThresholds(tol_freq=0.05),
         initial={
-            "mode1": (0.5, 0.8660254037844386) + (0.0,) * 10,
-            "mode2": (0.22360679774997896, 0.9746794344808963) + (0.0,) * 10,
+            "mode1": (0.5, 0.8660254037844386),
+            "mode2": (0.22360679774997896, 0.9746794344808963),
         },
     ),
 }
@@ -167,13 +167,18 @@ class TestConfigParsing:
             scenario_from_mapping(parse_config_text(text))
 
     def test_unnormalized_amplitudes_rejected(self, tmp_path):
-        text = FAST_SCENARIO.replace(
-            "initial.qubit1 = 0.9486832980505138 0.31622776601683794",
-            "initial.qubit1 = 1.0 1.0",
-        )
-        cfg = scenario_from_mapping(parse_config_text(text))
-        with pytest.raises(ConfigError, match="norm"):
-            run_scenario(cfg, tmp_path / "out")
+        cases = [
+            (FAST_SCENARIO.replace("initial.qubit1 = 0.9486832980505138 0.31622776601683794",
+                                   "initial.qubit1 = 1.0 1.0"),
+             "^initial.qubit1: amplitudes have squared norm 2, not 1$"),
+            # a list longer than its factor: seven amplitudes for N = 6
+            (SMALL_VDP.replace("initial.mode1 = 1 0 0 0 0 0", "initial.mode1 = 1 0 0 0 0 0 0"),
+             "^initial.mode1: expected at most 6 amplitudes, got 7$"),
+        ]
+        for text, message in cases:
+            cfg = scenario_from_mapping(parse_config_text(text))
+            with pytest.raises(ConfigError, match=message):
+                run_scenario(cfg, tmp_path / "out")
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_scenario_echo(self, name):
@@ -241,6 +246,13 @@ class TestConfigParsing:
         again = analyze_csv(outdir / "trajectory.csv", "pauli", cfg.window, cfg.thresholds,
                             tmp_path / "redo")
         assert again == report
+        # the transient workloads write each amplitude list zero-padded to
+        # its factor's full length, and get the state of the short list
+        padded, short = (
+            scenario_from_mapping(parse_config_text(
+                SMALL_VDP.replace("initial.mode2 = 1 0 0 0 0 0", f"initial.mode2 = {line}")))
+            for line in ("0.6+0j 0.8+0j 0+0j 0+0j 0+0j 0+0j", "0.6+0j 0.8+0j"))
+        assert np.array_equal(padded.build()[1].matrix, short.build()[1].matrix)
         # the reanalyze workload passes "pauli" for a CSV with no report.json beside it
         bare = tmp_path / "input" / "trajectory.csv"
         bare.parent.mkdir()
@@ -277,7 +289,8 @@ _NUMBER_TEXT = st.one_of(
 _VALUE_TEXT = st.one_of(
     _NUMBER_TEXT,
     st.sampled_from(sorted(MODELS) + list(PRESET_NAMES) + ["pauli", "moments:3", "moments:x",
-                                                            "moments:1", "moments:1e308"]),
+                                                            "moments:1", "moments:1e308",
+                                                            "moments:10000000"]),
     # ragged or malformed amplitude lists
     st.lists(st.one_of(_NUMBER_TEXT, st.sampled_from(["1j", "nanj", "1+", "(1+2j)", "1e400j"])),
              max_size=6).map(" ".join),
@@ -498,21 +511,21 @@ class TestSweep:
 
     def test_vdp_default_catalog_follows_each_point(self, tmp_path):
         # no analysis.catalog and no base param.N (VdpParams' default N = 12):
-        # each point is analysed with the moments of its own truncation
+        # each point is analysed with the moments of its own truncation, and
+        # the six amplitudes per mode are zero-padded at N = 7
         text = SMALL_VDP.replace("param.N = 6\n", "") + "sweep.axis.param.N = 6 7\n"
         spec = sweep_from_mapping(parse_config_text(text))
         assert spec.axes == [("N", [6, 7])]
         assert [type(v) for v in spec.axes[0][1]] == [int, int]
-        assert run_sweep(spec, tmp_path / "sweep") == 1
-        report = json.loads((tmp_path / "sweep" / "point_0000" / "report.json").read_text())
-        assert report["thresholds"]["catalog"] == "moments:6"
-        assert report["scenario"]["params"]["N"] == 6
-        # the N = 7 point is built at N = 7, where the six amplitudes per mode do not fit
+        assert run_sweep(spec, tmp_path / "sweep") == 2
+        for k, n in enumerate((6, 7)):
+            report = json.loads(
+                (tmp_path / "sweep" / f"point_{k:04d}" / "report.json").read_text())
+            assert report["thresholds"]["catalog"] == f"moments:{n}"
+            assert report["scenario"]["params"]["N"] == n
         with open(tmp_path / "sweep" / "summary.csv", newline="") as fh:
-            _, ok, failed = csv.reader(fh)
-        assert ok[1:2] == ["6"] and ok[-1] == "ok"
-        assert failed[1:2] == ["7"]
-        assert failed[-1] == "error:ConfigError: initial.mode1: expected 7 amplitudes, got 6"
+            _, *rows = csv.reader(fh)
+        assert [(row[1], row[-1]) for row in rows] == [("6", "ok"), ("7", "ok")]
 
     def test_failed_point_message_in_status(self, tmp_path):
         # strong gain on the second point drives the top Fock level past the guard
@@ -595,9 +608,9 @@ run.sample_dt = 0.125
     @pytest.mark.parametrize("model", ["reduced_qubit", "vdp"])
     def test_catalog_other_than_models_refused(self, tmp_path, capsys, model):
         # moments:6 for the qubit pair, and for a vdp pair truncated at N = 8
+        # (its six amplitudes per mode are zero-padded)
         text = FAST_SCENARIO if model == "reduced_qubit" else (
-            SMALL_VDP.replace("param.N = 6", "param.N = 8")
-            .replace("1 0 0 0 0 0", "1 0 0 0 0 0 0 0"))
+            SMALL_VDP.replace("param.N = 6", "param.N = 8"))
         out = tmp_path / "out"
         path = write_config(tmp_path, text + "analysis.catalog = moments:6\n")
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -610,6 +623,19 @@ run.sample_dt = 0.125
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["thresholds"]["catalog"] == own
+
+    @pytest.mark.parametrize("text", [
+        SMALL_VDP.replace("param.N = 6", "param.N = 10000000"),
+        FAST_SCENARIO + "analysis.catalog = moments:10000000\n",   # refused when parsed
+    ], ids=["param", "catalog"])
+    def test_oversized_space_exit_code(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exceed the dimension cap of 1024" in err
+        assert not out.exists()
 
     def test_sweep_bad_catalog_exits_before_first_point(self, tmp_path, capsys):
         text = FAST_SCENARIO + "sweep.axis.param.Omega = 0 0.001\nanalysis.catalog = moments:x\n"

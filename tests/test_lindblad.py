@@ -331,7 +331,7 @@ class TestReachablePruning:
         # the real generator on all D^2 coordinates, stepped without pruning
         e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
         stepper = _Dopri5(_real_generator(_liouvillian(model)[sel], e, imag),
-                          DEFAULT_REL_TOL, DEFAULT_ABS_TOL, np.arange(d * d), d * d)
+                          DEFAULT_REL_TOL, DEFAULT_ABS_TOL, d * d)
         vec = rho0.matrix.ravel()
         x = np.where(imag, vec[sel].imag, vec[sel].real)
         worst = 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsync.opalg import (
+    MAX_DIM,
     DensityMatrix,
     Operator,
     SpaceLayout,
@@ -32,6 +33,11 @@ class TestSpaceLayout:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             SpaceLayout((2, 2), ("a", "a"))
+
+    def test_rejects_dimension_over_cap(self):
+        assert SpaceLayout((2, MAX_DIM // 2), ("a", "b")).dim == MAX_DIM
+        with pytest.raises(ValueError, match="dimension cap"):
+            SpaceLayout((2, MAX_DIM // 2 + 1), ("a", "b"))
 
     def test_sub_preserves_order(self):
         lay = SpaceLayout((2, 3, 4), ("a", "b", "c"))
@@ -82,6 +88,8 @@ class TestElementary:
             destroy(1)
         with pytest.raises(ValueError):
             position(1)
+        with pytest.raises(ValueError, match="dimension cap"):
+            destroy(10**7)      # refused before its 10^14-entry matrix is allocated
 
     def test_truncated_ccr_defect_only_at_top(self):
         # [a, a^dag] = 1 except the top diagonal entry on a finite truncation
@@ -145,6 +153,25 @@ class TestTensorEmbed:
             embed(pauli("x"), lay, 1)
         with pytest.raises(ValueError):
             embed(pauli("x"), lay, 5)
+
+
+class TestProductState:
+    def test_short_list_is_zero_padded(self):
+        lay = SpaceLayout((2, 4), ("q", "m"))
+        short = DensityMatrix.product_state(lay, [(0.6, 0.8), (0.0, 1.0)])
+        full = DensityMatrix.product_state(lay, [(0.6, 0.8), (0.0, 1.0, 0.0, 0.0)])
+        assert np.array_equal(short.matrix, full.matrix)
+
+    @pytest.mark.parametrize("amplitudes, message", [
+        ([(1, 0), (1, 0, 0, 0)], "^m: expected at most 3 amplitudes, got 4$"),
+        ([(1, 1), (1,)], "^q: amplitudes have squared norm 2, not 1$"),
+        ([(1, 0), (0.5,)], "^m: amplitudes have squared norm 0.25, not 1$"),
+        ([(np.nan, 1), (1,)], "^q: amplitudes have squared norm nan, not 1$"),
+    ])
+    def test_bad_list_refused_naming_its_factor(self, amplitudes, message):
+        lay = SpaceLayout((2, 3), ("q", "m"))
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix.product_state(lay, amplitudes)
 
 
 class TestPartialTrace:
