@@ -68,6 +68,7 @@ import numpy as np
 
 from . import __version__
 from .lindblad import (
+    MIN_REL_TOL,
     StepSizeUnderflowError,
     Trajectory,
     TruncationError,
@@ -223,6 +224,9 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     for name in ("sample_dt", "rel_tol", "abs_tol"):
         if name in run and not run[name] > 0:
             raise ConfigError(f"key 'run.{name}': must be positive")
+    if run.get("rel_tol", MIN_REL_TOL) < MIN_REL_TOL:
+        raise ConfigError(f"key 'run.rel_tol': {run['rel_tol']:.3g} is below the floor "
+                          f"{MIN_REL_TOL:.3g} (100 machine epsilons)")
     t_end, sample_dt = run.pop("t_end"), run.pop("sample_dt")
     try:
         sample_count(t_end, sample_dt)

@@ -22,11 +22,23 @@ coherent drive reaches all of them.  The RMS error norm divides by D^2, as
 if the pruned coordinates, exact zeros, were stepped too, so pruning changes
 the steps taken only by rounding.
 
-Each sample rebuilds rho = E x, Hermitian by construction, and renormalizes
-its trace only when it drifts beyond 1e-10, an explicit policy that keeps
-runs bit-reproducible.  Observables are one real matrix applied to x.  A
-truncation guard aborts the run when the top Fock level of any bosonic
-factor (dimension >= 3) holds more than `guard_threshold` population.
+The stepper steps freely over the whole run: the error control alone sizes
+each step, and only the last one is cut to land on t_end.  Each sample x is
+the 4th-order continuous extension of the step that covers it, evaluated
+from that step's seven stages, so the sample grid does not shape the steps.
+Each sample does only the sequential work:
+  * the trace, one dot of x with the diagonal coordinates;
+  * a renormalization when the trace drifts beyond 1e-10, an explicit
+    policy that keeps runs bit-reproducible.  It divides the sample, the
+    stepper state and the stage block by the trace; L_r is linear, so the
+    continuous extension and the FSAL stage stay consistent;
+  * the truncation guard, one dot per bosonic factor (dimension >= 3),
+    which aborts the run when its top Fock level holds more than
+    `guard_threshold` population;
+  * a copy of x into a block.
+Each block of samples then gets the observables (one real matrix product),
+rho = E x as a stack, Hermitian by construction, one stacked eigvalsh and
+the mutual information.  The rho stack is at most RHO_BLOCK_BYTES.
 
 `dense_liouvillian` / `propagate_dense` build the column-stacked
 superoperator and advance with scipy's scaling-and-squaring matrix
@@ -57,6 +69,8 @@ GUARD_THRESHOLD = 1e-4
 RENORM_THRESHOLD = 1e-10
 ORACLE_CAP = 16
 MAX_SAMPLES = 10**6     # 500x the largest preset's 2,001 samples
+MIN_REL_TOL = 100 * np.finfo(float).eps     # below it the error estimate is rounding noise
+RHO_BLOCK_BYTES = 256 * 1024    # the recorded rho stack: 1,024 samples at D=4, 1 at D=144
 
 
 class TruncationError(RuntimeError):
@@ -223,8 +237,8 @@ def _real_generator(rows: sparse.csr_matrix, e, imag: np.ndarray):
     return real
 
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (FSAL).  The generator does not depend on t,
+# so the stage nodes c_s are not needed.
 _DP_A = [
     np.array([], dtype=float),
     np.array([1 / 5]),
@@ -245,6 +259,20 @@ _DP_ERR = np.array(
         -1 / 40,
     ]
 )
+# The continuous extension (Dormand & Prince 1986; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6) of a step of size h from y with stages K:
+# y(t + theta h) = y + h K^T P [theta, theta^2, theta^3, theta^4], 4th order,
+# and equal to the step's 5th-order solution at theta = 1.
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
@@ -261,9 +289,18 @@ class _Dopri5:
     against a preallocated stage block.  The RMS norms divide by `n_full` =
     D^2: the pruned coordinates are exact zeros that add nothing to the sum
     of squares, so the steps taken are those of the unpruned run up to
-    rounding.  The counters `matvecs`, `accepted`, `rejected` and `h_min`
-    (the smallest accepted step the controller chose; steps cut short to
-    land on t1 are not counted) accumulate over the stepper's life.
+    rounding.
+
+    `samples` steps freely across a whole sample grid: the controller alone
+    sizes the steps, and only the last one is cut to land on the grid's
+    end.  Each sample comes from the continuous extension of the step that
+    covers it, so the sample spacing does not shape the step sequence.
+    `rescale(c)` divides the state, the stage block and the samples of the
+    current step by c; L is linear, so the continuous extension and the
+    FSAL stage stay consistent.  The counters `matvecs`, `accepted`,
+    `rejected` and `h_min` (the smallest accepted step the controller
+    chose; the cut last step is not counted) accumulate over the stepper's
+    life.
     """
 
     def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float, n_full: int):
@@ -272,12 +309,13 @@ class _Dopri5:
         self.abs = abs_tol
         self.n_full = n_full
         n = liou.shape[0]
-        self.K = np.empty((7, n))
+        self.K = np.zeros((7, n))
+        self._y = np.empty(n)
         self._ys = np.empty(n)
         self._acc = np.empty(n)
+        self._dense = np.empty((0, n))      # the current step's samples
         self.h = None
         self.err_prev = 1.0
-        self.k_valid = False        # K[0] holds f(y) carried over (FSAL)
         self.matvecs = 0
         self.accepted = 0
         self.rejected = 0
@@ -293,6 +331,9 @@ class _Dopri5:
         d1 = self._rms(f0 / scale)
         h0 = 1e-6 if d1 < 1e-15 else 0.01 * d0 / d1
         h0 = min(h0, span)
+        if not h0 > 0:      # the scaled derivative overflowed
+            raise StepSizeUnderflowError(f"initial step underflow (h={h0:.3g}); "
+                                         "tolerances cannot be met")
         self.K[1] = self.liou @ (y + h0 * f0)
         self.matvecs += 1
         d2 = self._rms((self.K[1] - f0) / scale) / h0
@@ -300,24 +341,30 @@ class _Dopri5:
         h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else h0 * 100
         return min(100 * h0, h1, span)
 
-    def advance(self, y0: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        """Integrate from t0 to t1, landing exactly on t1; returns a new vector."""
-        y = np.array(y0, dtype=float)
-        k, ys, acc = self.K, self._ys, self._acc
-        if not self.k_valid:
-            k[0] = self.liou @ y
-            self.matvecs += 1
-            self.k_valid = True
-        if self.h is None:
-            self.h = self._initial_step(y, t1 - t0)
-        t = t0
+    def rescale(self, c: float):
+        """Divide the state, the stage block and the current samples by c."""
+        for a in (self._y, self._ys, self.K, self._dense):
+            a /= c
+
+    def samples(self, y0: np.ndarray, times: np.ndarray):
+        """Integrate from times[0] to times[-1]; yield (i, y(times[i])) for every i.
+
+        Each yielded vector is the stepper's own storage, valid until the
+        next one is asked for; `rescale` divides it too.
+        """
+        y, ys, k, acc = self._y, self._ys, self.K, self._acc
+        np.copyto(y, y0)
+        yield 0, y
+        k[0] = self.liou @ y
+        self.matvecs += 1
+        t, t_end = times[0], times[-1]
+        self.h = self._initial_step(y, t_end - t)
+        i, last = 0, len(times) - 1
         rejects = 0
-        while t < t1:
-            h = min(self.h, t1 - t)
-            if h < 1e-14 * max(abs(t), 1.0):
-                raise StepSizeUnderflowError(
-                    f"step size underflow at t={t:.6g} (h={h:.3g})"
-                )
+        while i < last:
+            if self.h < 1e-14 * max(abs(t), 1.0):
+                raise StepSizeUnderflowError(f"step size underflow at t={t:.6g} (h={self.h:.3g})")
+            h = min(self.h, t_end - t)
             for s in range(1, 7):
                 np.dot(_DP_A[s], k[:s], out=acc)
                 np.multiply(acc, h, out=acc)
@@ -331,19 +378,7 @@ class _Dopri5:
             np.abs(acc, out=acc)
             acc /= scale
             err = self._rms(acc)
-            if err <= 1.0:
-                if h == self.h:
-                    self.h_min = min(self.h_min, h)
-                t += h
-                np.copyto(y, ys)
-                np.copyto(k[0], k[6])
-                err = max(err, 1e-10)
-                fac = _SAFETY * err ** (-_ALPHA) * self.err_prev ** _BETA
-                self.h = h * min(_FAC_MAX, max(_FAC_MIN, fac))
-                self.err_prev = err
-                self.accepted += 1
-                rejects = 0
-            else:
+            if not err <= 1.0:     # NaN rejects too
                 self.h = h * max(_FAC_MIN, _SAFETY * err ** -0.2)
                 self.rejected += 1
                 rejects += 1
@@ -352,24 +387,42 @@ class _Dopri5:
                         f"50 consecutive step rejections at t={t:.6g}; "
                         "tolerances cannot be met"
                     )
-        return y
+                continue
+            if h == self.h:
+                self.h_min = min(self.h_min, h)
+            t_next = t + h if h < t_end - t else t_end
+            err = max(err, 1e-10)
+            fac = _SAFETY * err ** (-_ALPHA) * self.err_prev ** _BETA
+            self.h = h * min(_FAC_MAX, max(_FAC_MIN, fac))
+            self.err_prev = err
+            self.accepted += 1
+            rejects = 0
+            covered = int(np.searchsorted(times, t_next, side="right")) - 1
+            if covered > i:
+                theta = (times[i + 1:covered + 1] - t) / h
+                self._dense = np.power.outer(theta, np.arange(1, 5)) @ _DP_P.T @ k
+                self._dense *= h
+                self._dense += y
+                for row in self._dense:
+                    i += 1
+                    yield i, row
+            t = t_next
+            np.copyto(y, ys)
+            np.copyto(k[0], k[6])
 
-    def invalidate_fsal(self):
-        self.k_valid = False
 
-
-def _top_level_masks(layout: SpaceLayout) -> list[tuple[str, np.ndarray]]:
-    """Diagonal masks selecting the top level of each factor with dim >= 3."""
-    masks = []
+def _top_level_indicators(layout: SpaceLayout, idx: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """Per factor with dim >= 3, the 0/1 vector over the coordinates at flat
+    indices `idx` that marks Re rho_ii for the basis states i on its top level."""
     dim = layout.dim
-    idx = np.arange(dim)
+    i, j = np.divmod(idx, dim)
+    out = []
     for slot, d in enumerate(layout.factors):
         if d < 3:
             continue
-        stride = int(np.prod(layout.factors[slot + 1:], initial=1))
-        level = (idx // stride) % d
-        masks.append((layout.labels[slot], level == d - 1))
-    return masks
+        stride = math.prod(layout.factors[slot + 1:])
+        out.append((layout.labels[slot], ((i == j) & ((i // stride) % d == d - 1)).astype(float)))
+    return out
 
 
 def sample_count(t_end: float, sample_dt: float) -> int:
@@ -407,7 +460,8 @@ def evolve(
     t_end, sample_dt:
         Run length and sample spacing (t_end must be an integer multiple).
     rel_tol, abs_tol:
-        The stepper's relative and absolute error tolerances; both positive.
+        The stepper's relative and absolute error tolerances; both positive,
+        and rel_tol at least MIN_REL_TOL.
     keep_states:
         Store the sampled density matrices (memory scales with n*D^2).
 
@@ -415,11 +469,15 @@ def evolve(
     of factors 0 and 1 at every sample; with one factor it is None.  The
     returned `stats` dict holds the stepper's `matvecs`,
     `steps_accepted`, `steps_rejected` and `h_min`, the number of stepped
-    real `coordinates` against `dim_squared` = D^2, and the number of trace
-    `renormalizations`.
+    real `coordinates` against `dim_squared` = D^2, the number of trace
+    `renormalizations`, and `top_level_population`, the largest population
+    the guard saw on each guarded factor's top level.
     """
     if not (rel_tol > 0 and abs_tol > 0):
         raise ValueError("tolerances must be positive")
+    if rel_tol < MIN_REL_TOL:
+        raise ValueError(f"rel_tol {rel_tol:.3g} is below the floor {MIN_REL_TOL:.3g} "
+                         "(100 machine epsilons)")
     times = sample_grid(t_end, sample_dt)
     n_samples = len(times) - 1
     if rho0.layout != model.layout:
@@ -440,53 +498,58 @@ def evolve(
     # tr(rho O) = vec(O^T) . E x, real for Hermitian O
     obs = np.array([(e.T @ op.matrix.T.ravel()).real for _, op in model.observables])
     obs = obs.reshape(len(names), len(idx))
-    guards = _top_level_masks(model.layout)
+    diagonal = (idx // d == idx % d).astype(float)      # tr rho = diagonal . x
+    guards = _top_level_indicators(model.layout, idx)
+    top_pop = {label: 0.0 for label, _ in guards}
 
     values = np.empty((n_samples + 1, len(names)))
     trace_errors = np.empty(n_samples + 1)
     min_eigs = np.empty(n_samples + 1)
-    nfactors = model.layout.nfactors
-    mi = np.empty(n_samples + 1) if nfactors >= 2 else None
+    factors = model.layout.factors
+    mi = np.empty(n_samples + 1) if len(factors) >= 2 else None
     states: list[DensityMatrix] | None = [] if keep_states else None
+    block = np.empty((min(max(RHO_BLOCK_BYTES // (16 * d * d), 1), n_samples + 1), len(idx)))
     renorms = 0
-    rho = None
 
-    def record(i: int, x: np.ndarray) -> np.ndarray:
-        nonlocal renorms, rho
-        rho = (e @ x).reshape(d, d)
-        tr = np.trace(rho).real
-        trace_errors[i] = abs(tr - 1.0)
-        if trace_errors[i] > RENORM_THRESHOLD:
-            x = x / tr
-            rho = rho / tr
-            stepper.invalidate_fsal()
-            renorms += 1
-        spectrum = np.linalg.eigvalsh(rho)
-        min_eigs[i] = spectrum[0]
-        values[i] = obs @ x
-        for label, mask in guards:
-            pop = float(np.sum(rho.real.diagonal()[mask]))
-            if pop > guard_threshold:
-                raise TruncationError(
-                    f"top Fock level of factor '{label}' reached population "
-                    f"{pop:.3g} > {guard_threshold:.3g} at t={times[i]:.6g}; "
-                    "raise the truncation"
-                )
+    def record_block(start: int, xs: np.ndarray) -> np.ndarray:
+        """Record the samples xs, from sample `start` on; returns their rho stack."""
+        stop = start + len(xs)
+        values[start:stop] = xs @ obs.T
+        rho = np.ascontiguousarray((e @ xs.T).T).reshape(len(xs), d, d)
+        spectra = np.linalg.eigvalsh(rho)
+        min_eigs[start:stop] = spectra[:, 0]
         if mi is not None:
             # with two factors the pair leaves rho whole: reuse its spectrum
-            s_ab = spectral_entropy(spectrum) if nfactors == 2 else None
-            mi[i] = _mutual_information(rho, model.layout.factors, (0,), (1,), s_ab)
+            s_ab = spectral_entropy(spectra) if len(factors) == 2 else None
+            mi[start:stop] = _mutual_information(rho, factors, (0,), (1,), s_ab)
         if states is not None:
-            states.append(DensityMatrix(model.layout, rho))
-        return x
+            states.extend(DensityMatrix(model.layout, r) for r in rho)
+        return rho
 
     rho0_vec = rho0.matrix.ravel()
-    x = record(0, np.where(imag, rho0_vec[sel].imag, rho0_vec[sel].real))
+    x0 = np.where(imag, rho0_vec[sel].imag, rho0_vec[sel].real)
     # an error norm that overflows reads inf and rejects the step, so
     # tolerances too tight to meet end in StepSizeUnderflowError
     with np.errstate(over="ignore"):
-        for i in range(1, n_samples + 1):
-            x = record(i, stepper.advance(x, times[i - 1], times[i]))
+        for i, x in stepper.samples(x0, times):
+            tr = float(diagonal @ x)
+            trace_errors[i] = abs(tr - 1.0)
+            if trace_errors[i] > RENORM_THRESHOLD:
+                stepper.rescale(tr)
+                renorms += 1
+            for label, top in guards:
+                pop = float(top @ x)
+                if pop > guard_threshold:
+                    raise TruncationError(
+                        f"top Fock level of factor '{label}' reached population "
+                        f"{pop:.3g} > {guard_threshold:.3g} at t={times[i]:.6g}; "
+                        "raise the truncation"
+                    )
+                top_pop[label] = max(top_pop[label], pop)
+            row = i % len(block)
+            block[row] = x
+            if row == len(block) - 1 or i == n_samples:
+                rho = record_block(i - row, block[:row + 1])
 
     return Trajectory(
         times=times,
@@ -494,7 +557,7 @@ def evolve(
         names=names,
         trace_errors=trace_errors,
         min_eigenvalues=min_eigs,
-        final_state=DensityMatrix(model.layout, rho),
+        final_state=DensityMatrix(model.layout, rho[-1]),
         mutual_info=mi,
         states=states,
         stats={
@@ -505,6 +568,7 @@ def evolve(
             "coordinates": len(idx),
             "dim_squared": d * d,
             "renormalizations": renorms,
+            "top_level_population": top_pop,
         },
     )
 

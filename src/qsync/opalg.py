@@ -255,14 +255,24 @@ def embed(op: Operator, layout: SpaceLayout, slot: int) -> Operator:
     return Operator(layout, mat)
 
 
-def _marginal(matrix: np.ndarray, factors: tuple, keep: tuple) -> np.ndarray:
-    """Partial trace of a D x D matrix onto the sorted slots `keep`, as a matrix."""
+def _marginal(stack: np.ndarray, factors: tuple, keep: tuple) -> np.ndarray:
+    """Partial trace onto the sorted slots `keep` of each D x D matrix in a (B, D, D) stack.
+
+    The traced index is summed in one fixed order by elementwise adds, so a
+    matrix's marginal does not depend on the stack it sits in.
+    """
     n = len(factors)
-    cols = [n + k if k in keep else k for k in range(n)]
-    d = int(np.prod([factors[k] for k in keep]))
-    out = np.einsum(matrix.reshape(factors + factors), list(range(n)) + cols,
-                    list(keep) + [n + k for k in keep])
-    return out.reshape(d, d)
+    traced = [k for k in range(n) if k not in keep]
+    dk = math.prod(factors[k] for k in keep)
+    dt = math.prod(factors[k] for k in traced)
+    order = [0, *(1 + k for k in keep), *(1 + k for k in traced),
+             *(1 + n + k for k in keep), *(1 + n + k for k in traced)]
+    grouped = stack.reshape((-1,) + factors + factors).transpose(order)
+    grouped = grouped.reshape(-1, dk, dt, dk, dt)
+    out = grouped[:, :, 0, :, 0].copy()
+    for j in range(1, dt):
+        out += grouped[:, :, j, :, j]
+    return out
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -273,7 +283,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep set must be non-empty")
     if keep[0] < 0 or keep[-1] >= nf:
         raise ValueError(f"keep set {keep} out of range for {nf} factors")
-    return DensityMatrix(rho.layout.sub(keep), _marginal(rho.matrix, rho.layout.factors, keep))
+    return DensityMatrix(rho.layout.sub(keep),
+                         _marginal(rho.matrix[None], rho.layout.factors, keep)[0])
 
 
 def expectation(rho: DensityMatrix, a: Operator) -> complex:
@@ -283,12 +294,10 @@ def expectation(rho: DensityMatrix, a: Operator) -> complex:
     return complex(np.einsum("ij,ji->", rho.matrix, a.matrix))
 
 
-def spectral_entropy(lam: np.ndarray) -> float:
-    """-sum(lam ln lam) in nats over the eigenvalues above a small floor."""
-    lam = lam[lam > ENTROPY_EIGEN_FLOOR]
-    if lam.size == 0:
-        return 0.0
-    return float(max(-np.sum(lam * np.log(lam)), 0.0))
+def spectral_entropy(lam: np.ndarray) -> np.ndarray:
+    """-sum(lam ln lam) in nats over the eigenvalues above a small floor, along the last axis."""
+    lam = np.where(lam > ENTROPY_EIGEN_FLOOR, lam, 1.0)     # 1 ln 1 = 0
+    return np.maximum(-np.sum(lam * np.log(lam), axis=-1), 0.0)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -296,21 +305,28 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     if rho.hermiticity_defect() > 1e-8:
         raise ValueError("entropy requires a Hermitian state")
     sym = 0.5 * (rho.matrix + rho.matrix.conj().T)
-    return spectral_entropy(np.linalg.eigvalsh(sym))
+    return float(spectral_entropy(np.linalg.eigvalsh(sym)))
 
 
-def _mutual_information(matrix: np.ndarray, factors: tuple, part_a: tuple, part_b: tuple,
-                        s_ab: float | None = None) -> float:
-    """S(A) + S(B) - S(AB) of an exactly Hermitian matrix over sorted slot tuples.
+def _mutual_information(stack: np.ndarray, factors: tuple, part_a: tuple, part_b: tuple,
+                        s_ab: np.ndarray | None = None) -> np.ndarray:
+    """S(A) + S(B) - S(AB) of each exactly Hermitian matrix in a (B, D, D) stack.
 
-    Slots in neither part are traced out; `s_ab` is S(AB) if already known.
+    `part_a` and `part_b` are sorted slot tuples.  Slots in neither part are
+    traced out first, and S(A), S(B) come from that AB marginal; `s_ab` is
+    S(AB) if already known.
     """
-    def entropy(keep):
-        return spectral_entropy(np.linalg.eigvalsh(_marginal(matrix, factors, keep)))
-
+    ab = tuple(sorted(part_a + part_b))
+    if len(ab) < len(factors):
+        stack = _marginal(stack, factors, ab)
+        factors = tuple(factors[k] for k in ab)
+        part_a = tuple(ab.index(k) for k in part_a)
+        part_b = tuple(ab.index(k) for k in part_b)
     if s_ab is None:
-        s_ab = entropy(tuple(sorted(part_a + part_b)))
-    return entropy(part_a) + entropy(part_b) - s_ab
+        s_ab = spectral_entropy(np.linalg.eigvalsh(stack))
+    s_a, s_b = (spectral_entropy(np.linalg.eigvalsh(_marginal(stack, factors, part)))
+                for part in (part_a, part_b))
+    return s_a + s_b - s_ab
 
 
 def mutual_information(rho: DensityMatrix, cut: tuple) -> float:
@@ -327,7 +343,7 @@ def mutual_information(rho: DensityMatrix, cut: tuple) -> float:
     if rho.hermiticity_defect() > 1e-8:
         raise ValueError("entropy requires a Hermitian state")
     sym = 0.5 * (rho.matrix + rho.matrix.conj().T)
-    return _mutual_information(sym, rho.layout.factors, part_a, part_b)
+    return float(_mutual_information(sym[None], rho.layout.factors, part_a, part_b)[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

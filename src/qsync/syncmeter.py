@@ -98,11 +98,13 @@ class PairVerdict:
 
 
 def wrap_phase(phi: float) -> float:
-    """Wrap to the half-open interval (-pi, pi]."""
+    """Wrap to the half-open interval (-pi, pi].
+
+    A wrapped value within 1e-12 rad of -pi reads +pi, so rounding noise
+    does not flip the sign of an exactly anti-phase pair.
+    """
     out = math.remainder(phi, 2.0 * math.pi)
-    if out <= -math.pi:
-        out += 2.0 * math.pi
-    return out
+    return math.pi if out < -math.pi + 1e-12 else out
 
 
 def _full_solve(t: np.ndarray, y: np.ndarray, omega: float, nuisance: np.ndarray):

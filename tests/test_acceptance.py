@@ -7,6 +7,7 @@ prints one PASS line when it holds; a failed assertion is the FAIL line.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -75,6 +76,14 @@ def test_criterion_2_fig2b_partial_quantum_synchronization(fig2b_run):
     assert report["mutual_info_final"] < 1e-3
     passed(2, "sigma_x/sigma_y locked, sigma_z monotone, xi = 1, final "
               f"mutual information {report['mutual_info_final']:.2e} < 1e-3")
+
+
+def test_fig2b_anti_phase_pairs_read_plus_pi(fig2b_run):
+    # sigma_x and sigma_y are exactly anti-phase by the model's symmetry;
+    # rounding noise must not move either across the branch cut to -pi
+    _, report = fig2b_run
+    for name in ("sigma_x", "sigma_y"):
+        assert report["pairs"][name]["phase_diff"] == math.pi, report["pairs"][name]
 
 
 def test_criterion_3_fig2c_classical_synchronization(fig2c_run):

@@ -371,12 +371,15 @@ class TestRunAnalyze:
         outdir, report = run_dir
         stats = json.loads((outdir / "stats.json").read_text())
         assert set(stats) == {"matvecs", "steps_accepted", "steps_rejected", "h_min",
-                              "coordinates", "dim_squared", "renormalizations"}
+                              "coordinates", "dim_squared", "renormalizations",
+                              "top_level_population"}
         assert stats["coordinates"] == stats["dim_squared"] == 16
         assert stats["steps_accepted"] > 0 and stats["h_min"] > 0
-        # one matvec per stage: six per attempted step, plus the start-up ones
+        assert stats["top_level_population"] == {}      # qubits only: nothing guarded
+        # one matvec per stage: six per attempted step, plus two to start;
+        # renormalization rescales the stages and never resets FSAL
         attempts = stats["steps_accepted"] + stats["steps_rejected"]
-        assert 6 * attempts < stats["matvecs"] <= 6 * attempts + 2 + stats["renormalizations"]
+        assert stats["matvecs"] == 6 * attempts + 2
         assert not set(stats) & set(report)
         assert read_trajectory_csv(outdir / "trajectory.csv").stats is None
 
@@ -701,19 +704,31 @@ run.sample_dt = 0.125
         assert not (tmp_path / "re" / "report.json").exists()
 
     def test_unmeetable_tolerances_exit_code(self, tmp_path, capsys):
-        # the error norm overflows; the stepper rejects those steps and gives up
-        text = FAST_SCENARIO + "run.rel_tol = 1e-300\nrun.abs_tol = 1e-300\n"
+        # the derivative scaled by abs_tol overflows: no step can be chosen
+        text = FAST_SCENARIO + "run.abs_tol = 1e-300\n"
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, text)),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err.startswith("error: initial step underflow") and len(err.splitlines()) == 1
         assert not (out / "report.json").exists()
         sweep = write_config(tmp_path, text + "sweep.axis.param.Omega = 0\n", "sweep.cfg")
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw")]) == 5
         with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
             _, failed = csv.reader(fh)
         assert failed[-1].startswith("error:StepSizeUnderflowError: ")
+
+    def test_rel_tol_below_floor_exit_code(self, tmp_path, capsys):
+        # below 100 machine epsilons the error estimate is rounding noise:
+        # refused at parse time, before any integration
+        text = FAST_SCENARIO + "run.rel_tol = 1e-20\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: key 'run.rel_tol': 1e-20 is below the floor 2.22e-14 "
+            "(100 machine epsilons)\n")
+        assert not out.exists()
 
     def test_sweep_bad_sample_grid_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("run.t_end = 400", "run.t_end = 400.2")

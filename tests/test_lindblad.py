@@ -5,6 +5,8 @@ from qsync.lindblad import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     MAX_SAMPLES,
+    MIN_REL_TOL,
+    RHO_BLOCK_BYTES,
     Dissipator,
     ModelSpec,
     TruncationError,
@@ -34,6 +36,7 @@ from qsync.opalg import (
     SpaceLayout,
     destroy,
     mutual_information,
+    partial_trace,
     pauli,
 )
 
@@ -85,6 +88,14 @@ def random_model_and_state(rng, dims=(2, 3), n_dissipators=2):
     )
     model = ModelSpec(lay, h, dis, observables=())
     return model, random_state(rng, lay)
+
+
+def reduced_case():
+    model = build_reduced_qubit(ReducedQubitParams(0.05, 0.02, 1e-3, 0.25))
+    rho0 = DensityMatrix.product_state(
+        model.layout, [(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.7), np.sqrt(0.3))]
+    )
+    return model, rho0
 
 
 def rhs(model, rho):
@@ -223,6 +234,29 @@ class TestEvolve:
         with pytest.raises(ValueError, match="tolerances must be positive"):
             evolve(model, rho0, 1.0, 0.5, **tol)
 
+    def test_rel_tol_floor(self):
+        # below 100 eps the error estimate is rounding noise: refused, not run
+        model = rabi_qubit(1.0)
+        rho0 = DensityMatrix.product_state(model.layout, [(1, 0)])
+        with pytest.raises(ValueError, match="below the floor"):
+            evolve(model, rho0, 1.0, 0.5, rel_tol=1e-20)
+        with pytest.raises(ValueError, match="below the floor"):
+            evolve(model, rho0, 1.0, 0.5, rel_tol=MIN_REL_TOL * (1 - 1e-9))
+        evolve(model, rho0, 1.0, 0.5, rel_tol=MIN_REL_TOL, abs_tol=1e-6)
+
+    def test_guard_headroom_in_stats(self):
+        model = build_vdp(VdpParams(**{**PRESETS["fig3"].params, "N": 6}))
+        rho0 = small_vdp_case()[1]
+        traj = evolve(model, rho0, 0.5, 0.05, keep_states=True)
+        top = traj.stats["top_level_population"]
+        assert set(top) == {"mode1", "mode2"}
+        # the largest top-level population over the run, read from the states
+        for slot, label in enumerate(("mode1", "mode2")):
+            direct = max(partial_trace(s, (slot,)).matrix[-1, -1].real for s in traj.states)
+            assert top[label] == pytest.approx(direct, rel=1e-12, abs=1e-18)
+        qubit = rabi_qubit(0.5)
+        assert evolve(qubit, excited(qubit.layout), 1.0, 0.5).stats["top_level_population"] == {}
+
     def test_mutual_info_recording(self):
         model = build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 0.0, 0.25))
         rho0 = DensityMatrix.product_state(
@@ -284,6 +318,16 @@ class TestDenseOracle:
         with pytest.raises(ValueError):
             dense_liouvillian(model)
 
+    def test_dense_output_samples_match_oracle(self):
+        # a sweep_reduced-shaped run: free steps, every sample from the
+        # continuous extension, each within criterion 5's 1e-6 of exp(L t)
+        model, rho0 = reduced_case()
+        traj = evolve(model, rho0, 200.0, 0.5, keep_states=True)
+        oracle = propagate_dense(model, rho0, traj.times)
+        worst = max(float(np.max(np.abs(s.matrix - o.matrix)))
+                    for s, o in zip(traj.states, oracle))
+        assert worst < 1e-6, worst
+
     def test_evolve_agrees_with_oracle_on_reduced_model(self):
         model = build_reduced_qubit(ReducedQubitParams(0.05, 0.02, 1e-3, 0.25))
         rho0 = DensityMatrix.product_state(
@@ -293,6 +337,48 @@ class TestDenseOracle:
         oracle = propagate_dense(model, rho0, [t_final])[0]
         traj = evolve(model, rho0, t_final, t_final / 4)
         assert np.max(np.abs(traj.final_state.matrix - oracle.matrix)) < 1e-6
+
+
+class TestFreeStepping:
+    @pytest.fixture(scope="class")
+    def coarse_and_fine(self):
+        model, rho0 = reduced_case()
+        return [evolve(model, rho0, 200.0, dt) for dt in (0.5, 0.05)]
+
+    def test_step_sequence_ignores_sample_grid(self, coarse_and_fine):
+        coarse, fine = coarse_and_fine
+        for key in ("steps_accepted", "steps_rejected", "matvecs", "h_min"):
+            assert coarse.stats[key] == fine.stats[key], key
+        # one matvec per stage and two to start: FSAL is never reset
+        attempts = coarse.stats["steps_accepted"] + coarse.stats["steps_rejected"]
+        assert coarse.stats["matvecs"] == 6 * attempts + 2
+        assert np.allclose(fine.times[::10], coarse.times, rtol=0, atol=1e-12)
+        assert np.max(np.abs(fine.values[::10] - coarse.values)) < 1e-12
+        assert np.max(np.abs(fine.mutual_info[::10] - coarse.mutual_info)) < 1e-12
+
+    def test_work_bound(self, coarse_and_fine):
+        # pins the work, not the time: 2,858 and 24,008 matvecs when every
+        # sample ended a step, 902 at both with free steps
+        for traj in coarse_and_fine:
+            assert traj.stats["matvecs"] <= 1000, traj.stats
+
+    def test_block_recording_is_exact(self):
+        # D=36: the rho stack holds 12 samples, so 31 samples span three
+        # blocks; each recorded value equals the one-state computation bitwise
+        model = build_cavity_qubit(CavityQubitParams(0.3, -0.2, 0.1, 0.15, 0.4, -0.5, 0.2, Nc=3))
+        assert RHO_BLOCK_BYTES // (16 * model.dim ** 2) == 12
+        rho0 = DensityMatrix.product_state(
+            model.layout, [(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.7), np.sqrt(0.3)),
+                           (1.0,), (1.0,)]
+        )
+        traj = evolve(model, rho0, 1.5, 0.05, keep_states=True)
+        assert len(traj.states) == 31
+        eigs = [np.linalg.eigvalsh(s.matrix)[0] for s in traj.states]
+        mi = [mutual_information(partial_trace(s, (0, 1)), ((0,), (1,))) for s in traj.states]
+        assert np.array_equal(traj.min_eigenvalues, eigs)
+        assert np.array_equal(traj.mutual_info, mi)
+        assert np.array_equal(traj.states[-1].matrix, traj.final_state.matrix)
+        assert np.all(traj.mutual_info[1:] > 0)
 
 
 def reachable_count(model, rho0):
@@ -333,12 +419,13 @@ class TestReachablePruning:
         stepper = _Dopri5(_real_generator(_liouvillian(model)[sel], e, imag),
                           DEFAULT_REL_TOL, DEFAULT_ABS_TOL, d * d)
         vec = rho0.matrix.ravel()
-        x = np.where(imag, vec[sel].imag, vec[sel].real)
+        x0 = np.where(imag, vec[sel].imag, vec[sel].real)
         worst = 0.0
-        for i in range(1, len(traj.times)):
-            x = stepper.advance(x, traj.times[i - 1], traj.times[i])
+        for i, x in stepper.samples(x0, traj.times):
             rho = (e @ x).reshape(d, d)
             worst = max(worst, float(np.max(np.abs(traj.states[i].matrix - rho))))
+        assert i == len(traj.times) - 1
+        assert stepper.accepted == traj.stats["steps_accepted"]
         assert worst < 1e-12, worst
 
 

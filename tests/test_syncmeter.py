@@ -331,3 +331,10 @@ class TestWrapPhase:
         w = wrap_phase(phi)
         assert -np.pi < w <= np.pi
         assert abs(math.remainder(w - phi, 2 * math.pi)) < 1e-12
+
+    def test_anti_phase_reads_plus_pi(self):
+        # within 1e-12 of -pi is the branch cut: it reads +pi, not -pi + noise
+        assert wrap_phase(-np.pi + 1e-15) == np.pi
+        assert wrap_phase(-np.pi) == np.pi
+        assert wrap_phase(np.pi - 1e-15) == np.pi - 1e-15
+        assert wrap_phase(-np.pi + 1e-6) == -np.pi + 1e-6
