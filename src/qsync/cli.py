@@ -46,7 +46,8 @@ final name.
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, a
 model or catalog over `opalg.MAX_DIM` dimensions, an analysis window too
 short to fit, or tolerances the integrator cannot meet), 3 truncation-guard
-abort, 4 I/O error, 5 sweep with no successful point.  Every failure prints
+abort (a top Fock level or the top excitation shell filled), 4 I/O error,
+5 sweep with no successful point.  Every failure prints
 a one-line `error:` message to stderr.
 """
 

@@ -18,9 +18,18 @@ CSR matvec per stage.  Only the reachable set is stepped: the entries that
 the initial state reaches through L's sparsity pattern, closed under
 rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1) couplings
 (excitation exchange, pair creation) leave most entries unreachable; a
-coherent drive reaches all of them.  The RMS error norm divides by D^2, as
-if the pruned coordinates, exact zeros, were stepped too, so pruning changes
-the steps taken only by rounding.
+coherent drive reaches all of them.  A model with an excitation cap
+(`ModelSpec.excitation_cap`, raised where needed to lie above the initial
+state's highest occupied shell) further keeps only the entries rho_ij whose
+basis states i and j both hold at most `cap` excitations, the excitation
+number of a basis state being the sum of its factors' basis indices.
+Restricting L to that block is the Galerkin projection of the model onto
+the capped space, P H P with jumps P L_k P for jumps L_k that lower the
+excitation number, so the capped run is itself a trace-preserving Lindblad
+evolution; rho stays D x D, with zeros outside the block.  The RMS error
+norm divides by D^2, as if the pruned coordinates, exact zeros, were
+stepped too, so pruning by reachability changes the steps taken only by
+rounding.
 
 The stepper steps freely over the whole run: the error control alone sizes
 each step, and only the last one is cut to land on t_end.  Each sample x is
@@ -32,9 +41,11 @@ Each sample does only the sequential work:
     policy that keeps runs bit-reproducible.  It divides the sample, the
     stepper state and the stage block by the trace; L_r is linear, so the
     continuous extension and the FSAL stage stay consistent;
-  * the truncation guard, one dot per bosonic factor (dimension >= 3),
-    which aborts the run when its top Fock level holds more than
-    `guard_threshold` population;
+  * the truncation guards: with an excitation cap, one dot with the top
+    shell N == cap, and one per bosonic factor (dimension >= 3) whose top
+    Fock level lies below the cap, or per bosonic factor without a cap;
+    each aborts the run when its top shell or top Fock level holds more
+    than `guard_threshold` population;
   * a copy of x into a block.
 Each block of samples then gets the observables (one real matrix product),
 rho = E x as a stack, Hermitian by construction, one stacked eigvalsh and
@@ -74,7 +85,8 @@ RHO_BLOCK_BYTES = 256 * 1024    # the recorded rho stack: 1,024 samples at D=4, 
 
 
 class TruncationError(RuntimeError):
-    """Top Fock level of a bosonic factor exceeded the population guard."""
+    """Top Fock level of a bosonic factor, or the top excitation shell, exceeded
+    the population guard."""
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -101,6 +113,11 @@ class ModelSpec:
     `models.resolve_catalog`), of the single-subsystem observables whose two
     embeddings '<name>_1', '<name>_2' the model records and a run analyses;
     None for a model without one.
+
+    `excitation_cap`, where set, restricts `evolve` to the basis states
+    whose excitation number (see `excitation_numbers`) is at most the cap,
+    or at most one above the initial state's highest occupied shell where
+    that is higher; None steps the whole space.
     """
 
     layout: SpaceLayout
@@ -108,6 +125,7 @@ class ModelSpec:
     dissipators: tuple[Dissipator, ...]
     observables: tuple[tuple[str, Operator], ...]
     catalog: str | None = None
+    excitation_cap: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dissipators", tuple(self.dissipators))
@@ -411,17 +429,52 @@ class _Dopri5:
             np.copyto(k[0], k[6])
 
 
-def _top_level_indicators(layout: SpaceLayout, idx: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """Per factor with dim >= 3, the 0/1 vector over the coordinates at flat
-    indices `idx` that marks Re rho_ii for the basis states i on its top level."""
+def excitation_numbers(layout: SpaceLayout) -> np.ndarray:
+    """Each basis state's excitation number: the sum of its factors' basis indices.
+
+    With ground-first qubits and photon-counting Fock factors this is the
+    total excitation n1 + n2 + ... + e1 + e2 + ... of the state.
+    """
+    return np.indices(layout.factors).sum(axis=0).ravel()
+
+
+def _excitation_cap(model: ModelSpec, rho0: DensityMatrix) -> int | None:
+    """The cap that `evolve` applies: the model's excitation cap, raised where
+    needed to lie above the highest shell that rho0 occupies, so that the top
+    shell starts empty; None for a model without a cap."""
+    if model.excitation_cap is None:
+        return None
+    occupied = np.any(rho0.matrix != 0, axis=1)
+    top = int(excitation_numbers(model.layout)[occupied].max(initial=0))
+    return max(model.excitation_cap, top + 1)
+
+
+def _guards(layout: SpaceLayout, idx: np.ndarray,
+            cap: int | None) -> list[tuple[str, np.ndarray, str]]:
+    """The truncation guards over the coordinates at flat indices `idx`.
+
+    Each is (stats label, the 0/1 vector that marks Re rho_ii for the basis
+    states it watches, what an abort message calls them).  With an
+    excitation cap, one labelled 'excitations' watches the top shell
+    N == cap.  Each factor with dim >= 3 gets one on its top Fock level,
+    unless that level lies at or above the cap: in the capped block its
+    states are then top-shell states, or there are none.
+    """
     dim = layout.dim
     i, j = np.divmod(idx, dim)
+    diagonal = i == j
     out = []
+    if cap is not None:
+        top_shell = diagonal & (excitation_numbers(layout)[i] == cap)
+        out.append(("excitations", top_shell.astype(float),
+                    f"top excitation shell N = {cap}"))
     for slot, d in enumerate(layout.factors):
-        if d < 3:
+        if d < 3 or (cap is not None and d - 1 >= cap):
             continue
+        label = layout.labels[slot]
         stride = math.prod(layout.factors[slot + 1:])
-        out.append((layout.labels[slot], ((i == j) & ((i // stride) % d == d - 1)).astype(float)))
+        out.append((label, (diagonal & ((i // stride) % d == d - 1)).astype(float),
+                    f"top Fock level of factor '{label}'"))
     return out
 
 
@@ -465,13 +518,18 @@ def evolve(
     keep_states:
         Store the sampled density matrices (memory scales with n*D^2).
 
+    A model with an `excitation_cap` steps only the capped block (see the
+    module docstring), with the cap raised where needed to lie above rho0's
+    highest occupied shell.
+
     With two or more factors, `mutual_info` records the mutual information
     of factors 0 and 1 at every sample; with one factor it is None.  The
     returned `stats` dict holds the stepper's `matvecs`,
     `steps_accepted`, `steps_rejected` and `h_min`, the number of stepped
     real `coordinates` against `dim_squared` = D^2, the number of trace
     `renormalizations`, and `top_level_population`, the largest population
-    the guard saw on each guarded factor's top level.
+    the guard saw on each guarded factor's top level and, under the label
+    'excitations', on the top shell of a capped model (see `_guards`).
     """
     if not (rel_tol > 0 and abs_tol > 0):
         raise ValueError("tolerances must be positive")
@@ -488,8 +546,13 @@ def evolve(
         raise ValueError("initial state is not Hermitian to 1e-10")
 
     d = model.dim
+    cap = _excitation_cap(model, rho0)
     liou = _liouvillian(model)
-    idx = np.flatnonzero(_reachable(liou, rho0.matrix))
+    reach = _reachable(liou, rho0.matrix)
+    if cap is not None:
+        inside = excitation_numbers(model.layout) <= cap
+        reach &= np.outer(inside, inside).ravel()
+    idx = np.flatnonzero(reach)
     e, sel, imag = _hermitian_coordinates(idx, d)
     liou = liou[sel]    # only the rows R reads: the full complex L is freed here
     stepper = _Dopri5(_real_generator(liou, e, imag), rel_tol, abs_tol, d * d)
@@ -499,8 +562,8 @@ def evolve(
     obs = np.array([(e.T @ op.matrix.T.ravel()).real for _, op in model.observables])
     obs = obs.reshape(len(names), len(idx))
     diagonal = (idx // d == idx % d).astype(float)      # tr rho = diagonal . x
-    guards = _top_level_indicators(model.layout, idx)
-    top_pop = {label: 0.0 for label, _ in guards}
+    guards = _guards(model.layout, idx, cap)
+    top_pop = {label: 0.0 for label, _, _ in guards}
 
     values = np.empty((n_samples + 1, len(names)))
     trace_errors = np.empty(n_samples + 1)
@@ -537,13 +600,12 @@ def evolve(
             if trace_errors[i] > RENORM_THRESHOLD:
                 stepper.rescale(tr)
                 renorms += 1
-            for label, top in guards:
+            for label, top, what in guards:
                 pop = float(top @ x)
                 if pop > guard_threshold:
                     raise TruncationError(
-                        f"top Fock level of factor '{label}' reached population "
-                        f"{pop:.3g} > {guard_threshold:.3g} at t={times[i]:.6g}; "
-                        "raise the truncation"
+                        f"{what} reached population {pop:.3g} > {guard_threshold:.3g} "
+                        f"at t={times[i]:.6g}; raise the truncation"
                     )
                 top_pop[label] = max(top_pop[label], pop)
             row = i % len(block)

@@ -11,6 +11,13 @@ cavity_qubit
     hopping J between the cavities, qubit-cavity coupling g0 in the
     excitation-exchanging form i*g0*(a^dag sigma_minus - a sigma_plus), and
     a weak drive Omega on qubit 1 only.  Both cavities decay at kappa.
+    The total excitation N = n1 + n2 + e1 + e2 is raised only by the weak
+    drive (cavity decay lowers it), so the model carries the excitation cap
+    Nc - 1, the cavities' top Fock level: `evolve` steps only the basis
+    states with N <= cap (the cap raised above the initial state's highest
+    shell where needed), and a guard aborts a run whose top shell N == cap
+    fills, so raising Nc raises both truncations.  The presets start in
+    N <= 2 and keep the top shell N == 3 below 1e-9.
 
 reduced_qubit
     The two-qubit limit of the above when the resonant common cavity mode
@@ -191,7 +198,8 @@ def build_cavity_qubit(p: CavityQubitParams) -> ModelSpec:
         h = h + 1j * p.g0 * (a[j].dag() @ sm[j] - a[j] @ sp[j])
 
     dissipators = (Dissipator(p.kappa, a[0]), Dissipator(p.kappa, a[1]))
-    return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli")
+    return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli",
+                     excitation_cap=p.Nc - 1)
 
 
 def build_reduced_qubit(p: ReducedQubitParams) -> ModelSpec:
@@ -339,7 +347,8 @@ class Scenario:
         return model, rho0
 
     def echo(self) -> dict:
-        """The scenario as report.json records it."""
+        """The scenario as report.json records it: every field of the params
+        class, defaults included."""
         def amp_text(z):
             z = complex(z)
             if z.imag == 0:
@@ -348,7 +357,7 @@ class Scenario:
 
         return {
             "model": self.model,
-            "params": dict(self.params),
+            "params": asdict(MODELS[self.model][0](**self.params)),
             "initial": {label: [amp_text(z) for z in amps]
                         for label, amps in self.initial.items()},
             "run": {

@@ -14,6 +14,7 @@ from qsync.cli import (
     ConfigError,
     _write_csv,
     analyze_csv,
+    analyze_trajectory,
     main,
     parse_config_text,
     read_trajectory_csv,
@@ -23,7 +24,7 @@ from qsync.cli import (
     sweep_from_mapping,
     run_sweep,
 )
-from qsync.lindblad import propagate_dense
+from qsync.lindblad import evolve, propagate_dense
 from qsync.models import MODELS, PRESET_NAMES, PRESETS
 from qsync.syncmeter import AnalysisThresholds
 
@@ -196,6 +197,15 @@ class TestConfigParsing:
         assert cfg.build()[0].catalog == pin["catalog"]
         assert cfg.thresholds == pin["thresholds"]
         assert {k: tuple(a) for k, a in PRESETS[name].initial.items()} == pin["initial"]
+
+    def test_echo_records_parameter_defaults(self):
+        # a config that omits kappa and Nc runs with their defaults, and
+        # report.json shows them
+        text = "".join(line + "\n" for line in _BASE_CONFIGS["cavity_qubit"].splitlines()
+                       if not line.startswith(("param.kappa", "param.Nc")))
+        cfg = scenario_from_mapping(parse_config_text(text))
+        assert set(cfg.params) == set(_FIG2_PARAMS) - {"kappa", "Nc"} | {"Omega"}
+        assert cfg.echo()["params"] == {**_FIG2_PARAMS, "Omega": 0.0005}
 
     def test_initial_preset_expands_to_amplitudes(self):
         cfg = scenario_from_mapping(parse_config_text(_BASE_CONFIGS["cavity_qubit"]))
@@ -542,6 +552,60 @@ class TestSweep:
         assert failed[-1].startswith("error:TruncationError: top Fock level of factor")
         assert "raise the truncation" in failed[-1]
         assert not (tmp_path / "sweep" / "summary.csv.tmp").exists()
+
+
+# fig2a's parameters and initial state on 64 sample intervals, all in the window
+_FIG2A_SHORT = (_BASE_CONFIGS["cavity_qubit"].replace("run.t_end = 20\n", "")
+                + "run.t_end = 128\nanalysis.window = 0:128\n")
+
+
+class TestExcitationCap:
+    def test_capped_run_matches_uncapped(self, tmp_path):
+        # the cap Nc - 1 = 3 steps 625 coordinates; without it all 4,096
+        cfg = scenario_from_mapping(parse_config_text(_FIG2A_SHORT))
+        report = run_scenario(cfg, tmp_path)
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert stats["coordinates"] == 625
+        assert set(stats["top_level_population"]) == {"excitations"}
+        assert stats["top_level_population"]["excitations"] < 1e-9
+        model, rho0 = cfg.build()
+        assert model.excitation_cap == 3
+        full = evolve(dataclasses.replace(model, excitation_cap=None), rho0,
+                      cfg.t_end, cfg.sample_dt)
+        assert full.stats["coordinates"] == 4096
+        capped = read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert np.max(np.abs(capped.values - full.values)) < 1e-6
+        reference = analyze_trajectory(full, model.catalog, cfg.window, cfg.thresholds)
+        for key in ("synchronized_set", "chi", "c", "xi"):
+            assert report[key] == reference[key]
+        for name, pair in report["pairs"].items():
+            for key in ("synced", "phase_class"):
+                assert pair[key] == reference["pairs"][name][key]
+
+    def test_top_shell_guard_exit_code(self, tmp_path, capsys):
+        # a strong resonant drive fills the top shell N = 3 within a time unit
+        text = (_BASE_CONFIGS["cavity_qubit"]
+                + "param.delta1 = 0\nparam.delta2 = 0\nparam.J = 0\nparam.Omega = 1\n"
+                + "run.sample_dt = 0.125\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: top excitation shell N = 3 ")
+        assert not (out / "report.json").exists()
+
+    def test_initial_state_above_the_cap_runs(self, tmp_path):
+        # this initial state occupies shell N = 3 = Nc - 1, so the run steps
+        # the shells N <= 4, and the cavities' top Fock level N = 3 is guarded
+        tilted = "initial.{} = 0.9486832980505138 0.31622776601683794\n"
+        text = (_FIG2A_SHORT.replace("initial.preset = fig2a\n", "")
+                + "".join(tilted.format(label) for label in ("qubit1", "qubit2", "cav1"))
+                + "initial.cav2 = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["coordinates"] == 39 ** 2      # basis states with N <= 4
+        assert set(stats["top_level_population"]) == {"excitations", "cav1", "cav2"}
 
 
 class TestMainEntry:

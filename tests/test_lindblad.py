@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qsync.lindblad import (
     _real_generator,
     dense_liouvillian,
     evolve,
+    excitation_numbers,
     propagate_dense,
     sample_count,
     sample_grid,
@@ -427,6 +430,56 @@ class TestReachablePruning:
         assert i == len(traj.times) - 1
         assert stepper.accepted == traj.stats["steps_accepted"]
         assert worst < 1e-12, worst
+
+
+class TestExcitationCap:
+    def test_excitation_numbers(self):
+        # ground-first qubit, photon-counting mode: N = e + n
+        lay = SpaceLayout((2, 3), ("q", "m"))
+        assert excitation_numbers(lay).tolist() == [0, 1, 2, 1, 2, 3]
+
+    @pytest.mark.parametrize("name, count", [("fig2a", 625), ("fig2b", 169), ("fig2c", 625)])
+    def test_preset_stepped_counts(self, name, count):
+        model, rho0 = PRESETS[name].build()
+        assert model.excitation_cap == 3
+        assert evolve(model, rho0, 2.0, 2.0).stats["coordinates"] == count
+
+    def test_cap_that_keeps_the_reachable_set_changes_nothing(self):
+        # fig2b's undriven reachable set already lies in N <= 2: capped and
+        # uncapped runs step the same coordinates and agree to the bit
+        model, rho0 = PRESETS["fig2b"].build()
+        capped = evolve(model, rho0, 40.0, 2.0)
+        full = evolve(dataclasses.replace(model, excitation_cap=None), rho0, 40.0, 2.0)
+        for field in ("values", "trace_errors", "min_eigenvalues", "mutual_info"):
+            assert np.array_equal(getattr(capped, field), getattr(full, field)), field
+        assert capped.stats["top_level_population"]["excitations"] == 0.0
+
+    def test_capped_run_is_the_projected_model(self):
+        # the block of L is the Lindbladian of P H P with jumps P a P, which
+        # needs no cap: both runs step the same coordinates to rounding.
+        # At Nc = 3 the cap Nc - 1 = 2 is the fig2a state's top shell, so
+        # evolve raises it to 3
+        model = build_cavity_qubit(CavityQubitParams(0.3, -0.2, 0.1, 0.15, 0.4, -0.5, 0.2,
+                                                     Nc=3))
+        assert model.excitation_cap == 2
+        rho0 = DensityMatrix.product_state(model.layout, [PRESETS["fig2a"].initial[label]
+                                                          for label in model.layout.labels])
+        inside = np.diag((excitation_numbers(model.layout) <= 3).astype(float))
+
+        def project(op):
+            return Operator(model.layout, inside @ op.matrix @ inside)
+
+        projected = ModelSpec(model.layout, project(model.hamiltonian),
+                              [Dissipator(d.rate, project(d.jump)) for d in model.dissipators],
+                              model.observables)
+        # this strong drive fills the top levels; only the generators are compared
+        capped = evolve(model, rho0, 10.0, 0.5, guard_threshold=np.inf)
+        exact = evolve(projected, rho0, 10.0, 0.5, guard_threshold=np.inf)
+        assert capped.stats["coordinates"] == exact.stats["coordinates"] < model.dim ** 2
+        assert np.max(np.abs(capped.values - exact.values)) < 1e-12
+        assert np.max(capped.trace_errors) < 1e-10
+        # the cavities' top Fock level N = 2 lies below the cap: still guarded
+        assert set(capped.stats["top_level_population"]) == {"excitations", "cav1", "cav2"}
 
 
 class TestRealGenerator:
