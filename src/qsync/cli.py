@@ -297,10 +297,9 @@ def _write_json(path: Path, obj: dict):
 def read_trajectory_csv(path: Path) -> Trajectory:
     """The samples of a `time,...` CSV; a malformed or non-finite one is a ConfigError."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("time"):
-            raise ConfigError(f"{path}: first column must be 'time'")
-        names = header.split(",")[1:]
+        columns = fh.readline().strip().split(",")
+        if columns[0] != "time" or len(set(columns)) != len(columns):
+            raise ConfigError(f"{path}: header must be 'time' then unique column names")
         body = fh.tell()
         if not any(line.strip() for line in iter(fh.readline, "")):
             raise ConfigError(f"{path}: no data rows")   # loadtxt would only warn
@@ -309,14 +308,14 @@ def read_trajectory_csv(path: Path) -> Trajectory:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    if data.shape[1] != len(names) + 1:
+    if data.shape[1] != len(columns):
         raise ConfigError(f"{path}: inconsistent column count")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]
         raise ConfigError(f"{path}: non-finite value in column "
-                          f"'{(['time'] + names)[col]}' of data row {row + 1}")
-    return Trajectory(data[:, 0], data[:, 1:], names)
+                          f"'{columns[col]}' of data row {row + 1}")
+    return Trajectory(data[:, 0], data[:, 1:], columns[1:])
 
 
 def analyze_trajectory(

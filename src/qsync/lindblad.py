@@ -11,36 +11,38 @@ on the row-stacked vec(rho) = rho.ravel(), for which
 vec(A rho B) = (A kron B^T) vec(rho).
 
 `evolve` steps rho in real Hermitian coordinates, Re rho_ii and Re/Im rho_ij
-for i < j (D^2 real numbers), under the real generator L_r = R L E built
-once from L: E maps the coordinates to the complex vec(rho) and R reads them
-back.  A Dormand-Prince 5(4) adaptive stepper advances them in float64, one
-CSR matvec per stage.  Only the reachable set is stepped: the entries that
-the initial state reaches through L's sparsity pattern, closed under
-rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1) couplings
-(excitation exchange, pair creation) leave most entries unreachable; a
-coherent drive reaches all of them.  A model with an excitation cap
-(`ModelSpec.excitation_cap`, raised where needed to lie above the initial
-state's highest occupied shell) further keeps only the entries rho_ij whose
-basis states i and j both hold at most `cap` excitations, the excitation
-number of a basis state being the sum of its factors' basis indices.
-Restricting L to that block is the Galerkin projection of the model onto
-the capped space, P H P with jumps P L_k P for jumps L_k that lower the
-excitation number, so the capped run is itself a trace-preserving Lindblad
-evolution; rho stays D x D, with zeros outside the block.  The RMS error
-norm divides by D^2, as if the pruned coordinates, exact zeros, were
+for i < j (D^2 real numbers), under the real generator L_r = R L E built once
+from L: E maps the coordinates to the complex vec(rho) and R reads them
+back.  A Dormand-Prince 5(4) adaptive stepper advances them in float64, as
+the polynomial in hL it is on this linear problem: six CSR matvecs per
+accepted step, none per rejected one.  Only the reachable set is stepped: the
+entries that the initial state reaches through L's sparsity pattern, closed
+under rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1)
+couplings (excitation exchange, pair creation) leave most entries
+unreachable; a coherent drive reaches all of them.  A model with an
+excitation cap (`ModelSpec.excitation_cap`, raised where needed to lie above
+the initial state's highest occupied shell) further keeps only the entries
+rho_ij whose basis states i and j both hold at most `cap` excitations, the
+excitation number of a basis state being the sum of its factors' basis
+indices.  Restricting L to that block is the Galerkin projection of the
+model onto the capped space, P H P with jumps P L_k P for jumps L_k that
+lower the excitation number, so the capped run is itself a trace-preserving
+Lindblad evolution; rho stays D x D, with zeros outside the block.  The RMS
+error norm divides by D^2, as if the pruned coordinates, exact zeros, were
 stepped too, so pruning by reachability changes the steps taken only by
 rounding.
 
 The stepper steps freely over the whole run: the error control alone sizes
 each step, and only the last one is cut to land on t_end.  Each sample x is
 the 4th-order continuous extension of the step that covers it, evaluated
-from that step's seven stages, so the sample grid does not shape the steps.
+from that step's powers, so the sample grid does not shape the steps.
 Each sample does only the sequential work:
   * the trace, one dot of x with the diagonal coordinates;
   * a renormalization when the trace drifts beyond 1e-10, an explicit
     policy that keeps runs bit-reproducible.  It divides the sample, the
-    stepper state and the stage block by the trace; L_r is linear, so the
-    continuous extension and the FSAL stage stay consistent;
+    stepper's block of x and its powers, and the step's other samples by
+    the trace; L_r is linear, so the step's end, formed from the block
+    after its samples, stays consistent;
   * the truncation guards: with an excitation cap, one dot with the top
     shell N == cap, and one per bosonic factor (dimension >= 3) whose top
     Fock level lies below the cap, or per bosonic factor without a cap;
@@ -255,41 +257,24 @@ def _real_generator(rows: sparse.csr_matrix, e, imag: np.ndarray):
     return real
 
 
-# Dormand-Prince 5(4) tableau (FSAL).  The generator does not depend on t,
-# so the stage nodes c_s are not needed.
-_DP_A = [
-    np.array([], dtype=float),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_ERR = np.array(
-    [
-        35 / 384 - 5179 / 57600,
-        0.0,
-        500 / 1113 - 7571 / 16695,
-        125 / 192 - 393 / 640,
-        -2187 / 6784 + 92097 / 339200,
-        11 / 84 - 187 / 2100,
-        -1 / 40,
-    ]
-)
-# The continuous extension (Dormand & Prince 1986; Hairer, Norsett & Wanner,
-# Solving ODEs I, II.6) of a step of size h from y with stages K:
-# y(t + theta h) = y + h K^T P [theta, theta^2, theta^3, theta^4], 4th order,
-# and equal to the step's 5th-order solution at theta = 1.
-_DP_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+# Dormand-Prince 5(4) (Dormand & Prince 1980) and its 4th-order continuous
+# extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6) in power form:
+# on dy/dt = L y every stage is a polynomial in hL applied to y, so with
+# u_k = L^k y a step of size h from y reads
+#   y(t + theta h) = y + sum_{k<=7} h^k u_k sum_{m<=4} D_km theta^m,
+# at theta = 1 the stability polynomial y + sum_{k<=6} C_k h^k u_k, with the
+# error estimate sum_{k=5..7} E_k h^k u_k.  tests/test_lindblad.py derives
+# C, E and D from the published tableau in exact arithmetic.
+_DP_C = np.array([1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600])
+_DP_E = np.array([-97 / 120000, 13 / 40000, -1 / 24000])
+_DP_D = np.array([
+    [1, 0, 0, 0],
+    [0, 1 / 2, 0, 0],
+    [0, 0, 1 / 6, 0],
+    [0, 0, 0, 1 / 24],
+    [0, 5112093 / 587608460, -90725539 / 3525650760, 22358351 / 881412690],
+    [0, -17546271 / 2938042300, 181174829 / 17628253800, -2325839 / 881412690],
+    [0, 6769587 / 2938042300, -110615467 / 17628253800, 13999589 / 3525650760],
 ])
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -299,26 +284,25 @@ _ALPHA = 0.2 - 0.75 * _BETA
 
 
 class _Dopri5:
-    """Adaptive 5(4) stepper for dy/dt = L y in float64, FSAL, PI step control.
+    """Adaptive 5(4) stepper for dy/dt = L y in float64, PI step control.
 
     y holds the real Hermitian coordinates of rho (or of its reachable
-    part) and L is the real generator from `_real_generator`; each stage is
-    one sparse matvec K[s] = L @ y_s.  Stage combinations run as BLAS gemv
-    against a preallocated stage block.  The RMS norms divide by `n_full` =
-    D^2: the pruned coordinates are exact zeros that add nothing to the sum
-    of squares, so the steps taken are those of the unpruned run up to
-    rounding.
+    part) and L is the real generator from `_real_generator`.  The block
+    `u` holds y and L^k y for k = 1..7: six sparse matvecs per accepted
+    step, L y carried over (FSAL), and none for a rejected step.  The RMS
+    norms divide by `n_full` = D^2: the pruned coordinates are exact zeros
+    that add nothing to the sum of squares, so the steps taken are those of
+    the unpruned run up to rounding.
 
     `samples` steps freely across a whole sample grid: the controller alone
     sizes the steps, and only the last one is cut to land on the grid's
     end.  Each sample comes from the continuous extension of the step that
     covers it, so the sample spacing does not shape the step sequence.
-    `rescale(c)` divides the state, the stage block and the samples of the
-    current step by c; L is linear, so the continuous extension and the
-    FSAL stage stay consistent.  The counters `matvecs`, `accepted`,
-    `rejected` and `h_min` (the smallest accepted step the controller
-    chose; the cut last step is not counted) accumulate over the stepper's
-    life.
+    `rescale(c)` divides the block and the current step's samples by c; L
+    is linear, and the step's end is formed from the block after its
+    samples.  The counters `matvecs`, `accepted`, `rejected` and `h_min`
+    (the smallest accepted step the controller chose; the cut last step is
+    not counted) accumulate over the stepper's life.
     """
 
     def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float, n_full: int):
@@ -326,12 +310,8 @@ class _Dopri5:
         self.rel = rel_tol
         self.abs = abs_tol
         self.n_full = n_full
-        n = liou.shape[0]
-        self.K = np.zeros((7, n))
-        self._y = np.empty(n)
-        self._ys = np.empty(n)
-        self._acc = np.empty(n)
-        self._dense = np.empty((0, n))      # the current step's samples
+        self.u = np.zeros((8, liou.shape[0]))
+        self._dense = np.empty((0, liou.shape[0]))      # the current step's samples
         self.h = None
         self.err_prev = 1.0
         self.matvecs = 0
@@ -342,27 +322,27 @@ class _Dopri5:
     def _rms(self, v: np.ndarray) -> float:
         return float(np.sqrt(np.dot(v, v) / self.n_full))
 
-    def _initial_step(self, y, span):
-        f0 = self.K[0]
-        scale = self.abs + self.rel * np.abs(y)
-        d0 = self._rms(y / scale)
-        d1 = self._rms(f0 / scale)
-        h0 = 1e-6 if d1 < 1e-15 else 0.01 * d0 / d1
-        h0 = min(h0, span)
+    def _powers(self, start: int):
+        """u[k] = L^k y for k = start..7, from u[start - 1]."""
+        for k in range(start, 8):
+            self.u[k] = self.liou @ self.u[k - 1]
+        self.matvecs += 8 - start
+
+    def _initial_step(self, span):
+        scale = self.abs + self.rel * np.abs(self.u[0])
+        d0, d1, d2 = (self._rms(v / scale) for v in self.u[:3])     # y, L y, L^2 y
+        h0 = min(1e-6 if d1 < 1e-15 else 0.01 * d0 / d1, span)
         if not h0 > 0:      # the scaled derivative overflowed
             raise StepSizeUnderflowError(f"initial step underflow (h={h0:.3g}); "
                                          "tolerances cannot be met")
-        self.K[1] = self.liou @ (y + h0 * f0)
-        self.matvecs += 1
-        d2 = self._rms((self.K[1] - f0) / scale) / h0
         dmax = max(d1, d2)
         h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else h0 * 100
         return min(100 * h0, h1, span)
 
     def rescale(self, c: float):
-        """Divide the state, the stage block and the current samples by c."""
-        for a in (self._y, self._ys, self.K, self._dense):
-            a /= c
+        """Divide the power block and the current samples by c."""
+        self.u /= c
+        self._dense /= c
 
     def samples(self, y0: np.ndarray, times: np.ndarray):
         """Integrate from times[0] to times[-1]; yield (i, y(times[i])) for every i.
@@ -370,32 +350,23 @@ class _Dopri5:
         Each yielded vector is the stepper's own storage, valid until the
         next one is asked for; `rescale` divides it too.
         """
-        y, ys, k, acc = self._y, self._ys, self.K, self._acc
-        np.copyto(y, y0)
-        yield 0, y
-        k[0] = self.liou @ y
-        self.matvecs += 1
+        u = self.u
+        np.copyto(u[0], y0)
+        yield 0, u[0]
+        self._powers(1)
         t, t_end = times[0], times[-1]
-        self.h = self._initial_step(y, t_end - t)
+        self.h = self._initial_step(t_end - t)
         i, last = 0, len(times) - 1
         rejects = 0
         while i < last:
             if self.h < 1e-14 * max(abs(t), 1.0):
                 raise StepSizeUnderflowError(f"step size underflow at t={t:.6g} (h={self.h:.3g})")
             h = min(self.h, t_end - t)
-            for s in range(1, 7):
-                np.dot(_DP_A[s], k[:s], out=acc)
-                np.multiply(acc, h, out=acc)
-                np.add(y, acc, out=ys)
-                k[s] = self.liou @ ys
-            self.matvecs += 6
-            # the last stage input is the 5th-order solution (FSAL pair)
-            np.dot(_DP_ERR, k, out=acc)
-            np.multiply(acc, h, out=acc)
-            scale = self.abs + self.rel * np.maximum(np.abs(y), np.abs(ys))
-            np.abs(acc, out=acc)
-            acc /= scale
-            err = self._rms(acc)
+            hk = h ** np.arange(8)
+            c = _DP_C * hk[1:7]
+            y_new = u[0] + c @ u[1:7]
+            scale = self.abs + self.rel * np.maximum(np.abs(u[0]), np.abs(y_new))
+            err = self._rms((_DP_E * hk[5:]) @ u[5:] / scale)
             if not err <= 1.0:     # NaN rejects too
                 self.h = h * max(_FAC_MIN, _SAFETY * err ** -0.2)
                 self.rejected += 1
@@ -418,15 +389,17 @@ class _Dopri5:
             covered = int(np.searchsorted(times, t_next, side="right")) - 1
             if covered > i:
                 theta = (times[i + 1:covered + 1] - t) / h
-                self._dense = np.power.outer(theta, np.arange(1, 5)) @ _DP_P.T @ k
-                self._dense *= h
-                self._dense += y
+                self._dense = (np.power.outer(theta, np.arange(1, 5)) @ _DP_D.T * hk[1:]) @ u[1:]
+                self._dense += u[0]
                 for row in self._dense:
                     i += 1
                     yield i, row
             t = t_next
-            np.copyto(y, ys)
-            np.copyto(k[0], k[6])
+            # y and L y at the step's end, from the block as its samples left it
+            u[0] += c @ u[1:7]
+            u[1] += c @ u[2:8]
+            if i < last:
+                self._powers(2)
 
 
 def excitation_numbers(layout: SpaceLayout) -> np.ndarray:
@@ -524,12 +497,13 @@ def evolve(
 
     With two or more factors, `mutual_info` records the mutual information
     of factors 0 and 1 at every sample; with one factor it is None.  The
-    returned `stats` dict holds the stepper's `matvecs`,
-    `steps_accepted`, `steps_rejected` and `h_min`, the number of stepped
-    real `coordinates` against `dim_squared` = D^2, the number of trace
-    `renormalizations`, and `top_level_population`, the largest population
-    the guard saw on each guarded factor's top level and, under the label
-    'excitations', on the top shell of a capped model (see `_guards`).
+    returned `stats` dict holds the stepper's `matvecs` (six per accepted
+    step and one to start), `steps_accepted`, `steps_rejected` and `h_min`,
+    the number of stepped real `coordinates` against `dim_squared` = D^2,
+    the number of trace `renormalizations`, and `top_level_population`,
+    the largest population the guard saw on each guarded factor's top level
+    and, under the label 'excitations', on the top shell of a capped model
+    (see `_guards`).
     """
     if not (rel_tol > 0 and abs_tol > 0):
         raise ValueError("tolerances must be positive")

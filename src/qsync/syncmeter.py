@@ -288,16 +288,13 @@ def fit_oscillation(
     if scale is None:
         scale = float(np.max(np.abs(y - np.mean(y))))
 
-    deg = int(thresholds.detrend_deg)
     u = 2.0 * ts / span - 1.0    # normalized abscissa for conditioning
-    nuisance = np.column_stack([u ** k for k in range(max(deg, 0) + 1)])
+    nuisance = np.column_stack([u ** k for k in range(int(thresholds.detrend_deg) + 1)])
 
     # DFT seed on the window with the trend projected out: the seed and the
     # refinement see the same residual oscillation.
     objective = _ProjectedObjective(ts, y, nuisance)
     spectrum = np.abs(np.fft.rfft(objective.y_p))
-    if len(spectrum) < 2:
-        raise ValueError("window too short for a spectral seed")
     k_peak = 1 + int(np.argmax(spectrum[1:]))
     bin_width = 2.0 * math.pi / (n * float(dt[0]))
     omega_seed = k_peak * bin_width

@@ -386,10 +386,9 @@ class TestRunAnalyze:
         assert stats["coordinates"] == stats["dim_squared"] == 16
         assert stats["steps_accepted"] > 0 and stats["h_min"] > 0
         assert stats["top_level_population"] == {}      # qubits only: nothing guarded
-        # one matvec per stage: six per attempted step, plus two to start;
-        # renormalization rescales the stages and never resets FSAL
-        attempts = stats["steps_accepted"] + stats["steps_rejected"]
-        assert stats["matvecs"] == 6 * attempts + 2
+        # six powers per accepted step, plus L y to start; renormalization
+        # rescales the powers and never resets FSAL
+        assert stats["matvecs"] == 6 * stats["steps_accepted"] + 1
         assert not set(stats) & set(report)
         assert read_trajectory_csv(outdir / "trajectory.csv").stats is None
 
@@ -816,8 +815,9 @@ run.sample_dt = 0.125
         assert err.startswith("error:") and "samples" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("defect", ["nan", "header_only", "ragged", "mi_columns",
-                                        "mi_grid", "report_list", "report_json"])
+    @pytest.mark.parametrize("defect", ["nan", "header_only", "ragged", "time_prefix",
+                                        "duplicate", "mi_columns", "mi_grid",
+                                        "report_list", "report_json"])
     def test_bad_trajectory_csv_exit_code(self, tmp_path, capsys, defect):
         t = np.arange(0.0, 1001.0)
         wave = 0.4 * np.cos(0.3 * t)
@@ -831,6 +831,10 @@ run.sample_dt = 0.125
             lines = lines[:1]
         elif defect == "ragged":
             lines[500] = lines[500].rsplit(",", 1)[0]
+        elif defect == "time_prefix":  # a first column that only starts with 'time'
+            lines[0] = lines[0].replace("time", "timestamp", 1)
+        elif defect == "duplicate":    # a second sigma_x_1 column after the catalog
+            lines = [f"{line},{line.split(',')[1]}" for line in lines]
         elif defect == "mi_columns":   # a sibling mutual_info.csv without its column
             (tmp_path / "mutual_info.csv").write_text("time\n0\n1\n")
         elif defect == "mi_grid":      # a sibling mutual_info.csv cut short
@@ -842,7 +846,8 @@ run.sample_dt = 0.125
             (tmp_path / "report.json").write_text("{not json\n")
         path = tmp_path / "trajectory.csv"
         path.write_text("\n".join(lines) + "\n")
-        rc = main(["analyze", str(path), "--window", "100:1000",
+        # with the catalog given, a CSV that passed every check would analyse
+        rc = main(["analyze", str(path), "--catalog", "pauli", "--window", "100:1000",
                    "--out", str(tmp_path / "re")])
         err = capsys.readouterr().err
         assert rc == 2

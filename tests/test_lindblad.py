@@ -1,9 +1,15 @@
 import dataclasses
+import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from qsync import lindblad
 from qsync.lindblad import (
+    _DP_C,
+    _DP_D,
+    _DP_E,
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     MAX_SAMPLES,
@@ -352,16 +358,67 @@ class TestFreeStepping:
         coarse, fine = coarse_and_fine
         for key in ("steps_accepted", "steps_rejected", "matvecs", "h_min"):
             assert coarse.stats[key] == fine.stats[key], key
-        # one matvec per stage and two to start: FSAL is never reset
-        attempts = coarse.stats["steps_accepted"] + coarse.stats["steps_rejected"]
-        assert coarse.stats["matvecs"] == 6 * attempts + 2
+        # six powers per accepted step and L y to start: rejected steps reuse
+        # the powers, and FSAL is never reset
+        assert coarse.stats["matvecs"] == 6 * coarse.stats["steps_accepted"] + 1
         assert np.allclose(fine.times[::10], coarse.times, rtol=0, atol=1e-12)
         assert np.max(np.abs(fine.values[::10] - coarse.values)) < 1e-12
         assert np.max(np.abs(fine.mutual_info[::10] - coarse.mutual_info)) < 1e-12
 
+    def test_rejected_steps_cost_no_matvec(self):
+        # a detuning-free pair driven hard against its decay: the controller
+        # rejects 48 steps, each re-sized from the same block of powers
+        model = build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 20.0, 5.0))
+        rho0 = DensityMatrix.product_state(model.layout, [(1, 0), (0, 1)])
+        traj = evolve(model, rho0, 20.0, 0.5, rel_tol=1e-10, abs_tol=1e-12,
+                      keep_states=True)
+        stats = traj.stats
+        assert (stats["steps_accepted"], stats["steps_rejected"]) == (3226, 48)
+        assert stats["matvecs"] == 6 * 3226 + 1 == 19357
+        oracle = propagate_dense(model, rho0, traj.times)
+        worst = max(float(np.max(np.abs(s.matrix - o.matrix)))
+                    for s, o in zip(traj.states, oracle))
+        assert worst < 1e-6, worst
+
+    def test_renormalizing_every_sample_changes_nothing(self, monkeypatch):
+        # rescale divides the power block and the step's samples: a run
+        # that renormalizes every sample whose trace is off by any rounding
+        # follows the same solution
+        model, rho0 = PRESETS["fig3"].build()
+        plain = evolve(model, rho0, 1.28, 0.02)
+        monkeypatch.setattr(lindblad, "RENORM_THRESHOLD", 0.0)
+        renormed = evolve(model, rho0, 1.28, 0.02)
+        assert plain.stats["renormalizations"] == 0
+        renorms = renormed.stats["renormalizations"]
+        assert renorms == np.count_nonzero(renormed.trace_errors) > len(renormed.times) // 2
+        assert np.max(np.abs(renormed.values - plain.values)) < 1e-12
+        assert np.max(np.abs(renormed.mutual_info - plain.mutual_info)) < 1e-12
+
+    def test_rescale_divides_the_rest_of_the_run(self):
+        # trace errors of 1e-15 leave a faulty rescale invisible; halving at
+        # a sample inside a step must halve every later sample, those the
+        # step has already formed included, up to the stepper's own error
+        model, rho0 = reduced_case()
+        d = model.dim
+        e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
+        liou = _real_generator(_liouvillian(model)[sel], e, imag)
+        vec = rho0.matrix.ravel()
+        x0 = np.where(imag, vec[sel].imag, vec[sel].real)
+        times = sample_grid(20.0, 0.05)
+        stepper = _Dopri5(liou, DEFAULT_REL_TOL, DEFAULT_ABS_TOL, d * d)
+        plain = [x.copy() for _, x in stepper.samples(x0, times)]
+        assert stepper.accepted < len(times) // 4     # several samples per step
+        stepper = _Dopri5(liou, DEFAULT_REL_TOL, DEFAULT_ABS_TOL, d * d)
+        for i, x in stepper.samples(x0, times):
+            if i == 201:
+                stepper.rescale(2.0)
+            expected = plain[i] / 2 if i >= 201 else plain[i]
+            assert np.max(np.abs(x - expected)) < 1e-6, i
+
     def test_work_bound(self, coarse_and_fine):
         # pins the work, not the time: 2,858 and 24,008 matvecs when every
-        # sample ended a step, 902 at both with free steps
+        # sample ended a step, 902 at both with free steps and 901 in
+        # power form
         for traj in coarse_and_fine:
             assert traj.stats["matvecs"] <= 1000, traj.stats
 
@@ -382,6 +439,83 @@ class TestFreeStepping:
         assert np.array_equal(traj.mutual_info, mi)
         assert np.array_equal(traj.states[-1].matrix, traj.final_state.matrix)
         assert np.all(traj.mutual_info[1:] > 0)
+
+
+# The published Dormand-Prince 5(4) tableau: stage rows A (the last is the
+# 5th-order weights, the FSAL stage), the embedded 4th-order weights and the
+# continuous extension (Dormand & Prince 1986, as in Hairer's DOPRI5 contd5).
+DP_A = [
+    [],
+    [F(1, 5)],
+    [F(3, 40), F(9, 40)],
+    [F(44, 45), F(-56, 15), F(32, 9)],
+    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+    [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)],
+]
+DP_B4 = [F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200),
+         F(187, 2100), F(1, 40)]
+DP_CONT = [     # row s: the theta, theta^2, theta^3, theta^4 weights of stage s
+    [1, F(-8048581381, 2820520608), F(8663915743, 2820520608),
+     F(-12715105075, 11282082432)],
+    [0, 0, 0, 0],
+    [0, F(131558114200, 32700410799), F(-68118460800, 10900136933),
+     F(87487479700, 32700410799)],
+    [0, F(-1754552775, 470086768), F(14199869525, 1410260304),
+     F(-10690763975, 1880347072)],
+    [0, F(127303824393, 49829197408), F(-318862633887, 49829197408),
+     F(701980252875, 199316789632)],
+    [0, F(-282668133, 205662961), F(2019193451, 616988883), F(-1453857185, 822651844)],
+    [0, F(40617522, 29380423), F(-110615467, 29380423), F(69997945, 29380423)],
+]
+
+
+def dp_stage_polynomials():
+    """h K_s for dy/dt = L y as exact coefficients of z^0..z^7 (z = hL) acting on y."""
+    stages = []
+    for row in DP_A:
+        arg = [F(1)] + [F(0)] * 7       # y + sum_j a_sj h K_j
+        for a, k in zip(row, stages):
+            arg = [x + a * y for x, y in zip(arg, k)]
+        stages.append([F(0)] + arg[:7])     # times z
+    return stages
+
+
+class TestPowerForm:
+    """The stepper's power-form constants against the tableau, in exact arithmetic."""
+
+    stages = dp_stage_polynomials()
+    b5 = DP_A[6] + [F(0)]
+
+    def combine(self, weights, k):
+        return sum(w * stage[k] for w, stage in zip(weights, self.stages))
+
+    def test_step_is_the_stability_polynomial(self):
+        c = [self.combine(self.b5, k) for k in range(8)]
+        assert c == [0, 1, F(1, 2), F(1, 6), F(1, 24), F(1, 120), F(1, 600), 0]
+        assert _DP_C.tolist() == [float(x) for x in c[1:7]]
+
+    def test_error_weights(self):
+        err = [self.combine([b - b4 for b, b4 in zip(self.b5, DP_B4)], k) for k in range(8)]
+        assert err == [0] * 5 + [F(-97, 120000), F(13, 40000), F(-1, 24000)]
+        assert _DP_E.tolist() == [float(x) for x in err[5:]]
+
+    def test_continuous_extension(self):
+        d = [[self.combine([row[m] for row in DP_CONT], k) for m in range(4)]
+             for k in range(1, 8)]
+        for k in range(1, 5):
+            assert d[k - 1] == [F(1, math.factorial(k)) if m == k - 1 else 0
+                                for m in range(4)]
+        assert d[4][1:] == [F(5112093, 587608460), F(-90725539, 3525650760),
+                            F(22358351, 881412690)]
+        assert d[5][1:] == [F(-17546271, 2938042300), F(181174829, 17628253800),
+                            F(-2325839, 881412690)]
+        assert d[6][1:] == [F(6769587, 2938042300), F(-110615467, 17628253800),
+                            F(13999589, 3525650760)]
+        assert d[4][0] == d[5][0] == d[6][0] == 0
+        # at theta = 1 the extension is the step itself
+        assert [sum(row) for row in d[4:]] == [F(1, 120), F(1, 600), 0]
+        assert _DP_D.tolist() == [[float(x) for x in row] for row in d]
 
 
 def reachable_count(model, rho0):
