@@ -15,7 +15,11 @@ for i < j (D^2 real numbers), under the real generator L_r = R L E built once
 from L: E maps the coordinates to the complex vec(rho) and R reads them
 back.  A Dormand-Prince 5(4) adaptive stepper advances them in float64, as
 the polynomial in hL it is on this linear problem: six CSR matvecs per
-accepted step, none per rejected one.  Only the reachable set is stepped: the
+accepted step, none per rejected one.  A model that sets
+`ModelSpec.exact_propagator` (the reduced two-qubit model, 16 coordinates)
+is instead advanced by P = expm(L_r dt), formed once for the sample spacing
+dt: one dense matvec per sample, exact to rounding, with no tolerances and
+no steps.  Only the reachable set is stepped: the
 entries that the initial state reaches through L's sparsity pattern, closed
 under rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1)
 couplings (excitation exchange, pair creation) leave most entries
@@ -32,16 +36,18 @@ error norm divides by D^2, as if the pruned coordinates, exact zeros, were
 stepped too, so pruning by reachability changes the steps taken only by
 rounding.
 
-The stepper steps freely over the whole run: the error control alone sizes
-each step, and only the last one is cut to land on t_end.  Each sample x is
-the 4th-order continuous extension of the step that covers it, evaluated
-from that step's powers, so the sample grid does not shape the steps.
+The adaptive stepper steps freely over the whole run: the error control
+alone sizes each step, and only the last one is cut to land on t_end.  Each
+sample x is the 4th-order continuous extension of the step that covers it,
+evaluated from that step's powers, so the sample grid does not shape the
+steps.
 Each sample does only the sequential work:
   * the trace, one dot of x with the diagonal coordinates;
   * a renormalization when the trace drifts beyond 1e-10, an explicit
     policy that keeps runs bit-reproducible.  It divides the sample, the
     stepper's block of x and its powers, and the step's other samples by
-    the trace; L_r is linear, so the step's end, formed from the block
+    the trace (under the exact propagator, the sample that the next is
+    formed from); L_r is linear, so the step's end, formed from the block
     after its samples, stays consistent;
   * the truncation guards: with an excitation cap, one dot with the top
     shell N == cap, and one per bosonic factor (dimension >= 3) whose top
@@ -120,6 +126,11 @@ class ModelSpec:
     whose excitation number (see `excitation_numbers`) is at most the cap,
     or at most one above the initial state's highest occupied shell where
     that is higher; None steps the whole space.
+
+    `exact_propagator` makes `evolve` advance each sample by the matrix
+    exponential of the stepped generator over one sample spacing
+    (`_Propagator`) in place of the adaptive Dormand-Prince stepper: exact
+    to rounding, and for a model small enough to hold that dense matrix.
     """
 
     layout: SpaceLayout
@@ -128,6 +139,7 @@ class ModelSpec:
     observables: tuple[tuple[str, Operator], ...]
     catalog: str | None = None
     excitation_cap: int | None = None
+    exact_propagator: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "dissipators", tuple(self.dissipators))
@@ -305,6 +317,8 @@ class _Dopri5:
     not counted) accumulate over the stepper's life.
     """
 
+    name = "dopri5"
+
     def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float, n_full: int):
         self.liou = liou
         self.rel = rel_tol
@@ -402,6 +416,47 @@ class _Dopri5:
                 self._powers(2)
 
 
+class _Propagator:
+    """Exact sampling of dy/dt = L y on a uniform grid, for a model that sets
+    `ModelSpec.exact_propagator`.
+
+    P = expm(L dt) over the sample spacing dt is formed once, densely, by
+    scipy's scaling and squaring (Al-Mohy & Higham 2009); each sample is then
+    y <- P y, one dense matvec, exact to rounding.  It gives `evolve` the
+    slots that `_Dopri5` gives: `samples`, `rescale(c)`, which divides the
+    current sample and so every later one, and the counters.  `matvecs`
+    counts the products with P, one per sample after the first; no adaptive
+    step is taken, so `accepted` and `rejected` stay 0 and `h_min` inf.
+    """
+
+    name = "expm"
+
+    def __init__(self, liou: sparse.csr_matrix, sample_dt: float):
+        self.p = expm(liou.toarray() * sample_dt)
+        self.y = np.zeros(liou.shape[0])
+        self.matvecs = 0
+        self.accepted = 0
+        self.rejected = 0
+        self.h_min = np.inf
+
+    def rescale(self, c: float):
+        """Divide the current sample by c."""
+        self.y /= c
+
+    def samples(self, y0: np.ndarray, times: np.ndarray):
+        """Yield (i, y(times[i])) for every i of the uniform grid `times`.
+
+        Each yielded vector is the propagator's own storage, valid until the
+        next one is asked for; `rescale` divides it too.
+        """
+        self.y = np.array(y0, dtype=float)
+        yield 0, self.y
+        for i in range(1, len(times)):
+            self.y = self.p @ self.y
+            self.matvecs += 1
+            yield i, self.y
+
+
 def excitation_numbers(layout: SpaceLayout) -> np.ndarray:
     """Each basis state's excitation number: the sum of its factors' basis indices.
 
@@ -486,8 +541,10 @@ def evolve(
     t_end, sample_dt:
         Run length and sample spacing (t_end must be an integer multiple).
     rel_tol, abs_tol:
-        The stepper's relative and absolute error tolerances; both positive,
-        and rel_tol at least MIN_REL_TOL.
+        The adaptive stepper's relative and absolute error tolerances; both
+        positive, and rel_tol at least MIN_REL_TOL.  They are checked for
+        every model but used only by models stepped with Dopri5: a model
+        with `exact_propagator` runs without them.
     keep_states:
         Store the sampled density matrices (memory scales with n*D^2).
 
@@ -495,10 +552,17 @@ def evolve(
     module docstring), with the cap raised where needed to lie above rho0's
     highest occupied shell.
 
+    A model with `exact_propagator` is advanced sample to sample by
+    P = expm(L_r sample_dt) (`_Propagator`); every other model by the
+    adaptive Dormand-Prince stepper (`_Dopri5`).
+
     With two or more factors, `mutual_info` records the mutual information
     of factors 0 and 1 at every sample; with one factor it is None.  The
-    returned `stats` dict holds the stepper's `matvecs` (six per accepted
-    step and one to start), `steps_accepted`, `steps_rejected` and `h_min`,
+    returned `stats` dict names the `propagator`, 'dopri5' or 'expm', and
+    holds its `matvecs` (under 'dopri5' six per accepted step and one to
+    start; under 'expm' one product with P per sample after the first),
+    `steps_accepted`, `steps_rejected` and `h_min` (0, 0 and None under
+    'expm', which takes no adaptive step),
     the number of stepped real `coordinates` against `dim_squared` = D^2,
     the number of trace `renormalizations`, and `top_level_population`,
     the largest population the guard saw on each guarded factor's top level
@@ -529,8 +593,12 @@ def evolve(
     idx = np.flatnonzero(reach)
     e, sel, imag = _hermitian_coordinates(idx, d)
     liou = liou[sel]    # only the rows R reads: the full complex L is freed here
-    stepper = _Dopri5(_real_generator(liou, e, imag), rel_tol, abs_tol, d * d)
+    generator = _real_generator(liou, e, imag)
     del liou
+    if model.exact_propagator:
+        stepper = _Propagator(generator, sample_dt)
+    else:
+        stepper = _Dopri5(generator, rel_tol, abs_tol, d * d)
     names = model.observable_names()
     # tr(rho O) = vec(O^T) . E x, real for Hermitian O
     obs = np.array([(e.T @ op.matrix.T.ravel()).real for _, op in model.observables])
@@ -597,6 +665,7 @@ def evolve(
         mutual_info=mi,
         states=states,
         stats={
+            "propagator": stepper.name,
             "matvecs": stepper.matvecs,
             "steps_accepted": stepper.accepted,
             "steps_rejected": stepper.rejected,

@@ -23,7 +23,9 @@ reduced_qubit
     The two-qubit limit of the above when the resonant common cavity mode
     is adiabatically eliminated: a single collective decay channel with
     jump (sigma_minus^1 + sigma_minus^2)/sqrt(2) at rate gamma_eff =
-    g0^2/kappa, plus the detuning/drive Hamiltonian.
+    g0^2/kappa, plus the detuning/drive Hamiltonian.  Its 16 real
+    coordinates are advanced by the exact per-sample propagator
+    (`ModelSpec.exact_propagator`), not by the adaptive stepper.
 
 vdp
     Two quantum van der Pol oscillators: linear gain (jump a^dag, rate
@@ -211,7 +213,8 @@ def build_reduced_qubit(p: ReducedQubitParams) -> ModelSpec:
     h = 0.5 * p.deltaq1 * sz[0] + 0.5 * p.deltaq2 * sz[1] + p.Omega * sx1
     collective_lower = (sm[0] + sm[1]) / np.sqrt(2.0)
     dissipators = (Dissipator(p.gamma_eff, collective_lower),)
-    return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli")
+    return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli",
+                     exact_propagator=True)
 
 
 def build_vdp(p: VdpParams) -> ModelSpec:

@@ -25,7 +25,7 @@ from qsync.cli import (
     run_sweep,
 )
 from qsync.lindblad import evolve, propagate_dense
-from qsync.models import MODELS, PRESET_NAMES, PRESETS
+from qsync.models import MODELS, PRESET_NAMES, PRESETS, ReducedQubitParams, build_reduced_qubit
 from qsync.syncmeter import AnalysisThresholds
 
 # a fast scenario: collective-decay qubit pair with a weak drive, run long
@@ -380,17 +380,27 @@ class TestRunAnalyze:
     def test_stats_json_beside_report(self, run_dir):
         outdir, report = run_dir
         stats = json.loads((outdir / "stats.json").read_text())
-        assert set(stats) == {"matvecs", "steps_accepted", "steps_rejected", "h_min",
-                              "coordinates", "dim_squared", "renormalizations",
+        assert set(stats) == {"propagator", "matvecs", "steps_accepted", "steps_rejected",
+                              "h_min", "coordinates", "dim_squared", "renormalizations",
                               "top_level_population"}
         assert stats["coordinates"] == stats["dim_squared"] == 16
-        assert stats["steps_accepted"] > 0 and stats["h_min"] > 0
         assert stats["top_level_population"] == {}      # qubits only: nothing guarded
-        # six powers per accepted step, plus L y to start; renormalization
-        # rescales the powers and never resets FSAL
-        assert stats["matvecs"] == 6 * stats["steps_accepted"] + 1
+        # the reduced model takes the exact propagator: one product with
+        # P = expm(L_r dt) per sample after the first, and no adaptive step
+        assert stats["propagator"] == "expm"
+        assert (stats["matvecs"], stats["steps_accepted"], stats["steps_rejected"],
+                stats["h_min"]) == (800, 0, 0, None)
         assert not set(stats) & set(report)
         assert read_trajectory_csv(outdir / "trajectory.csv").stats is None
+
+    def test_tolerances_leave_reduced_run_unchanged(self, run_dir, tmp_path):
+        # the exact propagator takes no tolerances: they are echoed, not used
+        outdir, _ = run_dir
+        text = FAST_SCENARIO + "run.rel_tol = 1e-3\nrun.abs_tol = 1e-4\n"
+        report = run_scenario(scenario_from_mapping(parse_config_text(text)), tmp_path)
+        assert report["scenario"]["run"]["rel_tol"] == 1e-3
+        for name in ("trajectory.csv", "mutual_info.csv", "diagnostics.csv", "stats.json"):
+            assert (tmp_path / name).read_bytes() == (outdir / name).read_bytes(), name
 
     def test_report_structure(self, run_dir):
         _, report = run_dir
@@ -496,6 +506,34 @@ class TestSweep:
         assert point["chi"] == direct["chi"]
         assert point["xi"] == direct["xi"]
 
+    def test_exact_propagator_keeps_every_verdict(self, tmp_path, monkeypatch):
+        # a 2x2 reduced-model sweep as shipped, and again with every point
+        # stepped by Dopri5: the summaries agree row for row
+        sweep_text = FAST_SCENARIO + ("sweep.axis.param.deltaq2 = 0.02 0.08\n"
+                                      "sweep.axis.param.Omega = 0 0.01\n")
+        spec = sweep_from_mapping(parse_config_text(sweep_text))
+        assert run_sweep(spec, tmp_path / "expm") == 4
+        monkeypatch.setitem(MODELS, "reduced_qubit", (ReducedQubitParams, lambda p: (
+            dataclasses.replace(build_reduced_qubit(p), exact_propagator=False))))
+        assert run_sweep(spec, tmp_path / "dopri5") == 4
+        summaries = {}
+        for name in ("expm", "dopri5"):
+            with open(tmp_path / name / "summary.csv", newline="") as fh:
+                summaries[name] = list(csv.DictReader(fh))
+            for k in range(4):
+                stats = json.loads((tmp_path / name / f"point_{k:04d}" / "stats.json").read_text())
+                assert stats["propagator"] == name
+        for k, (exact, stepped) in enumerate(zip(summaries["expm"], summaries["dopri5"])):
+            for key in ("status", "chi", "c", "xi"):
+                assert exact[key] == stepped[key], (key, exact, stepped)
+            reports = [json.loads((tmp_path / name / f"point_{k:04d}" / "report.json").read_text())
+                       for name in ("expm", "dopri5")]
+            assert reports[0]["synchronized_set"] == reports[1]["synchronized_set"]
+            assert ({n: p["phase_class"] for n, p in reports[0]["pairs"].items()}
+                    == {n: p["phase_class"] for n, p in reports[1]["pairs"].items()})
+            assert float(exact["mutual_info_final"]) == pytest.approx(
+                float(stepped["mutual_info_final"]), rel=0, abs=1e-6)
+
     def test_grid_cap_refused_before_running(self, tmp_path):
         sweep_text = FAST_SCENARIO + (
             "sweep.axis.param.Omega = " + " ".join(["0.0"] * 9) + "\n"
@@ -564,6 +602,7 @@ class TestExcitationCap:
         cfg = scenario_from_mapping(parse_config_text(_FIG2A_SHORT))
         report = run_scenario(cfg, tmp_path)
         stats = json.loads((tmp_path / "stats.json").read_text())
+        assert stats["propagator"] == "dopri5"
         assert stats["coordinates"] == 625
         assert set(stats["top_level_population"]) == {"excitations"}
         assert stats["top_level_population"]["excitations"] < 1e-9
@@ -767,15 +806,16 @@ run.sample_dt = 0.125
         assert not (tmp_path / "re" / "report.json").exists()
 
     def test_unmeetable_tolerances_exit_code(self, tmp_path, capsys):
-        # the derivative scaled by abs_tol overflows: no step can be chosen
-        text = FAST_SCENARIO + "run.abs_tol = 1e-300\n"
+        # the derivative scaled by abs_tol overflows: no step can be chosen.
+        # vdp is stepped by Dopri5; the reduced model takes no tolerances
+        text = SMALL_VDP + "run.abs_tol = 1e-300\n"
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, text)),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: initial step underflow") and len(err.splitlines()) == 1
         assert not (out / "report.json").exists()
-        sweep = write_config(tmp_path, text + "sweep.axis.param.Omega = 0\n", "sweep.cfg")
+        sweep = write_config(tmp_path, text + "sweep.axis.param.Omega1 = 0.1\n", "sweep.cfg")
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw")]) == 5
         with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
             _, failed = csv.reader(fh)

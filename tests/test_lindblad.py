@@ -19,6 +19,7 @@ from qsync.lindblad import (
     ModelSpec,
     TruncationError,
     _Dopri5,
+    _Propagator,
     _hermitian_coordinates,
     _liouvillian,
     _reachable,
@@ -107,6 +108,20 @@ def reduced_case():
     return model, rho0
 
 
+def dopri5(model):
+    """The model with the exact propagator off: `evolve` steps it with `_Dopri5`."""
+    return dataclasses.replace(model, exact_propagator=False)
+
+
+def real_problem(model, rho0):
+    """L_r on all D^2 real coordinates, and rho0's coordinates x0 on it."""
+    d = model.dim
+    e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
+    liou = _real_generator(_liouvillian(model)[sel], e, imag)
+    vec = rho0.matrix.ravel()
+    return liou, np.where(imag, vec[sel].imag, vec[sel].real)
+
+
 def rhs(model, rho):
     """d rho/dt: the model's generator applied to the row-stacked vec(rho)."""
     return (_liouvillian(model) @ rho.matrix.ravel()).reshape(model.dim, model.dim)
@@ -187,7 +202,7 @@ class TestEvolve:
         assert np.min(traj.min_eigenvalues) > -1e-8
 
     def test_self_convergence_under_tolerance_halving(self):
-        model = build_reduced_qubit(ReducedQubitParams(0.05, 0.0, 1e-3, 0.25))
+        model = dopri5(build_reduced_qubit(ReducedQubitParams(0.05, 0.0, 1e-3, 0.25)))
         rho0 = DensityMatrix.product_state(
             model.layout, [(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.7), np.sqrt(0.3))]
         )
@@ -331,7 +346,7 @@ class TestDenseOracle:
         # a sweep_reduced-shaped run: free steps, every sample from the
         # continuous extension, each within criterion 5's 1e-6 of exp(L t)
         model, rho0 = reduced_case()
-        traj = evolve(model, rho0, 200.0, 0.5, keep_states=True)
+        traj = evolve(dopri5(model), rho0, 200.0, 0.5, keep_states=True)
         oracle = propagate_dense(model, rho0, traj.times)
         worst = max(float(np.max(np.abs(s.matrix - o.matrix)))
                     for s, o in zip(traj.states, oracle))
@@ -352,7 +367,7 @@ class TestFreeStepping:
     @pytest.fixture(scope="class")
     def coarse_and_fine(self):
         model, rho0 = reduced_case()
-        return [evolve(model, rho0, 200.0, dt) for dt in (0.5, 0.05)]
+        return [evolve(dopri5(model), rho0, 200.0, dt) for dt in (0.5, 0.05)]
 
     def test_step_sequence_ignores_sample_grid(self, coarse_and_fine):
         coarse, fine = coarse_and_fine
@@ -368,7 +383,7 @@ class TestFreeStepping:
     def test_rejected_steps_cost_no_matvec(self):
         # a detuning-free pair driven hard against its decay: the controller
         # rejects 48 steps, each re-sized from the same block of powers
-        model = build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 20.0, 5.0))
+        model = dopri5(build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 20.0, 5.0)))
         rho0 = DensityMatrix.product_state(model.layout, [(1, 0), (0, 1)])
         traj = evolve(model, rho0, 20.0, 0.5, rel_tol=1e-10, abs_tol=1e-12,
                       keep_states=True)
@@ -400,10 +415,7 @@ class TestFreeStepping:
         # step has already formed included, up to the stepper's own error
         model, rho0 = reduced_case()
         d = model.dim
-        e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
-        liou = _real_generator(_liouvillian(model)[sel], e, imag)
-        vec = rho0.matrix.ravel()
-        x0 = np.where(imag, vec[sel].imag, vec[sel].real)
+        liou, x0 = real_problem(model, rho0)
         times = sample_grid(20.0, 0.05)
         stepper = _Dopri5(liou, DEFAULT_REL_TOL, DEFAULT_ABS_TOL, d * d)
         plain = [x.copy() for _, x in stepper.samples(x0, times)]
@@ -439,6 +451,73 @@ class TestFreeStepping:
         assert np.array_equal(traj.mutual_info, mi)
         assert np.array_equal(traj.states[-1].matrix, traj.final_state.matrix)
         assert np.all(traj.mutual_info[1:] > 0)
+
+
+def criterion_4a_reduced_case():
+    # criterion 4a's reduced run: fig2b's qubits at gamma_eff = g0^2/kappa
+    model = build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 0.0, 0.25))
+    rho0 = DensityMatrix.product_state(model.layout, [PRESETS["fig2b"].initial[label]
+                                                      for label in ("qubit1", "qubit2")])
+    return model, rho0
+
+
+class TestExactPropagator:
+    def test_only_the_reduced_builder_sets_it(self):
+        assert build_reduced_qubit(ReducedQubitParams(0.05, 0.02, 1e-3, 0.25)).exact_propagator
+        for name in ("fig2a", "fig3"):
+            assert not PRESETS[name].build()[0].exact_propagator
+        assert not single_qubit_decay().exact_propagator
+        model, rho0 = reduced_case()
+        stats = evolve(model, rho0, 2.0, 0.5).stats
+        assert (stats["propagator"], stats["matvecs"], stats["steps_accepted"],
+                stats["steps_rejected"], stats["h_min"]) == ("expm", 4, 0, 0, None)
+        assert evolve(dopri5(model), rho0, 2.0, 0.5).stats["propagator"] == "dopri5"
+
+    @pytest.mark.parametrize("case, t_end", [(reduced_case, 200.0),
+                                             (criterion_4a_reduced_case, 40.0)])
+    def test_matches_dopri5(self, case, t_end):
+        # the same L_r sampled both ways: the difference is Dopri5's own
+        # error at the default tolerances, within criterion 5's 1e-6
+        model, rho0 = case()
+        liou, x0 = real_problem(model, rho0)
+        times = sample_grid(t_end, 0.5)
+        exact = [x.copy() for _, x in _Propagator(liou, 0.5).samples(x0, times)]
+        stepper = _Dopri5(liou, DEFAULT_REL_TOL, DEFAULT_ABS_TOL, model.dim ** 2)
+        stepped = [x.copy() for _, x in stepper.samples(x0, times)]
+        assert len(exact) == len(stepped) == len(times)
+        assert np.max(np.abs(np.array(exact) - np.array(stepped))) < 1e-6
+        # and through evolve, observables and mutual information alike
+        runs = [evolve(m, rho0, t_end, 0.5) for m in (model, dopri5(model))]
+        assert np.max(np.abs(runs[0].values - runs[1].values)) < 1e-6
+        assert np.max(np.abs(runs[0].mutual_info - runs[1].mutual_info)) < 1e-6
+
+    def test_matches_expm_multiply(self):
+        # scipy's truncated-Taylor action of the exponential (Al-Mohy &
+        # Higham 2011) forms no matrix exponential: an independent check
+        from scipy.sparse.linalg import expm_multiply
+
+        model = build_reduced_qubit(ReducedQubitParams(0.3, -0.1, 0.2, 0.4))
+        rho0 = DensityMatrix.product_state(model.layout, [(0.6, 0.8j), (0.8, -0.6)])
+        liou, x0 = real_problem(model, rho0)
+        times = sample_grid(50.0, 0.25)
+        exact = np.array([x.copy() for _, x in _Propagator(liou, 0.25).samples(x0, times)])
+        reference = expm_multiply(liou, x0, start=0.0, stop=50.0, num=len(times),
+                                  endpoint=True)
+        assert np.max(np.abs(exact - reference)) < 1e-12
+
+    def test_rescale_halves_every_later_sample(self):
+        # y <- P y is linear and halving is exact in binary: halving at a
+        # mid-run sample halves that sample and every later one, bit for bit
+        model, rho0 = reduced_case()
+        liou, x0 = real_problem(model, rho0)
+        times = sample_grid(20.0, 0.5)
+        plain = [x.copy() for _, x in _Propagator(liou, 0.5).samples(x0, times)]
+        propagator = _Propagator(liou, 0.5)
+        for i, x in propagator.samples(x0, times):
+            if i == 20:
+                propagator.rescale(2.0)
+            assert np.array_equal(x, plain[i] / 2 if i >= 20 else plain[i]), i
+        assert propagator.matvecs == len(times) - 1
 
 
 # The published Dormand-Prince 5(4) tableau: stage rows A (the last is the
