@@ -45,8 +45,9 @@ final name.
 
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, a
 model or catalog over `opalg.MAX_DIM` dimensions, an analysis window too
-short to fit, or tolerances that the Dopri5 stepper cannot meet; a
-model with `ModelSpec.exact_propagator` uses none), 3 truncation-guard
+short to fit, tolerances that the Dopri5 stepper cannot meet, which a
+run under the exact propagator does not use, or parameters whose
+propagator overflows), 3 truncation-guard
 abort (a top Fock level or the top excitation shell filled), 4 I/O error,
 5 sweep with no successful point.  Every failure prints
 a one-line `error:` message to stderr.

@@ -16,10 +16,15 @@ from L: E maps the coordinates to the complex vec(rho) and R reads them
 back.  A Dormand-Prince 5(4) adaptive stepper advances them in float64, as
 the polynomial in hL it is on this linear problem: six CSR matvecs per
 accepted step, none per rejected one.  A model that sets
-`ModelSpec.exact_propagator` (the reduced two-qubit model, 16 coordinates)
-is instead advanced by P = expm(L_r dt), formed once for the sample spacing
-dt: one dense matvec per sample, exact to rounding, with no tolerances and
-no steps.  Only the reachable set is stepped: the
+`ModelSpec.exact_propagator` (the two qubit models: the reduced pair, 16
+coordinates, and the cavity-qubit pair, 169 to 625 at the presets' cap),
+where the stepped block holds at most EXACT_MAX_COORDINATES coordinates, is
+instead advanced by P = exp(L_r dt), formed once for the sample spacing dt
+by a Taylor scaling and squaring on the sparse L_r (`_expm`): one dense
+matvec per sample, exact to rounding, with no tolerances and no steps.  A
+larger block (the cavity-qubit pair at Nc >= 5: 1,681 coordinates and up)
+is stepped by Dopri5.
+Only the reachable set is stepped: the
 entries that the initial state reaches through L's sparsity pattern, closed
 under rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1)
 couplings (excitation exchange, pair creation) leave most entries
@@ -60,9 +65,10 @@ rho = E x as a stack, Hermitian by construction, one stacked eigvalsh and
 the mutual information.  The rho stack is at most RHO_BLOCK_BYTES.
 
 `dense_liouvillian` / `propagate_dense` build the column-stacked
-superoperator and advance with scipy's scaling-and-squaring matrix
-exponential.  That path shares no stepping code with `evolve` and serves as
-the independent cross-validation oracle for small systems.
+superoperator and advance with scipy's Pade scaling-and-squaring matrix
+exponential, imported there only, so that no run loads scipy.linalg.  That
+path shares no code with `evolve`'s propagators and serves as the
+independent cross-validation oracle for small systems.
 """
 
 from __future__ import annotations
@@ -72,7 +78,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
 
 from .opalg import (
     DensityMatrix,
@@ -90,6 +95,8 @@ ORACLE_CAP = 16
 MAX_SAMPLES = 10**6     # 500x the largest preset's 2,001 samples
 MIN_REL_TOL = 100 * np.finfo(float).eps     # below it the error estimate is rounding noise
 RHO_BLOCK_BYTES = 256 * 1024    # the recorded rho stack: 1,024 samples at D=4, 1 at D=144
+EXACT_MAX_COORDINATES = 1024    # the exact propagator's two dense n x n buffers: 8 MiB each
+_TAYLOR_DEGREE = 18     # at ||X||_1 < 1 the Taylor remainder is below 1/19! * e < 2^-53
 
 
 class TruncationError(RuntimeError):
@@ -130,7 +137,9 @@ class ModelSpec:
     `exact_propagator` makes `evolve` advance each sample by the matrix
     exponential of the stepped generator over one sample spacing
     (`_Propagator`) in place of the adaptive Dormand-Prince stepper: exact
-    to rounding, and for a model small enough to hold that dense matrix.
+    to rounding, for a run whose stepped block holds at most
+    EXACT_MAX_COORDINATES coordinates; a larger run is stepped by Dopri5.
+    The reduced and the cavity-qubit builders set it.
     """
 
     layout: SpaceLayout
@@ -416,23 +425,61 @@ class _Dopri5:
                 self._powers(2)
 
 
+def _squarings(a: sparse.csr_matrix, dt: float) -> int:
+    """The least s >= 0 with ||2^-s a dt||_1 < 1 (0 for a non-finite norm)."""
+    col_sums = np.bincount(a.indices, np.abs(a.data), minlength=a.shape[1])
+    return max(math.frexp(float(col_sums.max(initial=0.0)) * dt)[1], 0)
+
+
+def _expm(a: sparse.csr_matrix, dt: float) -> np.ndarray:
+    """exp(a dt) as a dense array, for a real sparse square a, by scaling and squaring.
+
+    X = 2^-s a dt, with s from `_squarings` and the factor taken by
+    math.ldexp so that no power of two overflows.  exp(X) is its Taylor
+    polynomial of degree _TAYLOR_DEGREE, whose remainder at ||X||_1 < 1 lies
+    below unit roundoff, summed by Horner's rule with one sparse-dense
+    product per term; s squarings then give exp(a dt) = exp(X)^(2^s)
+    (Moler & Van Loan, SIAM Rev. 45, 3, 2003; Al-Mohy & Higham, SIAM J.
+    Matrix Anal. Appl. 31, 970, 2009).  At most two dense n x n buffers are
+    live at once.  ValueError if the result is not finite.
+    """
+    n = a.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _squarings(a, dt)
+        x = a * math.ldexp(dt, -s)
+        p = x.toarray()
+        p /= _TAYLOR_DEGREE
+        p.ravel()[::n + 1] += 1.0       # I + X/m
+        for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+            p = x @ p       # I + X/k (I + X/(k+1) (...)), the old buffer freed
+            p /= k
+            p.ravel()[::n + 1] += 1.0
+        q = np.empty_like(p)
+        for _ in range(s):
+            np.matmul(p, p, out=q)
+            p, q = q, p
+    if not np.isfinite(p).all():
+        raise ValueError(f"the generator's exponential over dt={dt:.6g} is not finite")
+    return p
+
+
 class _Propagator:
     """Exact sampling of dy/dt = L y on a uniform grid, for a model that sets
-    `ModelSpec.exact_propagator`.
+    `ModelSpec.exact_propagator`, on at most EXACT_MAX_COORDINATES coordinates.
 
-    P = expm(L dt) over the sample spacing dt is formed once, densely, by
-    scipy's scaling and squaring (Al-Mohy & Higham 2009); each sample is then
-    y <- P y, one dense matvec, exact to rounding.  It gives `evolve` the
-    slots that `_Dopri5` gives: `samples`, `rescale(c)`, which divides the
-    current sample and so every later one, and the counters.  `matvecs`
-    counts the products with P, one per sample after the first; no adaptive
-    step is taken, so `accepted` and `rejected` stay 0 and `h_min` inf.
+    P = exp(L dt) over the sample spacing dt is formed once, densely, by the
+    Taylor scaling and squaring of `_expm`; each sample is then y <- P y,
+    one dense matvec, exact to rounding.  It gives `evolve` the slots that
+    `_Dopri5` gives: `samples`, `rescale(c)`, which divides the current
+    sample and so every later one, and the counters.  `matvecs` counts the
+    products with P, one per sample after the first; no adaptive step is
+    taken, so `accepted` and `rejected` stay 0 and `h_min` inf.
     """
 
     name = "expm"
 
     def __init__(self, liou: sparse.csr_matrix, sample_dt: float):
-        self.p = expm(liou.toarray() * sample_dt)
+        self.p = _expm(liou, sample_dt)
         self.y = np.zeros(liou.shape[0])
         self.matvecs = 0
         self.accepted = 0
@@ -543,8 +590,8 @@ def evolve(
     rel_tol, abs_tol:
         The adaptive stepper's relative and absolute error tolerances; both
         positive, and rel_tol at least MIN_REL_TOL.  They are checked for
-        every model but used only by models stepped with Dopri5: a model
-        with `exact_propagator` runs without them.
+        every model but used only by runs stepped with Dopri5: a run under
+        the exact propagator goes without them.
     keep_states:
         Store the sampled density matrices (memory scales with n*D^2).
 
@@ -552,9 +599,10 @@ def evolve(
     module docstring), with the cap raised where needed to lie above rho0's
     highest occupied shell.
 
-    A model with `exact_propagator` is advanced sample to sample by
-    P = expm(L_r sample_dt) (`_Propagator`); every other model by the
-    adaptive Dormand-Prince stepper (`_Dopri5`).
+    A model with `exact_propagator` whose stepped block holds at most
+    EXACT_MAX_COORDINATES coordinates is advanced sample to sample by
+    P = exp(L_r sample_dt) (`_Propagator`, formed by `_expm`); every other
+    run by the adaptive Dormand-Prince stepper (`_Dopri5`).
 
     With two or more factors, `mutual_info` records the mutual information
     of factors 0 and 1 at every sample; with one factor it is None.  The
@@ -595,7 +643,7 @@ def evolve(
     liou = liou[sel]    # only the rows R reads: the full complex L is freed here
     generator = _real_generator(liou, e, imag)
     del liou
-    if model.exact_propagator:
+    if model.exact_propagator and len(idx) <= EXACT_MAX_COORDINATES:
         stepper = _Propagator(generator, sample_dt)
     else:
         stepper = _Dopri5(generator, rel_tol, abs_tol, d * d)
@@ -701,6 +749,8 @@ def dense_liouvillian(model: ModelSpec, cap: int = ORACLE_CAP) -> np.ndarray:
 
 def propagate_dense(model: ModelSpec, rho0: DensityMatrix, times) -> list[DensityMatrix]:
     """Oracle propagation exp(L t) vec(rho0) at the given times."""
+    from scipy.linalg import expm     # kept off the import path of every run
+
     if rho0.layout != model.layout:
         raise ValueError("initial state layout does not match model layout")
     times = np.asarray(times, dtype=float)

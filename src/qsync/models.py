@@ -17,7 +17,11 @@ cavity_qubit
     states with N <= cap (the cap raised above the initial state's highest
     shell where needed), and a guard aborts a run whose top shell N == cap
     fills, so raising Nc raises both truncations.  The presets start in
-    N <= 2 and keep the top shell N == 3 below 1e-9.
+    N <= 2 and keep the top shell N == 3 below 1e-9.  The block is sampled
+    by the exact per-sample propagator (`ModelSpec.exact_propagator`) while
+    it holds at most `lindblad.EXACT_MAX_COORDINATES` coordinates (625 at
+    Nc = 4), and stepped by the adaptive stepper beyond that (1,681 at
+    Nc = 5).
 
 reduced_qubit
     The two-qubit limit of the above when the resonant common cavity mode
@@ -25,7 +29,8 @@ reduced_qubit
     jump (sigma_minus^1 + sigma_minus^2)/sqrt(2) at rate gamma_eff =
     g0^2/kappa, plus the detuning/drive Hamiltonian.  Its 16 real
     coordinates are advanced by the exact per-sample propagator
-    (`ModelSpec.exact_propagator`), not by the adaptive stepper.
+    (`ModelSpec.exact_propagator`), not by the adaptive stepper, so run
+    tolerances do not affect it.
 
 vdp
     Two quantum van der Pol oscillators: linear gain (jump a^dag, rate
@@ -201,7 +206,7 @@ def build_cavity_qubit(p: CavityQubitParams) -> ModelSpec:
 
     dissipators = (Dissipator(p.kappa, a[0]), Dissipator(p.kappa, a[1]))
     return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli",
-                     excitation_cap=p.Nc - 1)
+                     excitation_cap=p.Nc - 1, exact_propagator=True)
 
 
 def build_reduced_qubit(p: ReducedQubitParams) -> ModelSpec:

@@ -3,6 +3,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -598,27 +602,31 @@ _FIG2A_SHORT = (_BASE_CONFIGS["cavity_qubit"].replace("run.t_end = 20\n", "")
 
 class TestExcitationCap:
     def test_capped_run_matches_uncapped(self, tmp_path):
-        # the cap Nc - 1 = 3 steps 625 coordinates; without it all 4,096
-        cfg = scenario_from_mapping(parse_config_text(_FIG2A_SHORT))
-        report = run_scenario(cfg, tmp_path)
-        stats = json.loads((tmp_path / "stats.json").read_text())
-        assert stats["propagator"] == "dopri5"
-        assert stats["coordinates"] == 625
-        assert set(stats["top_level_population"]) == {"excitations"}
-        assert stats["top_level_population"]["excitations"] < 1e-9
-        model, rho0 = cfg.build()
-        assert model.excitation_cap == 3
-        full = evolve(dataclasses.replace(model, excitation_cap=None), rho0,
-                      cfg.t_end, cfg.sample_dt)
-        assert full.stats["coordinates"] == 4096
-        capped = read_trajectory_csv(tmp_path / "trajectory.csv")
-        assert np.max(np.abs(capped.values - full.values)) < 1e-6
-        reference = analyze_trajectory(full, model.catalog, cfg.window, cfg.thresholds)
-        for key in ("synchronized_set", "chi", "c", "xi"):
-            assert report[key] == reference[key]
-        for name, pair in report["pairs"].items():
-            for key in ("synced", "phase_class"):
-                assert pair[key] == reference["pairs"][name][key]
+        # the cap Nc - 1 = 3 keeps 625 coordinates, sampled by the exact
+        # propagator; without it all 4,096 are stepped by Dopri5: the two
+        # paths agree on fig2a's and fig2c's parameters
+        fig2c = "".join(f"param.{k} = {v}\n" for k, v in PRESET_PINS["fig2c"]["params"].items())
+        for name, text in (("fig2a", _FIG2A_SHORT), ("fig2c", _FIG2A_SHORT + fig2c)):
+            cfg = scenario_from_mapping(parse_config_text(text))
+            report = run_scenario(cfg, tmp_path / name)
+            stats = json.loads((tmp_path / name / "stats.json").read_text())
+            assert stats["propagator"] == "expm"
+            assert stats["coordinates"] == 625
+            assert set(stats["top_level_population"]) == {"excitations"}
+            assert stats["top_level_population"]["excitations"] < 1e-9
+            model, rho0 = cfg.build()
+            assert model.excitation_cap == 3
+            full = evolve(dataclasses.replace(model, excitation_cap=None), rho0,
+                          cfg.t_end, cfg.sample_dt)
+            assert (full.stats["coordinates"], full.stats["propagator"]) == (4096, "dopri5")
+            capped = read_trajectory_csv(tmp_path / name / "trajectory.csv")
+            assert np.max(np.abs(capped.values - full.values)) < 1e-6
+            reference = analyze_trajectory(full, model.catalog, cfg.window, cfg.thresholds)
+            for key in ("synchronized_set", "chi", "c", "xi"):
+                assert report[key] == reference[key]
+            for pair_name, pair in report["pairs"].items():
+                for key in ("synced", "phase_class"):
+                    assert pair[key] == reference["pairs"][pair_name][key]
 
     def test_top_shell_guard_exit_code(self, tmp_path, capsys):
         # a strong resonant drive fills the top shell N = 3 within a time unit
@@ -644,6 +652,28 @@ class TestExcitationCap:
         stats = json.loads((out / "stats.json").read_text())
         assert stats["coordinates"] == 39 ** 2      # basis states with N <= 4
         assert set(stats["top_level_population"]) == {"excitations", "cav1", "cav2"}
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_scipy_linalg_to_the_oracle(self):
+        # a run never loads scipy.linalg: only the oracle propagate_dense
+        # imports it, on first call, in a fresh interpreter
+        code = (
+            "import sys, numpy as np, qsync.cli\n"
+            "assert 'scipy.linalg' not in sys.modules, 'loaded by import qsync.cli'\n"
+            "from qsync.lindblad import propagate_dense\n"
+            "model, rho0 = qsync.cli.scenario_from_mapping(qsync.cli.parse_config_text("
+            "sys.stdin.read())).build()\n"
+            "states = propagate_dense(model, rho0, [0.5, 1.0])\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "print(np.trace(states[-1].matrix).real)\n"
+        )
+        src = str(Path(qsync.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], input=FAST_SCENARIO, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMainEntry:

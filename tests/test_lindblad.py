@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qsync import lindblad
 from qsync.lindblad import (
@@ -12,6 +13,7 @@ from qsync.lindblad import (
     _DP_E,
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
+    EXACT_MAX_COORDINATES,
     MAX_SAMPLES,
     MIN_REL_TOL,
     RHO_BLOCK_BYTES,
@@ -20,10 +22,13 @@ from qsync.lindblad import (
     TruncationError,
     _Dopri5,
     _Propagator,
+    _excitation_cap,
+    _expm,
     _hermitian_coordinates,
     _liouvillian,
     _reachable,
     _real_generator,
+    _squarings,
     dense_liouvillian,
     evolve,
     excitation_numbers,
@@ -461,11 +466,26 @@ def criterion_4a_reduced_case():
     return model, rho0
 
 
+def stepped_generator(model, rho0):
+    """L_r on the coordinates `evolve` steps: the reachable part of the capped block."""
+    liou = _liouvillian(model)
+    inside = excitation_numbers(model.layout) <= _excitation_cap(model, rho0)
+    idx = np.flatnonzero(_reachable(liou, rho0.matrix) & np.outer(inside, inside).ravel())
+    e, sel, imag = _hermitian_coordinates(idx, model.dim)
+    return _real_generator(liou[sel], e, imag)
+
+
+def relative_deviation(p, reference):
+    return float(np.max(np.abs(p - reference)) / np.max(np.abs(reference)))
+
+
 class TestExactPropagator:
-    def test_only_the_reduced_builder_sets_it(self):
+    def test_which_builders_set_it(self):
+        # the two qubit models take the exact propagator; vdp and a
+        # hand-built model do not
         assert build_reduced_qubit(ReducedQubitParams(0.05, 0.02, 1e-3, 0.25)).exact_propagator
-        for name in ("fig2a", "fig3"):
-            assert not PRESETS[name].build()[0].exact_propagator
+        assert PRESETS["fig2a"].build()[0].exact_propagator
+        assert not PRESETS["fig3"].build()[0].exact_propagator
         assert not single_qubit_decay().exact_propagator
         model, rho0 = reduced_case()
         stats = evolve(model, rho0, 2.0, 0.5).stats
@@ -518,6 +538,46 @@ class TestExactPropagator:
                 propagator.rescale(2.0)
             assert np.array_equal(x, plain[i] / 2 if i >= 20 else plain[i]), i
         assert propagator.matvecs == len(times) - 1
+
+
+class TestExponential:
+    """`_expm`, the Taylor scaling and squaring behind `_Propagator`, against
+    scipy's Pade scaling and squaring."""
+
+    @pytest.mark.parametrize("name, squarings", [("fig2a", 9), ("fig2b", 8), ("fig2c", 7)])
+    def test_matches_scipy_on_capped_generators(self, name, squarings):
+        from scipy.linalg import expm
+
+        scenario = PRESETS[name]
+        liou = stepped_generator(*scenario.build())
+        dt = scenario.sample_dt
+        assert _squarings(liou, dt) == squarings
+        reference = expm(liou.toarray() * dt)
+        assert relative_deviation(_expm(liou, dt), reference) <= 1e-12
+
+    def test_matches_scipy_on_reduced_generator(self):
+        from scipy.linalg import expm
+
+        liou, _ = real_problem(*reduced_case())
+        assert liou.shape == (16, 16)
+        assert relative_deviation(_expm(liou, 0.5), expm(liou.toarray() * 0.5)) <= 1e-12
+
+    def test_zero_generator(self):
+        zero = sparse.csr_matrix((5, 5))
+        assert _squarings(zero, 0.5) == 0
+        assert np.array_equal(_expm(zero, 0.5), np.eye(5))
+
+    def test_huge_norm_is_scaled_without_overflow(self):
+        # ||a dt|| near the float maximum takes 1,024 squarings; a power of
+        # two that large would overflow, ldexp does not
+        decay = sparse.csr_matrix(np.array([[-1.5e308]]))
+        assert _squarings(decay, 1.0) == 1024
+        assert np.array_equal(_expm(decay, 1.0), [[0.0]])
+
+    @pytest.mark.parametrize("value, dt", [(1.5e308, 1.0), (1e300, 1e10), (np.nan, 1.0)])
+    def test_non_finite_result_is_a_value_error(self, value, dt):
+        with pytest.raises(ValueError, match="not finite"):
+            _expm(sparse.csr_matrix(np.array([[value, 1.0], [0.0, 0.0]])), dt)
 
 
 # The published Dormand-Prince 5(4) tableau: stage rows A (the last is the
@@ -651,11 +711,21 @@ class TestExcitationCap:
         lay = SpaceLayout((2, 3), ("q", "m"))
         assert excitation_numbers(lay).tolist() == [0, 1, 2, 1, 2, 3]
 
-    @pytest.mark.parametrize("name, count", [("fig2a", 625), ("fig2b", 169), ("fig2c", 625)])
-    def test_preset_stepped_counts(self, name, count):
-        model, rho0 = PRESETS[name].build()
-        assert model.excitation_cap == 3
-        assert evolve(model, rho0, 2.0, 2.0).stats["coordinates"] == count
+    @pytest.mark.parametrize("name, nc, count, propagator", [
+        pytest.param("fig2a", 4, 625, "expm", id="fig2a-625"),
+        pytest.param("fig2b", 4, 169, "expm", id="fig2b-169"),
+        pytest.param("fig2c", 4, 625, "expm", id="fig2c-625"),
+        # one Fock level more: the block exceeds EXACT_MAX_COORDINATES
+        pytest.param("fig2a", 5, 1681, "dopri5", id="fig2a-Nc5-1681"),
+    ])
+    def test_preset_stepped_counts(self, name, nc, count, propagator):
+        scenario = PRESETS[name]
+        scenario = dataclasses.replace(scenario, params={**scenario.params, "Nc": nc})
+        model, rho0 = scenario.build()
+        assert model.excitation_cap == nc - 1
+        stats = evolve(model, rho0, 2.0, 2.0).stats
+        assert (stats["coordinates"], stats["propagator"]) == (count, propagator)
+        assert (count <= EXACT_MAX_COORDINATES) == (propagator == "expm")
 
     def test_cap_that_keeps_the_reachable_set_changes_nothing(self):
         # fig2b's undriven reachable set already lies in N <= 2: capped and
@@ -684,7 +754,7 @@ class TestExcitationCap:
 
         projected = ModelSpec(model.layout, project(model.hamiltonian),
                               [Dissipator(d.rate, project(d.jump)) for d in model.dissipators],
-                              model.observables)
+                              model.observables, exact_propagator=model.exact_propagator)
         # this strong drive fills the top levels; only the generators are compared
         capped = evolve(model, rho0, 10.0, 0.5, guard_threshold=np.inf)
         exact = evolve(projected, rho0, 10.0, 0.5, guard_threshold=np.inf)
