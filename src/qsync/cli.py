@@ -46,11 +46,14 @@ final name.
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, a
 model or catalog over `opalg.MAX_DIM` dimensions, an analysis window too
 short to fit, tolerances that the Dopri5 stepper cannot meet, which a
-run under the exact propagator does not use, or parameters whose
-propagator overflows), 3 truncation-guard
+run under the exact propagator does not use, parameters whose
+propagator overflows, or underflows so that a sample's trace is not a
+finite positive number, or a trajectory column too large for the fit's
+float64 arithmetic, or S_c columns that no state gives), 3 truncation-guard
 abort (a top Fock level or the top excitation shell filled), 4 I/O error,
 5 sweep with no successful point.  Every failure prints
-a one-line `error:` message to stderr.
+a one-line `error:` message to stderr.  report.json and stats.json are
+strict JSON: a value that is not finite is refused, not written.
 """
 
 from __future__ import annotations
@@ -290,7 +293,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
 
 def _write_json(path: Path, obj: dict):
     def dump(fh):
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     _write_atomically(path, dump)

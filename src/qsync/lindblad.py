@@ -53,7 +53,9 @@ Each sample does only the sequential work:
     stepper's block of x and its powers, and the step's other samples by
     the trace (under the exact propagator, the sample that the next is
     formed from); L_r is linear, so the step's end, formed from the block
-    after its samples, stays consistent;
+    after its samples, stays consistent.  A trace that is not a finite
+    positive number (a propagator that underflowed to zero) is refused
+    with a ValueError that names t;
   * the truncation guards: with an excitation cap, one dot with the top
     shell N == cap, and one per bosonic factor (dimension >= 3) whose top
     Fock level lies below the cap, or per bosonic factor without a cap;
@@ -64,20 +66,25 @@ Each block of samples then gets the observables (one real matrix product),
 rho = E x as a stack, Hermitian by construction, one stacked eigvalsh and
 the mutual information.  The rho stack is at most RHO_BLOCK_BYTES.
 
-`dense_liouvillian` / `propagate_dense` build the column-stacked
-superoperator and advance with scipy's Pade scaling-and-squaring matrix
-exponential, imported there only, so that no run loads scipy.linalg.  That
-path shares no code with `evolve`'s propagators and serves as the
-independent cross-validation oracle for small systems.
+scipy is imported inside the functions that use it, so that a command
+pays for the import only when it needs it.  scipy.sparse is imported by
+the three that build the generator, which only `evolve` (run, sweep)
+calls: importing this module, parsing a config, building a model and
+re-analysing a CSV load no scipy module.  `dense_liouvillian` / `propagate_dense` build the
+column-stacked superoperator and advance with scipy's Pade
+scaling-and-squaring matrix exponential, imported there only, so that no
+run loads scipy.linalg.  That path shares no code with `evolve`'s
+propagators and serves as the independent cross-validation oracle for
+small systems.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .opalg import (
     DensityMatrix,
@@ -86,6 +93,9 @@ from .opalg import (
     _mutual_information,
     spectral_entropy,
 )
+
+if TYPE_CHECKING:     # annotations only: run/sweep import it where a generator is built
+    from scipy import sparse
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-10
@@ -212,6 +222,7 @@ def _liouvillian(model: ModelSpec) -> sparse.csr_matrix:
     G = -iH - sum_k rate_k L_k^dag L_k the generator is
     G kron I + I kron G^* + sum_k 2 rate_k L_k kron L_k^*.
     """
+    from scipy import sparse
     d = model.dim
     eye = sparse.identity(d, format="csr")
     jumps = [(dis.rate, sparse.csr_matrix(dis.jump.matrix)) for dis in model.dissipators]
@@ -253,6 +264,7 @@ def _hermitian_coordinates(idx: np.ndarray, d: int):
     x = R vec(rho) reads entry sel[k] = (min(i, j), max(i, j)), taking its
     imaginary part where imag[k] and its real part elsewhere.
     """
+    from scipy import sparse
     i, j = np.divmod(idx, d)
     imag = i > j
     sel = np.minimum(i, j) * d + np.maximum(i, j)
@@ -270,6 +282,7 @@ def _real_generator(rows: sparse.csr_matrix, e, imag: np.ndarray):
 
     Row k of L_r is Re(rows_k E), or Im(rows_k E) where imag[k].
     """
+    from scipy import sparse
     m = rows @ e
     data = np.where(np.repeat(imag, np.diff(m.indptr)), m.data.imag, m.data.real)
     real = sparse.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
@@ -612,7 +625,8 @@ def evolve(
     `steps_accepted`, `steps_rejected` and `h_min` (0, 0 and None under
     'expm', which takes no adaptive step),
     the number of stepped real `coordinates` against `dim_squared` = D^2,
-    the number of trace `renormalizations`, and `top_level_population`,
+    the number of trace `renormalizations` (a trace that is not a finite
+    positive number is a ValueError), and `top_level_population`,
     the largest population the guard saw on each guarded factor's top level
     and, under the label 'excitations', on the top shell of a capped model
     (see `_guards`).
@@ -687,7 +701,10 @@ def evolve(
         for i, x in stepper.samples(x0, times):
             tr = float(diagonal @ x)
             trace_errors[i] = abs(tr - 1.0)
-            if trace_errors[i] > RENORM_THRESHOLD:
+            if not trace_errors[i] <= RENORM_THRESHOLD:     # a NaN trace too
+                if not 0.0 < tr < math.inf:
+                    raise ValueError(f"the trace at t={times[i]:.6g} is {tr:.3g}, "
+                                     "not a finite positive number")
                 stepper.rescale(tr)
                 renorms += 1
             for label, top, what in guards:

@@ -260,10 +260,17 @@ def _relative_quadrature_moments(layout: SpaceLayout) -> tuple[Operator, Operato
 
 
 def s_c_extras(trajectory) -> dict:
-    """Final, largest and smallest S_c = 1/<x_-^2 + p_-^2> of a run; {} without those columns."""
+    """Final, largest and smallest S_c = 1/<x_-^2 + p_-^2> of a run; {} without those columns.
+
+    ValueError where <x_-^2 + p_-^2> is not positive, which no state gives.
+    """
     if "xminus2" not in trajectory.names or "pminus2" not in trajectory.names:
         return {}
-    s_c = 1.0 / (trajectory.column("xminus2") + trajectory.column("pminus2"))
+    variance = trajectory.column("xminus2") + trajectory.column("pminus2")
+    if not np.all(variance > 0):
+        raise ValueError("columns 'xminus2' + 'pminus2': the relative quadrature "
+                         "variance must be positive")
+    s_c = 1.0 / variance
     return {
         "s_c_final": float(s_c[-1]),
         "s_c_max": float(np.max(s_c)),

@@ -94,7 +94,7 @@ class PairVerdict:
     freq_mismatch: float
     phase_diff: float
     phase_class: str          # in_phase | anti_phase | phase_locked_other
-    amplitude_ratio: float
+    amplitude_ratio: float | None     # None when it overflows: a zero partner amplitude
 
 
 def wrap_phase(phi: float) -> float:
@@ -241,6 +241,7 @@ def analysis_window(
     return (t0, t1), mask
 
 
+@np.errstate(all="ignore")     # a fit that overflows is refused below, not warned about
 def fit_oscillation(
     times: np.ndarray,
     values: np.ndarray,
@@ -271,6 +272,9 @@ def fit_oscillation(
     peak deviation from its mean is used, but catalog-level analysis passes
     a common scale so that near-zero channels are not self-normalized into
     fake oscillations.
+
+    ValueError if the fit is not finite: values too large for float64
+    arithmetic.
     """
     times = np.asarray(times, dtype=float)
     _, mask = analysis_window(times, window)
@@ -318,6 +322,8 @@ def fit_oscillation(
     phase = wrap_phase(phase_local - omega * t_ref)
     offset = float(coeffs[2]) + float(np.mean(nuisance[:, 1:] @ coeffs[3:]))
     residual_rms = math.sqrt(ssr / n)
+    if not all(map(math.isfinite, (omega, phase, amplitude, offset, residual_rms))):
+        raise ValueError("the oscillation fit is not finite: values too large for float64")
 
     oscillating = True
     diagnostic = ""
@@ -373,7 +379,7 @@ def classify_pair(
         freq_mismatch=float(freq_mismatch),
         phase_diff=float(phase_diff),
         phase_class=phase_class,
-        amplitude_ratio=float(amplitude_ratio),
+        amplitude_ratio=amplitude_ratio if math.isfinite(amplitude_ratio) else None,
     )
 
 
@@ -446,22 +452,33 @@ def build_sync_report(
     catalog member (KeyError otherwise).  One common signal scale, the
     largest in-window deviation across the whole catalog family, feeds every
     amplitude gate.  S holds the members whose two embeddings lock, filtered
-    to a linearly independent set; chi, c and xi are counted on it.
+    to a linearly independent set; chi, c and xi are counted on it.  A
+    column too large for float64 arithmetic, in its spread or its fit, is
+    a ValueError that names it.
     """
     times = trajectory.times
     window, mask = analysis_window(times, window)
     series = {f"{name}_{k}": trajectory.column(f"{name}_{k}")
               for name, _ in catalog for k in (1, 2)}
     scale = 0.0
-    for y in series.values():
-        yw = y[mask]
-        scale = max(scale, float(np.max(np.abs(yw - np.mean(yw)))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, y in series.items():
+            yw = y[mask]
+            deviation = float(np.max(np.abs(yw - np.mean(yw))))
+            if not math.isfinite(deviation):
+                raise ValueError(f"column '{col}': values too large for float64")
+            scale = max(scale, deviation)
+
+    def fit(col: str) -> OscillationFit:
+        try:
+            return fit_oscillation(times, series[col], window, thresholds, signal_scale=scale)
+        except ValueError as exc:
+            raise ValueError(f"column '{col}': {exc}") from None
 
     pairs = {}
     synced = []
     for name, op in catalog:
-        fit1, fit2 = [fit_oscillation(times, series[f"{name}_{k}"], window, thresholds,
-                                      signal_scale=scale) for k in (1, 2)]
+        fit1, fit2 = fit(f"{name}_1"), fit(f"{name}_2")
         verdict = classify_pair(fit1, fit2, thresholds)
         pairs[name] = {**asdict(verdict), "fit_1": asdict(fit1), "fit_2": asdict(fit2)}
         if verdict.synced:

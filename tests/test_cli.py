@@ -114,6 +114,23 @@ def write_config(tmp_path, text, name="scenario.cfg"):
     return path
 
 
+def write_pauli_csv(path, t, columns):
+    """A pauli trajectory.csv on times t: the given columns, every other one zero."""
+    names = [f"sigma_{a}_{k}" for a in "xyz" for k in (1, 2)]
+    data = np.column_stack([t] + [columns.get(name, np.zeros_like(t)) for name in names])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(["time"] + names),
+               comments="")
+    return path
+
+
+def run_fresh_python(args, stdin=""):
+    """Run `python <args>` in a fresh interpreter that imports qsync from this checkout."""
+    src = str(Path(qsync.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestConfigParsing:
     def test_basic_mapping(self):
         mapping = parse_config_text("a.b = 1\n# comment\nc = x  # inline\n")
@@ -668,12 +685,41 @@ class TestImportFootprint:
             "assert 'scipy.linalg' in sys.modules\n"
             "print(np.trace(states[-1].matrix).real)\n"
         )
-        src = str(Path(qsync.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], input=FAST_SCENARIO, env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_fresh_python(["-c", code], FAST_SCENARIO)
         assert done.returncode == 0, done.stderr
         assert float(done.stdout) == pytest.approx(1.0, abs=1e-12)
+
+    def test_only_evolve_loads_scipy_sparse(self, tmp_path):
+        # listing presets, parsing and building a scenario, a config error and
+        # re-analysis load no scipy module; evolve loads scipy.sparse to build
+        # its generator, and still not scipy.linalg
+        t = np.arange(0.0, 60.0, 0.05)
+        write_pauli_csv(tmp_path / "trajectory.csv", t, {"sigma_x_1": 0.4 * np.cos(1.1 * t),
+                                                         "sigma_x_2": 0.4 * np.cos(1.1 * t)})
+        write_config(tmp_path, "model = reduced_qubit\n")
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import qsync.cli as c\n"
+            "tmp = Path(sys.argv[1])\n"
+            "assert 'scipy' not in sys.modules, 'import qsync.cli'\n"
+            "assert c.main(['presets']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'qsync presets'\n"
+            "model, rho0 = c.scenario_from_mapping(c.parse_config_text(sys.stdin.read())).build()\n"
+            "assert 'scipy' not in sys.modules, 'parsing and building a scenario'\n"
+            "assert c.main(['run', '--config', str(tmp / 'scenario.cfg'),\n"
+            "               '--out', str(tmp / 'bad')]) == 2\n"
+            "assert 'scipy' not in sys.modules, 'a config error'\n"
+            "c.analyze_csv(tmp / 'trajectory.csv', 'pauli', None, c.AnalysisThresholds(),\n"
+            "              tmp / 're')\n"
+            "assert 'scipy' not in sys.modules, 'analyze_csv'\n"
+            "c.evolve(model, rho0, 1.0, 0.5)\n"
+            "assert 'scipy.sparse' in sys.modules, 'evolve'\n"
+            "assert 'scipy.linalg' not in sys.modules, 'evolve'\n"
+        )
+        done = run_fresh_python(["-c", code, str(tmp_path)], FAST_SCENARIO)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "re" / "report.json").exists()
 
 
 class TestMainEntry:
@@ -681,6 +727,12 @@ class TestMainEntry:
         assert main(["presets"]) == 0
         out = capsys.readouterr().out.split()
         assert out == ["fig2a", "fig2b", "fig2c", "fig3"]
+
+    def test_python_m_qsync(self):
+        # `python -m qsync` runs the command line from a checkout, uninstalled
+        done = run_fresh_python(["-m", "qsync", "presets"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["fig2a", "fig2b", "fig2c", "fig3"]
 
     def test_run_with_config(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, FAST_SCENARIO)
@@ -851,6 +903,18 @@ run.sample_dt = 0.125
             _, failed = csv.reader(fh)
         assert failed[-1].startswith("error:StepSizeUnderflowError: ")
 
+    def test_vanishing_trace_exit_code(self, tmp_path, capsys):
+        # the propagator over one sample spacing underflows to zero, so the
+        # trace of the next sample is 0: refused, not divided by
+        text = FAST_SCENARIO.replace("param.Omega = 0.0", "param.Omega = 1e300").replace(
+            "param.gamma_eff = 0.25", "param.gamma_eff = 1e300")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the trace at t=0.5 is 0, not a finite positive number\n")
+        assert not (out / "report.json").exists()
+
     def test_rel_tol_below_floor_exit_code(self, tmp_path, capsys):
         # below 100 machine epsilons the error estimate is rounding noise:
         # refused at parse time, before any integration
@@ -922,6 +986,39 @@ run.sample_dt = 0.125
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "re" / "report.json").exists()
+
+    def test_report_is_strict_json(self, tmp_path):
+        # a constant sigma_x_2 fits amplitude 0: its partner's amplitude
+        # ratio overflows and is recorded as null
+        t = np.arange(0.0, 200.5, 0.5)
+        path = write_pauli_csv(tmp_path / "trajectory.csv", t,
+                               {"sigma_x_1": 0.3 * np.cos(0.5 * t)})
+        assert main(["analyze", str(path), "--catalog", "pauli",
+                     "--out", str(tmp_path / "re")]) == 0
+        text = (tmp_path / "re" / "report.json").read_text()
+
+        def refuse(constant):
+            raise AssertionError(f"report.json holds {constant}")
+
+        report = json.loads(text, parse_constant=refuse)
+        assert report["pairs"]["sigma_x"]["fit_2"]["amplitude"] == 0.0
+        assert report["pairs"]["sigma_x"]["amplitude_ratio"] is None
+
+    @pytest.mark.parametrize("amplitude, offset", [
+        (0.75e308, 1e308),      # the window mean overflows
+        (1e160, 0.0),           # the fit's squared residuals overflow
+    ], ids=["near_max", "fit_overflow"])
+    def test_overflowing_column_exit_code(self, tmp_path, capsys, amplitude, offset):
+        # finite values too large for the fit's float64 arithmetic
+        t = np.arange(0.0, 200.5, 0.5)
+        path = write_pauli_csv(tmp_path / "trajectory.csv", t, {
+            "sigma_x_1": 0.3 * np.cos(0.5 * t), "sigma_x_2": amplitude * np.cos(0.5 * t) + offset})
+        assert main(["analyze", str(path), "--catalog", "pauli",
+                     "--out", str(tmp_path / "re")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: column 'sigma_x_2': ") and "float64" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "re" / "report.json").exists()
 

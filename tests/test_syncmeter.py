@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsync.lindblad import Trajectory
-from qsync.models import mari_measure, moment_catalog, pauli_catalog
+from qsync.models import mari_measure, moment_catalog, pauli_catalog, s_c_extras
 from qsync.opalg import DensityMatrix, SpaceLayout, mutual_information, pauli
 from qsync.syncmeter import (
     OscillationFit,
@@ -323,6 +323,15 @@ class TestMariMeasure:
         rho = DensityMatrix(lay, np.eye(8) / 8)
         with pytest.raises(ValueError):
             mari_measure(rho)
+
+    @pytest.mark.parametrize("variance", [0.0, -0.5, np.nan])
+    def test_extras_refuse_a_variance_no_state_gives(self, variance):
+        # from a CSV: S_c would be infinite or negative, not a JSON number
+        t = np.arange(4.0)
+        values = np.column_stack([np.full(4, 1.0), [1.0, 1.0, 1.0, variance - 1.0]])
+        traj = Trajectory(t, values, ["xminus2", "pminus2"])
+        with pytest.raises(ValueError, match="relative quadrature variance"):
+            s_c_extras(traj)
 
 
 class TestWrapPhase:
