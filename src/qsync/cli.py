@@ -7,8 +7,8 @@ run       simulate a preset or a config file; writes trajectory.csv,
           counters) and report.json
 analyze   recompute report.json from a trajectory.csv with the catalog its
           run recorded (window and thresholds can be revisited afterwards)
-sweep     run a grid of scenarios from a sweep config; writes per-point
-          directories plus summary.csv
+sweep     run a grid of scenarios from a sweep config, one forked worker
+          per available CPU; writes per-point directories plus summary.csv
 presets   list the built-in scenario names
 
 Config files are flat `key = value` text with dotted sections, for example::
@@ -50,10 +50,13 @@ run under the exact propagator does not use, parameters whose
 propagator overflows, or underflows so that a sample's trace is not a
 finite positive number, or a trajectory column too large for the fit's
 float64 arithmetic, or S_c columns that no state gives), 3 truncation-guard
-abort (a top Fock level or the top excitation shell filled), 4 I/O error,
-5 sweep with no successful point.  Every failure prints
-a one-line `error:` message to stderr.  report.json and stats.json are
-strict JSON: a value that is not finite is refused, not written.
+abort (a top Fock level or the top excitation shell filled), 4 I/O error
+(in a sweep, also a worker process that died), 5 sweep with no successful
+point.  A sweep point that fails with a cause of exit 2 or 3 is recorded
+in its summary.csv `status` cell instead, and the sweep goes on.  Every
+failure prints a one-line `error:` message to stderr.  report.json and
+stats.json are strict JSON: a value that is not finite is refused, not
+written.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ from .syncmeter import AnalysisThresholds, analysis_window, build_sync_report
 SWEEP_CAP_DEFAULT = 64
 _RUN_OUTPUTS = ("report.json", "stats.json", "trajectory.csv", "mutual_info.csv",
                "diagnostics.csv")
+_SUMMARY_FIELDS = ("chi", "c", "xi", "mutual_info_final")
 
 
 def _parse_number(key: str, text: str) -> float:
@@ -482,8 +486,42 @@ def sweep_from_mapping(mapping: dict[str, str]) -> SweepSpec:
     return SweepSpec(base=base, axes=axes, cap=cap)
 
 
+def _sweep_workers(n_points: int) -> int:
+    """Worker processes for a sweep of `n_points`: one per usable CPU, at most one per point."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_points, cpus)
+
+
+def _sweep_point(cfg: Scenario, point_dir: Path) -> dict:
+    """Run one grid point; returns its summary columns after the grid values.
+
+    A failure that `main` maps to exit 2 or 3 (a `ValueError`, which covers
+    `ConfigError`, or a `RuntimeError` such as `TruncationError`) goes into
+    the `status` cell; anything else, an `OSError` included, ends the sweep.
+    """
+    try:
+        report = run_scenario(cfg, point_dir)
+    except (ValueError, RuntimeError) as exc:
+        return dict.fromkeys(_SUMMARY_FIELDS, "") | {
+            "status": f"error:{type(exc).__name__}: {exc}"}
+    return {key: report[key] for key in _SUMMARY_FIELDS} | {"status": "ok"}
+
+
 def run_sweep(spec: SweepSpec, outdir: Path) -> int:
-    """Run the grid; returns the number of successful points."""
+    """Run the grid; returns the number of successful points.
+
+    The points run in forked worker processes, `_sweep_workers` of them, and
+    in this process where that is one or `fork` is not available; either way
+    each point runs `_sweep_point` and summary.csv lists them in grid order.
+    The summary.csv of an earlier sweep is removed before the first point.
+    A worker that dies raises `OSError`; no worker outlives the call.
+    """
+    import concurrent.futures
+    import multiprocessing
+
     grids = [values for _, values in spec.axes]
     points = list(itertools.product(*grids))
     if len(points) > spec.cap:
@@ -491,30 +529,34 @@ def run_sweep(spec: SweepSpec, outdir: Path) -> int:
             f"sweep grid has {len(points)} points, exceeding the cap {spec.cap}"
         )
     outdir.mkdir(parents=True, exist_ok=True)
+    for name in ("summary.csv", "summary.csv.tmp"):
+        (outdir / name).unlink(missing_ok=True)
     axis_names = [name for name, _ in spec.axes]
-    rows = []
-    successes = 0
-    for idx, values in enumerate(points):
-        cfg = dataclasses.replace(
-            spec.base, params={**spec.base.params, **dict(zip(axis_names, values))}
-        )
-        point_dir = outdir / f"point_{idx:04d}"
-        row = {"point": idx, **dict(zip(axis_names, values))}
+    jobs = [(dataclasses.replace(spec.base, params={**spec.base.params,
+                                                    **dict(zip(axis_names, values))}),
+             outdir / f"point_{idx:04d}")
+            for idx, values in enumerate(points)]
+    workers = _sweep_workers(len(jobs))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        pool = concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            report = run_scenario(cfg, point_dir)
-            row.update(
-                chi=report["chi"],
-                c=report["c"],
-                xi=report["xi"],
-                mutual_info_final=report["mutual_info_final"],
-                status="ok",
-            )
-            successes += 1
-        except (ConfigError, TruncationError, RuntimeError) as exc:
-            row.update(chi="", c="", xi="", mutual_info_final="",
-                       status=f"error:{type(exc).__name__}: {exc}")
-        rows.append(row)
-    header = ["point"] + axis_names + ["chi", "c", "xi", "mutual_info_final", "status"]
+            futures = [pool.submit(_sweep_point, *job) for job in jobs]
+            results = []
+            for idx, future in enumerate(futures):
+                try:
+                    results.append(future.result())
+                except concurrent.futures.BrokenExecutor as exc:
+                    raise OSError(
+                        f"a sweep worker process died before point {idx} finished: {exc}"
+                    ) from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = [_sweep_point(*job) for job in jobs]
+    rows = [{"point": idx, **dict(zip(axis_names, values)), **result}
+            for idx, (values, result) in enumerate(zip(points, results))]
+    header = ["point"] + axis_names + [*_SUMMARY_FIELDS, "status"]
 
     def write(fh):
         out = csv.writer(fh, lineterminator="\n")   # QUOTE_MINIMAL: only messages get quoted
@@ -522,7 +564,7 @@ def run_sweep(spec: SweepSpec, outdir: Path) -> int:
         out.writerows([_summary_cell(row[h]) for h in header] for row in rows)
 
     _write_atomically(outdir / "summary.csv", write)
-    return successes
+    return sum(result["status"] == "ok" for result in results)
 
 
 def _summary_cell(value) -> str:

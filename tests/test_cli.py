@@ -1,11 +1,15 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +584,19 @@ class TestSweep:
         assert rows[0].endswith("ok")
         assert "error" in rows[1]
 
+    def test_value_error_at_a_point_recorded(self, tmp_path, capsys):
+        # the exponential over one sample spacing overflows at the second
+        # point: a ValueError, recorded in its status, and the sweep exits 0
+        path = write_config(tmp_path, FAST_SCENARIO + "sweep.axis.param.gamma_eff = 0.25 1e300\n",
+                            "sweep.cfg")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+            _, ok, failed = csv.reader(fh)
+        assert ok[-1] == "ok"
+        assert failed[2:] == ["", "", "", "", "error:ValueError: the generator's exponential "
+                              "over dt=0.5 is not finite"]
+
     def test_vdp_default_catalog_follows_each_point(self, tmp_path):
         # no analysis.catalog and no base param.N (VdpParams' default N = 12):
         # each point is analysed with the moments of its own truncation, and
@@ -610,6 +627,94 @@ class TestSweep:
         assert failed[-1].startswith("error:TruncationError: top Fock level of factor")
         assert "raise the truncation" in failed[-1]
         assert not (tmp_path / "sweep" / "summary.csv.tmp").exists()
+
+    def test_aborted_sweep_removes_earlier_summary(self, tmp_path):
+        # a sweep that ends with an error leaves no summary.csv of an
+        # earlier sweep beside point directories it has emptied
+        path = write_config(tmp_path, FAST_SCENARIO + "sweep.axis.param.gamma_eff = 0.25 0.3\n",
+                            "sweep.cfg")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "summary.csv").exists()
+        shutil.rmtree(out / "point_0001")
+        (out / "point_0001").write_text("")       # the point's outputs cannot be written
+        (out / "summary.csv.tmp").write_text("")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 4
+        assert not (out / "summary.csv").exists()
+        assert not (out / "summary.csv.tmp").exists()
+
+
+class TestSweepWorkers:
+    def test_worker_count(self, monkeypatch):
+        assert qsync.cli._sweep_workers(1) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [qsync.cli._sweep_workers(n) for n in (1, 2, 3, 16)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert qsync.cli._sweep_workers(16) == 2
+
+    def test_pool_matches_in_process_byte_for_byte(self, tmp_path, monkeypatch):
+        spec = sweep_from_mapping(parse_config_text(FAST_SCENARIO + (
+            "sweep.axis.param.deltaq2 = 0.02 0.08\nsweep.axis.param.Omega = 0 0.01\n")))
+        monkeypatch.setattr(qsync.cli, "_sweep_workers", lambda n: min(n, 2))
+        assert run_sweep(spec, tmp_path / "pool") == 4
+        monkeypatch.setattr(qsync.cli, "_sweep_workers", lambda n: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        assert run_sweep(spec, tmp_path / "inline") == 4
+        files = sorted(p.relative_to(tmp_path / "pool")
+                       for p in (tmp_path / "pool").rglob("*") if p.is_file())
+        assert len(files) == 1 + 4 * 5
+        for rel in files:
+            assert (tmp_path / "pool" / rel).read_bytes() == (tmp_path / "inline" / rel).read_bytes()
+
+    def test_one_point_starts_no_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        spec = sweep_from_mapping(parse_config_text(FAST_SCENARIO + "sweep.axis.param.Omega = 0\n"))
+        assert run_sweep(spec, tmp_path / "sw") == 1
+
+    def test_uncaught_exception_reaches_caller(self, tmp_path, monkeypatch):
+        # point 0 raises at once while the others take a while: the error
+        # comes back unchanged, the points still queued never start, and
+        # the workers are gone when run_sweep returns
+        def fake_run(cfg, point_dir):
+            point_dir.mkdir(parents=True)
+            if point_dir.name == "point_0000":
+                raise LookupError("no such catalog entry")
+            time.sleep(0.2)
+            return dict.fromkeys(("chi", "c", "xi", "mutual_info_final"), 0.0)
+
+        monkeypatch.setattr(qsync.cli, "run_scenario", fake_run)
+        monkeypatch.setattr(qsync.cli, "_sweep_workers", lambda n: 2)
+        spec = sweep_from_mapping(parse_config_text(
+            FAST_SCENARIO + "sweep.axis.param.Omega = " + " ".join(["0"] * 12) + "\n"))
+        with pytest.raises(LookupError, match="^no such catalog entry$"):
+            run_sweep(spec, tmp_path / "sw")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "sw" / "point_0011").exists()
+        assert not (tmp_path / "sw" / "summary.csv").exists()
+
+    def test_dead_worker_exit_code(self, tmp_path, monkeypatch, capsys):
+        real_run = qsync.cli.run_scenario
+
+        def dying_run(cfg, point_dir):
+            if point_dir.name == "point_0001":
+                os._exit(1)
+            return real_run(cfg, point_dir)
+
+        monkeypatch.setattr(qsync.cli, "run_scenario", dying_run)
+        monkeypatch.setattr(qsync.cli, "_sweep_workers", lambda n: 2)
+        path = write_config(tmp_path, FAST_SCENARIO + "sweep.axis.param.Omega = 0 0.01\n",
+                            "sweep.cfg")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker process died before point ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sw" / "summary.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
 
 
 # fig2a's parameters and initial state on 64 sample intervals, all in the window
