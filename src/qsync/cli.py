@@ -46,7 +46,8 @@ final name.
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, a
 model or catalog over `opalg.MAX_DIM` dimensions, an analysis window too
 short to fit, tolerances that the Dopri5 stepper cannot meet, which a
-run under the exact propagator does not use, parameters whose
+run of at most `lindblad.EXACT_MAX_COORDINATES` stepped coordinates, on
+the exact propagator, does not use, parameters whose
 propagator overflows, or underflows so that a sample's trace is not a
 finite positive number, or a trajectory column too large for the fit's
 float64 arithmetic, or S_c columns that no state gives), 3 truncation-guard

@@ -15,15 +15,15 @@ for i < j (D^2 real numbers), under the real generator L_r = R L E built once
 from L: E maps the coordinates to the complex vec(rho) and R reads them
 back.  A Dormand-Prince 5(4) adaptive stepper advances them in float64, as
 the polynomial in hL it is on this linear problem: six CSR matvecs per
-accepted step, none per rejected one.  A model that sets
-`ModelSpec.exact_propagator` (the two qubit models: the reduced pair, 16
-coordinates, and the cavity-qubit pair, 169 to 625 at the presets' cap),
-where the stepped block holds at most EXACT_MAX_COORDINATES coordinates, is
-instead advanced by P = exp(L_r dt), formed once for the sample spacing dt
-by a Taylor scaling and squaring on the sparse L_r (`_expm`): one dense
-matvec per sample, exact to rounding, with no tolerances and no steps.  A
-larger block (the cavity-qubit pair at Nc >= 5: 1,681 coordinates and up)
-is stepped by Dopri5.
+accepted step, none per rejected one.  A run whose stepped block holds at
+most EXACT_MAX_COORDINATES coordinates, whatever its model (the reduced
+pair's 16, the cavity-qubit pair's 169 to 625 at the presets' cap, a vdp
+pair up to N = 6 from fig3's state), is instead advanced by
+P = exp(L_r dt), formed once for the sample spacing dt by a Taylor scaling
+and squaring on the sparse L_r (`_expm`): one dense matvec per sample,
+exact to rounding, with no tolerances and no steps.  A larger block (the
+cavity-qubit pair at Nc >= 5: 1,681 coordinates and up; fig3's vdp pair:
+5,666) is stepped by Dopri5.
 Only the reachable set is stepped: the
 entries that the initial state reaches through L's sparsity pattern, closed
 under rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1)
@@ -60,7 +60,7 @@ Each sample does only the sequential work:
     shell N == cap, and one per bosonic factor (dimension >= 3) whose top
     Fock level lies below the cap, or per bosonic factor without a cap;
     each aborts the run when its top shell or top Fock level holds more
-    than `guard_threshold` population;
+    than GUARD_THRESHOLD population;
   * a copy of x into a block.
 Each block of samples then gets the observables (one real matrix product),
 rho = E x as a stack, Hermitian by construction, one stacked eigvalsh and
@@ -120,14 +120,14 @@ class StepSizeUnderflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dissipator:
-    """One dissipation channel: rate >= 0 and jump operator L."""
+    """One dissipation channel: a finite rate >= 0 and jump operator L."""
 
     rate: float
     jump: Operator
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"dissipator rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < math.inf:       # NaN too
+            raise ValueError(f"dissipator rate must be finite and >= 0, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,6 @@ class ModelSpec:
     whose excitation number (see `excitation_numbers`) is at most the cap,
     or at most one above the initial state's highest occupied shell where
     that is higher; None steps the whole space.
-
-    `exact_propagator` makes `evolve` advance each sample by the matrix
-    exponential of the stepped generator over one sample spacing
-    (`_Propagator`) in place of the adaptive Dormand-Prince stepper: exact
-    to rounding, for a run whose stepped block holds at most
-    EXACT_MAX_COORDINATES coordinates; a larger run is stepped by Dopri5.
-    The reduced and the cavity-qubit builders set it.
     """
 
     layout: SpaceLayout
@@ -158,7 +151,6 @@ class ModelSpec:
     observables: tuple[tuple[str, Operator], ...]
     catalog: str | None = None
     excitation_cap: int | None = None
-    exact_propagator: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "dissipators", tuple(self.dissipators))
@@ -477,8 +469,8 @@ def _expm(a: sparse.csr_matrix, dt: float) -> np.ndarray:
 
 
 class _Propagator:
-    """Exact sampling of dy/dt = L y on a uniform grid, for a model that sets
-    `ModelSpec.exact_propagator`, on at most EXACT_MAX_COORDINATES coordinates.
+    """Exact sampling of dy/dt = L y on a uniform grid, for a stepped block of
+    at most EXACT_MAX_COORDINATES coordinates.
 
     P = exp(L dt) over the sample spacing dt is formed once, densely, by the
     Taylor scaling and squaring of `_expm`; each sample is then y <- P y,
@@ -592,7 +584,6 @@ def evolve(
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
     keep_states: bool = False,
-    guard_threshold: float = GUARD_THRESHOLD,
 ) -> Trajectory:
     """Integrate the master equation and sample on a uniform grid.
 
@@ -612,10 +603,12 @@ def evolve(
     module docstring), with the cap raised where needed to lie above rho0's
     highest occupied shell.
 
-    A model with `exact_propagator` whose stepped block holds at most
-    EXACT_MAX_COORDINATES coordinates is advanced sample to sample by
-    P = exp(L_r sample_dt) (`_Propagator`, formed by `_expm`); every other
-    run by the adaptive Dormand-Prince stepper (`_Dopri5`).
+    The size of the stepped block alone picks the propagator, for every
+    model: a block of at most EXACT_MAX_COORDINATES coordinates is advanced
+    sample to sample by P = exp(L_r sample_dt) (`_Propagator`, formed by
+    `_expm`), a larger one by the adaptive Dormand-Prince stepper
+    (`_Dopri5`).  Each guard aborts the run with a TruncationError when its
+    population exceeds GUARD_THRESHOLD.
 
     With two or more factors, `mutual_info` records the mutual information
     of factors 0 and 1 at every sample; with one factor it is None.  The
@@ -657,7 +650,7 @@ def evolve(
     liou = liou[sel]    # only the rows R reads: the full complex L is freed here
     generator = _real_generator(liou, e, imag)
     del liou
-    if model.exact_propagator and len(idx) <= EXACT_MAX_COORDINATES:
+    if len(idx) <= EXACT_MAX_COORDINATES:
         stepper = _Propagator(generator, sample_dt)
     else:
         stepper = _Dopri5(generator, rel_tol, abs_tol, d * d)
@@ -709,9 +702,9 @@ def evolve(
                 renorms += 1
             for label, top, what in guards:
                 pop = float(top @ x)
-                if pop > guard_threshold:
+                if pop > GUARD_THRESHOLD:
                     raise TruncationError(
-                        f"{what} reached population {pop:.3g} > {guard_threshold:.3g} "
+                        f"{what} reached population {pop:.3g} > {GUARD_THRESHOLD:.3g} "
                         f"at t={times[i]:.6g}; raise the truncation"
                     )
                 top_pop[label] = max(top_pop[label], pop)

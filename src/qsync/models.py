@@ -17,19 +17,18 @@ cavity_qubit
     states with N <= cap (the cap raised above the initial state's highest
     shell where needed), and a guard aborts a run whose top shell N == cap
     fills, so raising Nc raises both truncations.  The presets start in
-    N <= 2 and keep the top shell N == 3 below 1e-9.  The block is sampled
-    by the exact per-sample propagator (`ModelSpec.exact_propagator`) while
-    it holds at most `lindblad.EXACT_MAX_COORDINATES` coordinates (625 at
-    Nc = 4), and stepped by the adaptive stepper beyond that (1,681 at
-    Nc = 5).
+    N <= 2 and keep the top shell N == 3 below 1e-9.  As for every model,
+    the block is sampled by the exact per-sample propagator while it holds
+    at most `lindblad.EXACT_MAX_COORDINATES` coordinates (625 at Nc = 4),
+    and stepped by the adaptive stepper beyond that (1,681 at Nc = 5).
 
 reduced_qubit
     The two-qubit limit of the above when the resonant common cavity mode
     is adiabatically eliminated: a single collective decay channel with
     jump (sigma_minus^1 + sigma_minus^2)/sqrt(2) at rate gamma_eff =
     g0^2/kappa, plus the detuning/drive Hamiltonian.  Its 16 real
-    coordinates are advanced by the exact per-sample propagator
-    (`ModelSpec.exact_propagator`), not by the adaptive stepper, so run
+    coordinates, well under `lindblad.EXACT_MAX_COORDINATES`, are advanced
+    by the exact per-sample propagator, not by the adaptive stepper, so run
     tolerances do not affect it.
 
 vdp
@@ -206,7 +205,7 @@ def build_cavity_qubit(p: CavityQubitParams) -> ModelSpec:
 
     dissipators = (Dissipator(p.kappa, a[0]), Dissipator(p.kappa, a[1]))
     return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli",
-                     excitation_cap=p.Nc - 1, exact_propagator=True)
+                     excitation_cap=p.Nc - 1)
 
 
 def build_reduced_qubit(p: ReducedQubitParams) -> ModelSpec:
@@ -218,8 +217,7 @@ def build_reduced_qubit(p: ReducedQubitParams) -> ModelSpec:
     h = 0.5 * p.deltaq1 * sz[0] + 0.5 * p.deltaq2 * sz[1] + p.Omega * sx1
     collective_lower = (sm[0] + sm[1]) / np.sqrt(2.0)
     dissipators = (Dissipator(p.gamma_eff, collective_lower),)
-    return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli",
-                     exact_propagator=True)
+    return ModelSpec(layout, h, dissipators, _pair_observables(layout, "pauli"), "pauli")
 
 
 def build_vdp(p: VdpParams) -> ModelSpec:
@@ -259,18 +257,23 @@ def _relative_quadrature_moments(layout: SpaceLayout) -> tuple[Operator, Operato
     return xm @ xm, pm @ pm
 
 
+def _s_c(variance):
+    """S_c = 1/variance for <x_-^2 + p_-^2>, a number or an array; ValueError
+    where it is not positive (NaN included), which no state gives."""
+    if not np.all(variance > 0):
+        raise ValueError("the relative quadrature variance <xminus2 + pminus2> "
+                         "must be positive")
+    return 1.0 / variance
+
+
 def s_c_extras(trajectory) -> dict:
     """Final, largest and smallest S_c = 1/<x_-^2 + p_-^2> of a run; {} without those columns.
 
-    ValueError where <x_-^2 + p_-^2> is not positive, which no state gives.
+    ValueError where <x_-^2 + p_-^2> is not positive (see `_s_c`).
     """
     if "xminus2" not in trajectory.names or "pminus2" not in trajectory.names:
         return {}
-    variance = trajectory.column("xminus2") + trajectory.column("pminus2")
-    if not np.all(variance > 0):
-        raise ValueError("columns 'xminus2' + 'pminus2': the relative quadrature "
-                         "variance must be positive")
-    s_c = 1.0 / variance
+    s_c = _s_c(trajectory.column("xminus2") + trajectory.column("pminus2"))
     return {
         "s_c_final": float(s_c[-1]),
         "s_c_max": float(np.max(s_c)),
@@ -289,10 +292,7 @@ def mari_measure(rho: DensityMatrix) -> float:
     if rho.layout.nfactors != 2:
         raise ValueError("mari_measure needs a two-mode state")
     xm2, pm2 = _relative_quadrature_moments(rho.layout)
-    val = expectation(rho, xm2 + pm2).real
-    if val <= 0:
-        raise ValueError(f"relative quadrature variance {val:.3g} must be positive")
-    return 1.0 / val
+    return _s_c(expectation(rho, xm2 + pm2).real)
 
 
 def cavity_mode_matrix(p: CavityQubitParams) -> np.ndarray:

@@ -56,7 +56,8 @@ class AnalysisThresholds:
     rank_tol:    relative Hilbert-Schmidt tolerance for independence
     comm_tol:    max-entry tolerance for declaring two operators commuting
 
-    Every value must be >= 0 (ValueError otherwise).
+    Every value must be >= 0 and detrend_deg a whole number, stored as an
+    int (ValueError otherwise).
     """
 
     tol_freq: float = 0.01
@@ -73,6 +74,9 @@ class AnalysisThresholds:
             value = getattr(self, f.name)
             if not value >= 0:      # NaN too
                 raise ValueError(f"analysis.{f.name} must be >= 0, got {value}")
+        if not float(self.detrend_deg).is_integer():        # inf too
+            raise ValueError(f"analysis.detrend_deg must be an integer, got {self.detrend_deg}")
+        object.__setattr__(self, "detrend_deg", int(self.detrend_deg))
 
 
 @dataclass(frozen=True)
@@ -293,7 +297,7 @@ def fit_oscillation(
         scale = float(np.max(np.abs(y - np.mean(y))))
 
     u = 2.0 * ts / span - 1.0    # normalized abscissa for conditioning
-    nuisance = np.column_stack([u ** k for k in range(int(thresholds.detrend_deg) + 1)])
+    nuisance = np.column_stack([u ** k for k in range(thresholds.detrend_deg + 1)])
 
     # DFT seed on the window with the trend projected out: the seed and the
     # refinement see the same residual oscillation.

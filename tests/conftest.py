@@ -1,9 +1,15 @@
-"""Session-scoped preset runs shared by the acceptance tests.
+"""Session-scoped preset runs shared by the acceptance tests, and the seams
+that the tests take into `evolve`.
 
 Each preset scenario is simulated once per session through the same code
 path the CLI uses, so the acceptance criteria all judge genuine end-to-end
 artifacts (CSV files plus report.json).  Each fixture returns
 (outdir, report).
+
+`dopri5()` and `unguarded()` are context managers, imported by the test
+modules: inside the first every `evolve` steps with `_Dopri5`, as no block
+is small enough for the exact propagator; inside the second no truncation
+guard fires.  A sweep's forked workers inherit either.
 
 BLAS is pinned to one thread before numpy is first imported: the
 generator's sparse matvecs are single-threaded, and a second BLAS thread
@@ -11,6 +17,8 @@ only spins in the small dense kernels around them.  An explicit setting in
 the environment wins.
 """
 
+import contextlib
+import math
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -18,7 +26,24 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest  # noqa: E402
 
+from qsync import lindblad  # noqa: E402
 from qsync.cli import run_scenario, scenario_from_preset  # noqa: E402
+
+
+@contextlib.contextmanager
+def dopri5():
+    """Every `evolve` inside steps with `_Dopri5`: EXACT_MAX_COORDINATES is 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "EXACT_MAX_COORDINATES", 0)
+        yield
+
+
+@contextlib.contextmanager
+def unguarded():
+    """No truncation guard fires inside: GUARD_THRESHOLD is inf."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "GUARD_THRESHOLD", math.inf)
+        yield
 
 
 def _run_preset(tmp_path_factory, name: str):

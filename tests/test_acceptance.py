@@ -5,12 +5,14 @@ a few minutes in total; they are shared session-wide).  Each criterion
 prints one PASS line when it holds; a failed assertion is the FAIL line.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
 
 import numpy as np
 
+from conftest import dopri5, unguarded
 from qsync.cli import (
     analyze_csv,
     parse_config_text,
@@ -170,19 +172,24 @@ def test_criterion_5_integrator_matches_dense_oracle():
     assert reach.sum() < model_vdp.dim ** 2
     checks.append((model_vdp, rho0_vdp, 5.0))
 
+    # both blocks are small enough for the exact propagator; under the
+    # dopri5 seam the adaptive stepper takes them
     worst = 0.0
-    for model, rho0, t_end in checks:
-        assert model.dim <= 16
-        n_checkpoints = 10
-        dt = t_end / n_checkpoints
-        traj = evolve(model, rho0, t_end, dt, keep_states=True)
-        oracle = propagate_dense(model, rho0, traj.times[1:])
-        for state, ref in zip(traj.states[1:], oracle):
-            delta = float(np.max(np.abs(state.matrix - ref.matrix)))
-            worst = max(worst, delta)
+    for path, propagator in ((contextlib.nullcontext, "expm"), (dopri5, "dopri5")):
+        for model, rho0, t_end in checks:
+            assert model.dim <= 16
+            n_checkpoints = 10
+            dt = t_end / n_checkpoints
+            with path():
+                traj = evolve(model, rho0, t_end, dt, keep_states=True)
+            assert traj.stats["propagator"] == propagator
+            oracle = propagate_dense(model, rho0, traj.times[1:])
+            for state, ref in zip(traj.states[1:], oracle):
+                delta = float(np.max(np.abs(state.matrix - ref.matrix)))
+                worst = max(worst, delta)
     assert worst < 1e-6, f"max |rho_evolve - rho_oracle| = {worst:.3g}"
-    passed(5, f"adaptive integration matches matrix-exponential oracle "
-              f"(max deviation {worst:.2e} < 1e-6)")
+    passed(5, f"exact propagator and adaptive integration match matrix-exponential "
+              f"oracle (max deviation {worst:.2e} < 1e-6)")
 
 
 def test_criterion_6_fig3_moment_synchronization(fig3_run):
@@ -252,7 +259,8 @@ def test_criterion_7_randomized_invariants():
             dis.append(Dissipator(float(rng.uniform(0.05, 0.6)), Operator(layout, lm)))
         model = ModelSpec(layout, h, tuple(dis), ())
         rho0 = _random_state(rng, layout)
-        traj = evolve(model, rho0, 1.0, 0.25, guard_threshold=np.inf)
+        with unguarded():
+            traj = evolve(model, rho0, 1.0, 0.25)
         assert np.max(traj.trace_errors) < 1e-8, seed
         assert np.min(traj.min_eigenvalues) >= -1e-8, seed
 

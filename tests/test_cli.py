@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsync.cli
+from conftest import dopri5
 from qsync.cli import (
     ConfigError,
     _write_csv,
@@ -33,7 +34,7 @@ from qsync.cli import (
     run_sweep,
 )
 from qsync.lindblad import evolve, propagate_dense
-from qsync.models import MODELS, PRESET_NAMES, PRESETS, ReducedQubitParams, build_reduced_qubit
+from qsync.models import MODELS, PRESET_NAMES, PRESETS
 from qsync.syncmeter import AnalysisThresholds
 
 # a fast scenario: collective-decay qubit pair with a weak drive, run long
@@ -531,16 +532,16 @@ class TestSweep:
         assert point["chi"] == direct["chi"]
         assert point["xi"] == direct["xi"]
 
-    def test_exact_propagator_keeps_every_verdict(self, tmp_path, monkeypatch):
+    def test_exact_propagator_keeps_every_verdict(self, tmp_path):
         # a 2x2 reduced-model sweep as shipped, and again with every point
-        # stepped by Dopri5: the summaries agree row for row
+        # stepped by Dopri5 (the forked workers inherit the seam): the
+        # summaries agree row for row
         sweep_text = FAST_SCENARIO + ("sweep.axis.param.deltaq2 = 0.02 0.08\n"
                                       "sweep.axis.param.Omega = 0 0.01\n")
         spec = sweep_from_mapping(parse_config_text(sweep_text))
         assert run_sweep(spec, tmp_path / "expm") == 4
-        monkeypatch.setitem(MODELS, "reduced_qubit", (ReducedQubitParams, lambda p: (
-            dataclasses.replace(build_reduced_qubit(p), exact_propagator=False))))
-        assert run_sweep(spec, tmp_path / "dopri5") == 4
+        with dopri5():
+            assert run_sweep(spec, tmp_path / "dopri5") == 4
         summaries = {}
         for name in ("expm", "dopri5"):
             with open(tmp_path / name / "summary.csv", newline="") as fh:
@@ -994,15 +995,18 @@ run.sample_dt = 0.125
 
     def test_unmeetable_tolerances_exit_code(self, tmp_path, capsys):
         # the derivative scaled by abs_tol overflows: no step can be chosen.
-        # vdp is stepped by Dopri5; the reduced model takes no tolerances
-        text = SMALL_VDP + "run.abs_tol = 1e-300\n"
+        # fig2a's pair at Nc = 5 steps 1,681 coordinates, too many for the
+        # exact propagator, so Dopri5 takes them; a smaller block takes no
+        # tolerances
+        text = (_BASE_CONFIGS["cavity_qubit"].replace("param.Nc = 4\n", "param.Nc = 5\n")
+                .replace("run.t_end = 20\n", "run.t_end = 256\n") + "run.abs_tol = 1e-300\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, text)),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: initial step underflow") and len(err.splitlines()) == 1
         assert not (out / "report.json").exists()
-        sweep = write_config(tmp_path, text + "sweep.axis.param.Omega1 = 0.1\n", "sweep.cfg")
+        sweep = write_config(tmp_path, text + "sweep.axis.param.Omega = 0.0005\n", "sweep.cfg")
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw")]) == 5
         with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
             _, failed = csv.reader(fh)

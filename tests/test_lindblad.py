@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import dopri5, unguarded
 from qsync import lindblad
 from qsync.lindblad import (
     _DP_C,
@@ -113,11 +114,6 @@ def reduced_case():
     return model, rho0
 
 
-def dopri5(model):
-    """The model with the exact propagator off: `evolve` steps it with `_Dopri5`."""
-    return dataclasses.replace(model, exact_propagator=False)
-
-
 def real_problem(model, rho0):
     """L_r on all D^2 real coordinates, and rho0's coordinates x0 on it."""
     d = model.dim
@@ -156,6 +152,11 @@ class TestRhs:
             deriv = rhs(model, rho)
             assert abs(np.trace(deriv)) < 1e-12
             assert np.max(np.abs(deriv - deriv.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+    def test_dissipator_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ValueError, match="dissipator rate must be finite and >= 0"):
+            Dissipator(rate, pauli("minus"))
 
 
 class TestEvolve:
@@ -207,12 +208,13 @@ class TestEvolve:
         assert np.min(traj.min_eigenvalues) > -1e-8
 
     def test_self_convergence_under_tolerance_halving(self):
-        model = dopri5(build_reduced_qubit(ReducedQubitParams(0.05, 0.0, 1e-3, 0.25)))
+        model = build_reduced_qubit(ReducedQubitParams(0.05, 0.0, 1e-3, 0.25))
         rho0 = DensityMatrix.product_state(
             model.layout, [(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.7), np.sqrt(0.3))]
         )
-        base = evolve(model, rho0, 40.0, 1.0, rel_tol=1e-8, abs_tol=1e-10)
-        fine = evolve(model, rho0, 40.0, 1.0, rel_tol=5e-9, abs_tol=5e-11)
+        with dopri5():
+            base = evolve(model, rho0, 40.0, 1.0, rel_tol=1e-8, abs_tol=1e-10)
+            fine = evolve(model, rho0, 40.0, 1.0, rel_tol=5e-9, abs_tol=5e-11)
         assert np.max(np.abs(base.values - fine.values)) < 1e-6
 
     def test_truncation_guard_fires(self):
@@ -351,7 +353,8 @@ class TestDenseOracle:
         # a sweep_reduced-shaped run: free steps, every sample from the
         # continuous extension, each within criterion 5's 1e-6 of exp(L t)
         model, rho0 = reduced_case()
-        traj = evolve(dopri5(model), rho0, 200.0, 0.5, keep_states=True)
+        with dopri5():
+            traj = evolve(model, rho0, 200.0, 0.5, keep_states=True)
         oracle = propagate_dense(model, rho0, traj.times)
         worst = max(float(np.max(np.abs(s.matrix - o.matrix)))
                     for s, o in zip(traj.states, oracle))
@@ -372,7 +375,8 @@ class TestFreeStepping:
     @pytest.fixture(scope="class")
     def coarse_and_fine(self):
         model, rho0 = reduced_case()
-        return [evolve(dopri5(model), rho0, 200.0, dt) for dt in (0.5, 0.05)]
+        with dopri5():
+            return [evolve(model, rho0, 200.0, dt) for dt in (0.5, 0.05)]
 
     def test_step_sequence_ignores_sample_grid(self, coarse_and_fine):
         coarse, fine = coarse_and_fine
@@ -388,10 +392,11 @@ class TestFreeStepping:
     def test_rejected_steps_cost_no_matvec(self):
         # a detuning-free pair driven hard against its decay: the controller
         # rejects 48 steps, each re-sized from the same block of powers
-        model = dopri5(build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 20.0, 5.0)))
+        model = build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 20.0, 5.0))
         rho0 = DensityMatrix.product_state(model.layout, [(1, 0), (0, 1)])
-        traj = evolve(model, rho0, 20.0, 0.5, rel_tol=1e-10, abs_tol=1e-12,
-                      keep_states=True)
+        with dopri5():
+            traj = evolve(model, rho0, 20.0, 0.5, rel_tol=1e-10, abs_tol=1e-12,
+                          keep_states=True)
         stats = traj.stats
         assert (stats["steps_accepted"], stats["steps_rejected"]) == (3226, 48)
         assert stats["matvecs"] == 6 * 3226 + 1 == 19357
@@ -480,18 +485,31 @@ def relative_deviation(p, reference):
 
 
 class TestExactPropagator:
-    def test_which_builders_set_it(self):
-        # the two qubit models take the exact propagator; vdp and a
-        # hand-built model do not
-        assert build_reduced_qubit(ReducedQubitParams(0.05, 0.02, 1e-3, 0.25)).exact_propagator
-        assert PRESETS["fig2a"].build()[0].exact_propagator
-        assert not PRESETS["fig3"].build()[0].exact_propagator
-        assert not single_qubit_decay().exact_propagator
+    def test_block_size_picks_the_propagator(self):
+        # fig3's pair from fig3's state: N = 6 steps 676 coordinates and
+        # takes the exact propagator, N = 7 steps 1,091 and takes Dopri5
+        for n, count, propagator in [(6, 676, "expm"), (7, 1091, "dopri5")]:
+            scenario = dataclasses.replace(PRESETS["fig3"],
+                                           params={**PRESETS["fig3"].params, "N": n})
+            stats = evolve(*scenario.build(), 0.25, 0.25).stats
+            assert (stats["coordinates"], stats["propagator"]) == (count, propagator)
         model, rho0 = reduced_case()
         stats = evolve(model, rho0, 2.0, 0.5).stats
         assert (stats["propagator"], stats["matvecs"], stats["steps_accepted"],
                 stats["steps_rejected"], stats["h_min"]) == ("expm", 4, 0, 0, None)
-        assert evolve(dopri5(model), rho0, 2.0, 0.5).stats["propagator"] == "dopri5"
+        with dopri5():
+            assert evolve(model, rho0, 2.0, 0.5).stats["propagator"] == "dopri5"
+
+    def test_small_vdp_matches_dopri5(self):
+        # the vdp pair at N = 6 takes the exact propagator by its size: it
+        # agrees with the Dopri5 run it replaces within criterion 5's 1e-6
+        model, rho0 = small_vdp_case()
+        exact = evolve(model, rho0, 2.0, 0.25)
+        with dopri5():
+            stepped = evolve(model, rho0, 2.0, 0.25)
+        assert (exact.stats["propagator"], stepped.stats["propagator"]) == ("expm", "dopri5")
+        assert np.max(np.abs(exact.values - stepped.values)) < 1e-6
+        assert np.max(np.abs(exact.mutual_info - stepped.mutual_info)) < 1e-6
 
     @pytest.mark.parametrize("case, t_end", [(reduced_case, 200.0),
                                              (criterion_4a_reduced_case, 40.0)])
@@ -507,7 +525,9 @@ class TestExactPropagator:
         assert len(exact) == len(stepped) == len(times)
         assert np.max(np.abs(np.array(exact) - np.array(stepped))) < 1e-6
         # and through evolve, observables and mutual information alike
-        runs = [evolve(m, rho0, t_end, 0.5) for m in (model, dopri5(model))]
+        runs = [evolve(model, rho0, t_end, 0.5)]
+        with dopri5():
+            runs.append(evolve(model, rho0, t_end, 0.5))
         assert np.max(np.abs(runs[0].values - runs[1].values)) < 1e-6
         assert np.max(np.abs(runs[0].mutual_info - runs[1].mutual_info)) < 1e-6
 
@@ -688,7 +708,8 @@ class TestReachablePruning:
         model, rho0 = small_vdp_case()
         d = model.dim
         assert reachable_count(model, rho0) < d * d
-        traj = evolve(model, rho0, 2.0, 0.25, keep_states=True)
+        with dopri5():
+            traj = evolve(model, rho0, 2.0, 0.25, keep_states=True)
         assert traj.stats["renormalizations"] == 0
         # the real generator on all D^2 coordinates, stepped without pruning
         e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
@@ -754,10 +775,11 @@ class TestExcitationCap:
 
         projected = ModelSpec(model.layout, project(model.hamiltonian),
                               [Dissipator(d.rate, project(d.jump)) for d in model.dissipators],
-                              model.observables, exact_propagator=model.exact_propagator)
+                              model.observables)
         # this strong drive fills the top levels; only the generators are compared
-        capped = evolve(model, rho0, 10.0, 0.5, guard_threshold=np.inf)
-        exact = evolve(projected, rho0, 10.0, 0.5, guard_threshold=np.inf)
+        with unguarded():
+            capped = evolve(model, rho0, 10.0, 0.5)
+            exact = evolve(projected, rho0, 10.0, 0.5)
         assert capped.stats["coordinates"] == exact.stats["coordinates"] < model.dim ** 2
         assert np.max(np.abs(capped.values - exact.values)) < 1e-12
         assert np.max(capped.trace_errors) < 1e-10
