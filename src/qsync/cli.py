@@ -101,6 +101,9 @@ SWEEP_CAP_DEFAULT = 64
 _RUN_OUTPUTS = ("report.json", "stats.json", "trajectory.csv", "mutual_info.csv",
                "diagnostics.csv")
 _SUMMARY_FIELDS = ("chi", "c", "xi", "mutual_info_final")
+# the failures that `main` maps to exit 2 (ConfigError is a ValueError) or,
+# for TruncationError, to exit 3; a sweep point records them in its status
+_RUN_FAILURES = (ValueError, StepSizeUnderflowError, TruncationError)
 
 
 def _parse_number(key: str, text: str) -> float:
@@ -171,9 +174,8 @@ def _parse_window(key: str, text: str) -> tuple[float, float]:
     return (t0, t1)
 
 
-# every float field of AnalysisThresholds is an analysis.* key
-_ANALYSIS_FLOAT_KEYS = {f"analysis.{f.name}": f.name
-                        for f in dataclasses.fields(AnalysisThresholds) if f.type == "float"}
+# every field of AnalysisThresholds is a float analysis.* key
+_ANALYSIS_KEYS = {f"analysis.{f.name}": f.name for f in dataclasses.fields(AnalysisThresholds)}
 
 
 def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
@@ -218,8 +220,8 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         elif key == "analysis.catalog":
             resolve_catalog(value)          # a malformed spec is refused here
             catalog = value
-        elif key in _ANALYSIS_FLOAT_KEYS:
-            analysis_overrides[_ANALYSIS_FLOAT_KEYS[key]] = _parse_number(key, value)
+        elif key in _ANALYSIS_KEYS:
+            analysis_overrides[_ANALYSIS_KEYS[key]] = _parse_number(key, value)
         else:
             raise ConfigError(f"unknown key '{key}'")
 
@@ -499,13 +501,12 @@ def _sweep_workers(n_points: int) -> int:
 def _sweep_point(cfg: Scenario, point_dir: Path) -> dict:
     """Run one grid point; returns its summary columns after the grid values.
 
-    A failure that `main` maps to exit 2 or 3 (a `ValueError`, which covers
-    `ConfigError`, or a `RuntimeError` such as `TruncationError`) goes into
+    A failure that `main` maps to exit 2 or 3 (`_RUN_FAILURES`) goes into
     the `status` cell; anything else, an `OSError` included, ends the sweep.
     """
     try:
         report = run_scenario(cfg, point_dir)
-    except (ValueError, RuntimeError) as exc:
+    except _RUN_FAILURES as exc:
         return dict.fromkeys(_SUMMARY_FIELDS, "") | {
             "status": f"error:{type(exc).__name__}: {exc}"}
     return {key: report[key] for key in _SUMMARY_FIELDS} | {"status": "ok"}
@@ -623,12 +624,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, StepSizeUnderflowError) as exc:  # ConfigError is a ValueError
+    except _RUN_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, TruncationError) else 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -43,25 +43,26 @@ rounding.
 
 The adaptive stepper steps freely over the whole run: the error control
 alone sizes each step, and only the last one is cut to land on t_end.  Each
-sample x is the 4th-order continuous extension of the step that covers it,
+sample y is the 4th-order continuous extension of the step that covers it,
 evaluated from that step's powers, so the sample grid does not shape the
 steps.
 Each sample does only the sequential work:
+  * x = y / scale, written into a block: y is the sample the stepper
+    yields and scale the product of the renormalizations so far;
   * the trace, one dot of x with the diagonal coordinates;
   * a renormalization when the trace drifts beyond 1e-10, an explicit
-    policy that keeps runs bit-reproducible.  It divides the sample, the
-    stepper's block of x and its powers, and the step's other samples by
-    the trace (under the exact propagator, the sample that the next is
-    formed from); L_r is linear, so the step's end, formed from the block
-    after its samples, stays consistent.  A trace that is not a finite
+    policy that keeps runs bit-reproducible: x /= tr and scale *= tr.
+    `evolve` alone owns it.  L_r is linear, so the stepper goes on from
+    its own unscaled y and never sees the policy.  On a trace-preserving
+    generator both steppers keep tr y to rounding, so it is fault
+    recovery, not a step of a normal run.  A trace that is not a finite
     positive number (a propagator that underflowed to zero) is refused
     with a ValueError that names t;
   * the truncation guards: with an excitation cap, one dot with the top
     shell N == cap, and one per bosonic factor (dimension >= 3) whose top
     Fock level lies below the cap, or per bosonic factor without a cap;
     each aborts the run when its top shell or top Fock level holds more
-    than GUARD_THRESHOLD population;
-  * a copy of x into a block.
+    than GUARD_THRESHOLD population.
 Each block of samples then gets the observables (one real matrix product),
 rho = E x as a stack, Hermitian by construction, one stacked eigvalsh and
 the mutual information.  The rho stack is at most RHO_BLOCK_BYTES.
@@ -324,9 +325,7 @@ class _Dopri5:
     sizes the steps, and only the last one is cut to land on the grid's
     end.  Each sample comes from the continuous extension of the step that
     covers it, so the sample spacing does not shape the step sequence.
-    `rescale(c)` divides the block and the current step's samples by c; L
-    is linear, and the step's end is formed from the block after its
-    samples.  The counters `matvecs`, `accepted`, `rejected` and `h_min`
+    The counters `matvecs`, `accepted`, `rejected` and `h_min`
     (the smallest accepted step the controller chose; the cut last step is
     not counted) accumulate over the stepper's life.
     """
@@ -339,7 +338,6 @@ class _Dopri5:
         self.abs = abs_tol
         self.n_full = n_full
         self.u = np.zeros((8, liou.shape[0]))
-        self._dense = np.empty((0, liou.shape[0]))      # the current step's samples
         self.h = None
         self.err_prev = 1.0
         self.matvecs = 0
@@ -367,16 +365,11 @@ class _Dopri5:
         h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else h0 * 100
         return min(100 * h0, h1, span)
 
-    def rescale(self, c: float):
-        """Divide the power block and the current samples by c."""
-        self.u /= c
-        self._dense /= c
-
     def samples(self, y0: np.ndarray, times: np.ndarray):
         """Integrate from times[0] to times[-1]; yield (i, y(times[i])) for every i.
 
         Each yielded vector is the stepper's own storage, valid until the
-        next one is asked for; `rescale` divides it too.
+        next one is asked for.
         """
         u = self.u
         np.copyto(u[0], y0)
@@ -417,14 +410,13 @@ class _Dopri5:
             covered = int(np.searchsorted(times, t_next, side="right")) - 1
             if covered > i:
                 theta = (times[i + 1:covered + 1] - t) / h
-                self._dense = (np.power.outer(theta, np.arange(1, 5)) @ _DP_D.T * hk[1:]) @ u[1:]
-                self._dense += u[0]
-                for row in self._dense:
+                dense = (np.power.outer(theta, np.arange(1, 5)) @ _DP_D.T * hk[1:]) @ u[1:]
+                dense += u[0]
+                for row in dense:
                     i += 1
                     yield i, row
             t = t_next
-            # y and L y at the step's end, from the block as its samples left it
-            u[0] += c @ u[1:7]
+            u[0] = y_new
             u[1] += c @ u[2:8]
             if i < last:
                 self._powers(2)
@@ -475,8 +467,7 @@ class _Propagator:
     P = exp(L dt) over the sample spacing dt is formed once, densely, by the
     Taylor scaling and squaring of `_expm`; each sample is then y <- P y,
     one dense matvec, exact to rounding.  It gives `evolve` the slots that
-    `_Dopri5` gives: `samples`, `rescale(c)`, which divides the current
-    sample and so every later one, and the counters.  `matvecs` counts the
+    `_Dopri5` gives: `samples` and the counters.  `matvecs` counts the
     products with P, one per sample after the first; no adaptive step is
     taken, so `accepted` and `rejected` stay 0 and `h_min` inf.
     """
@@ -485,28 +476,19 @@ class _Propagator:
 
     def __init__(self, liou: sparse.csr_matrix, sample_dt: float):
         self.p = _expm(liou, sample_dt)
-        self.y = np.zeros(liou.shape[0])
         self.matvecs = 0
         self.accepted = 0
         self.rejected = 0
         self.h_min = np.inf
 
-    def rescale(self, c: float):
-        """Divide the current sample by c."""
-        self.y /= c
-
     def samples(self, y0: np.ndarray, times: np.ndarray):
-        """Yield (i, y(times[i])) for every i of the uniform grid `times`.
-
-        Each yielded vector is the propagator's own storage, valid until the
-        next one is asked for; `rescale` divides it too.
-        """
-        self.y = np.array(y0, dtype=float)
-        yield 0, self.y
+        """Yield (i, y(times[i])) for every i of the uniform grid `times`."""
+        y = np.asarray(y0, dtype=float)
+        yield 0, y
         for i in range(1, len(times)):
-            self.y = self.p @ self.y
+            y = self.p @ y
             self.matvecs += 1
-            yield i, self.y
+            yield i, y
 
 
 def excitation_numbers(layout: SpaceLayout) -> np.ndarray:
@@ -618,7 +600,8 @@ def evolve(
     `steps_accepted`, `steps_rejected` and `h_min` (0, 0 and None under
     'expm', which takes no adaptive step),
     the number of stepped real `coordinates` against `dim_squared` = D^2,
-    the number of trace `renormalizations` (a trace that is not a finite
+    the number of trace `renormalizations`, which act on the recorded
+    samples alone (see the module docstring; a trace that is not a finite
     positive number is a ValueError), and `top_level_population`,
     the largest population the guard saw on each guarded factor's top level
     and, under the label 'excitations', on the top shell of a capped model
@@ -670,6 +653,7 @@ def evolve(
     states: list[DensityMatrix] | None = [] if keep_states else None
     block = np.empty((min(max(RHO_BLOCK_BYTES // (16 * d * d), 1), n_samples + 1), len(idx)))
     renorms = 0
+    scale = 1.0     # the product of the renormalizations so far
 
     def record_block(start: int, xs: np.ndarray) -> np.ndarray:
         """Record the samples xs, from sample `start` on; returns their rho stack."""
@@ -691,14 +675,17 @@ def evolve(
     # an error norm that overflows reads inf and rejects the step, so
     # tolerances too tight to meet end in StepSizeUnderflowError
     with np.errstate(over="ignore"):
-        for i, x in stepper.samples(x0, times):
+        for i, y in stepper.samples(x0, times):
+            row = i % len(block)
+            x = np.divide(y, scale, out=block[row])
             tr = float(diagonal @ x)
             trace_errors[i] = abs(tr - 1.0)
             if not trace_errors[i] <= RENORM_THRESHOLD:     # a NaN trace too
                 if not 0.0 < tr < math.inf:
                     raise ValueError(f"the trace at t={times[i]:.6g} is {tr:.3g}, "
                                      "not a finite positive number")
-                stepper.rescale(tr)
+                x /= tr
+                scale *= tr
                 renorms += 1
             for label, top, what in guards:
                 pop = float(top @ x)
@@ -708,8 +695,6 @@ def evolve(
                         f"at t={times[i]:.6g}; raise the truncation"
                     )
                 top_pop[label] = max(top_pop[label], pop)
-            row = i % len(block)
-            block[row] = x
             if row == len(block) - 1 or i == n_samples:
                 rho = record_block(i - row, block[:row + 1])
 

@@ -35,6 +35,10 @@ import numpy as np
 from .opalg import Operator
 
 MIN_WINDOW_SAMPLES = 64
+# degree of the polynomial background removed jointly with the cosine fit
+# (transients ride on relaxation trends; the locked oscillation, not the
+# trend, is what the verdict is about)
+DETREND_DEG = 3
 
 
 @dataclass(frozen=True)
@@ -48,16 +52,10 @@ class AnalysisThresholds:
     min_cycles:  minimum number of fitted periods inside the window; below
                  this the frequency is not identifiable and the series is
                  treated as non-oscillating
-    detrend_deg: degree of the polynomial background removed jointly with
-                 the cosine fit (transients ride on relaxation trends; the
-                 locked oscillation, not the trend, is what the verdict is
-                 about).  With degree 0 the model is a plain cosine plus
-                 constant.
     rank_tol:    relative Hilbert-Schmidt tolerance for independence
     comm_tol:    max-entry tolerance for declaring two operators commuting
 
-    Every value must be >= 0 and detrend_deg a whole number, stored as an
-    int (ValueError otherwise).
+    Every value must be >= 0 (ValueError otherwise).
     """
 
     tol_freq: float = 0.01
@@ -65,7 +63,6 @@ class AnalysisThresholds:
     amp_min: float = 1e-3
     fit_tol: float = 0.4
     min_cycles: float = 1.3
-    detrend_deg: int = 3
     rank_tol: float = 1e-10
     comm_tol: float = 1e-10
 
@@ -74,9 +71,6 @@ class AnalysisThresholds:
             value = getattr(self, f.name)
             if not value >= 0:      # NaN too
                 raise ValueError(f"analysis.{f.name} must be >= 0, got {value}")
-        if not float(self.detrend_deg).is_integer():        # inf too
-            raise ValueError(f"analysis.detrend_deg must be an integer, got {self.detrend_deg}")
-        object.__setattr__(self, "detrend_deg", int(self.detrend_deg))
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,7 @@ def fit_oscillation(
     """Fit A*cos(w t + phi) + B plus a polynomial background and gate it.
 
     The cosine is fit jointly with a low-degree polynomial nuisance trend
-    (`thresholds.detrend_deg`), since the transients of interest are small
+    (degree DETREND_DEG), since the transients of interest are small
     locked oscillations riding on larger relaxation backgrounds.  The
     frequency is seeded by the discrete-Fourier peak of the detrended
     window and refined locally by variable projection: the trend is
@@ -297,7 +291,7 @@ def fit_oscillation(
         scale = float(np.max(np.abs(y - np.mean(y))))
 
     u = 2.0 * ts / span - 1.0    # normalized abscissa for conditioning
-    nuisance = np.column_stack([u ** k for k in range(thresholds.detrend_deg + 1)])
+    nuisance = np.column_stack([u ** k for k in range(DETREND_DEG + 1)])
 
     # DFT seed on the window with the trend projected out: the seed and the
     # refinement see the same residual oscillation.
@@ -502,6 +496,7 @@ def build_sync_report(
             "window": list(window),
             "signal_scale": scale,
             **asdict(thresholds),
+            "detrend_deg": DETREND_DEG,
             **(notes or {}),
         },
     }

@@ -403,6 +403,14 @@ class TestRunAnalyze:
         for name in ("trajectory.csv", "mutual_info.csv", "diagnostics.csv", "report.json"):
             assert (outdir / name).exists()
 
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig2c", "fig3"])
+    def test_presets_never_renormalize(self, preset, request):
+        # both steppers keep tr rho to rounding on a trace-preserving
+        # generator: a renormalization on a preset marks a generator that
+        # leaks trace, which the renormalization would otherwise hide
+        outdir, _ = request.getfixturevalue(f"{preset}_run")
+        assert json.loads((outdir / "stats.json").read_text())["renormalizations"] == 0
+
     def test_stats_json_beside_report(self, run_dir):
         outdir, report = run_dir
         stats = json.loads((outdir / "stats.json").read_text())
@@ -674,25 +682,28 @@ class TestSweepWorkers:
         assert run_sweep(spec, tmp_path / "sw") == 1
 
     def test_uncaught_exception_reaches_caller(self, tmp_path, monkeypatch):
-        # point 0 raises at once while the others take a while: the error
-        # comes back unchanged, the points still queued never start, and
-        # the workers are gone when run_sweep returns
-        def fake_run(cfg, point_dir):
-            point_dir.mkdir(parents=True)
-            if point_dir.name == "point_0000":
-                raise LookupError("no such catalog entry")
-            time.sleep(0.2)
-            return dict.fromkeys(("chi", "c", "xi", "mutual_info_final"), 0.0)
-
-        monkeypatch.setattr(qsync.cli, "run_scenario", fake_run)
+        # point 0 raises at once while the others take a while: an error
+        # that `main` maps to no exit 2 or 3, a RuntimeError other than the
+        # integrator's included, comes back unchanged, the points still
+        # queued never start, and the workers are gone when run_sweep returns
         monkeypatch.setattr(qsync.cli, "_sweep_workers", lambda n: 2)
         spec = sweep_from_mapping(parse_config_text(
             FAST_SCENARIO + "sweep.axis.param.Omega = " + " ".join(["0"] * 12) + "\n"))
-        with pytest.raises(LookupError, match="^no such catalog entry$"):
-            run_sweep(spec, tmp_path / "sw")
-        assert multiprocessing.active_children() == []
-        assert not (tmp_path / "sw" / "point_0011").exists()
-        assert not (tmp_path / "sw" / "summary.csv").exists()
+        for error in (LookupError, RuntimeError):
+            def fake_run(cfg, point_dir):
+                point_dir.mkdir(parents=True)
+                if point_dir.name == "point_0000":
+                    raise error("no such catalog entry")
+                time.sleep(0.2)
+                return dict.fromkeys(("chi", "c", "xi", "mutual_info_final"), 0.0)
+
+            monkeypatch.setattr(qsync.cli, "run_scenario", fake_run)
+            out = tmp_path / error.__name__
+            with pytest.raises(error, match="^no such catalog entry$"):
+                run_sweep(spec, out)
+            assert multiprocessing.active_children() == []
+            assert not (out / "point_0011").exists()
+            assert not (out / "summary.csv").exists()
 
     def test_dead_worker_exit_code(self, tmp_path, monkeypatch, capsys):
         real_run = qsync.cli.run_scenario

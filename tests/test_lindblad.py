@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from fractions import Fraction as F
@@ -207,6 +208,37 @@ class TestEvolve:
         assert np.max(traj.trace_errors) < 1e-8
         assert np.min(traj.min_eigenvalues) > -1e-8
 
+    @pytest.mark.parametrize("path", ["expm", "dopri5"])
+    def test_trace_drift_is_renormalized_every_sample(self, path, monkeypatch):
+        # a generator that leaks trace: P = exp(L_r dt) scaled by 1 + 1e-6,
+        # or L_r + 1e-3 I under Dopri5.  evolve divides each sample by the
+        # product of the renormalizations so far while the stepper runs on
+        # unscaled, so the recorded run is the undrifted one
+        if path == "expm":
+            expm = lindblad._expm
+            seam, name, drift, tol = contextlib.nullcontext(), "_expm", 1e-6, 1e-12
+
+            def leaking(a, dt):
+                return (1 + 1e-6) * expm(a, dt)
+        else:
+            real_generator = lindblad._real_generator
+            seam, name, drift, tol = dopri5(), "_real_generator", math.expm1(1e-3 * 0.5), 1e-9
+
+            def leaking(rows, e, imag):
+                real = real_generator(rows, e, imag)
+                return real + 1e-3 * sparse.identity(real.shape[0], format="csr")
+        model, rho0 = PRESETS["fig2b"].build()
+        with seam:
+            plain = evolve(model, rho0, 40.0, 0.5)
+            monkeypatch.setattr(lindblad, name, leaking)
+            drifted = evolve(model, rho0, 40.0, 0.5)
+        assert plain.stats["propagator"] == drifted.stats["propagator"] == path
+        assert plain.stats["renormalizations"] == 0
+        assert drifted.stats["renormalizations"] == len(drifted.times) - 1
+        assert np.allclose(drifted.trace_errors[1:], drift, rtol=1e-6, atol=0)
+        assert np.max(np.abs(drifted.values - plain.values)) < tol
+        assert np.max(np.abs(drifted.mutual_info - plain.mutual_info)) < tol
+
     def test_self_convergence_under_tolerance_halving(self):
         model = build_reduced_qubit(ReducedQubitParams(0.05, 0.0, 1e-3, 0.25))
         rho0 = DensityMatrix.product_state(
@@ -406,9 +438,9 @@ class TestFreeStepping:
         assert worst < 1e-6, worst
 
     def test_renormalizing_every_sample_changes_nothing(self, monkeypatch):
-        # rescale divides the power block and the step's samples: a run
-        # that renormalizes every sample whose trace is off by any rounding
-        # follows the same solution
+        # evolve renormalizes the recorded samples alone, and the stepper
+        # runs on unscaled: a run that renormalizes every sample whose trace
+        # is off by any rounding follows the same solution
         model, rho0 = PRESETS["fig3"].build()
         plain = evolve(model, rho0, 1.28, 0.02)
         monkeypatch.setattr(lindblad, "RENORM_THRESHOLD", 0.0)
@@ -418,24 +450,6 @@ class TestFreeStepping:
         assert renorms == np.count_nonzero(renormed.trace_errors) > len(renormed.times) // 2
         assert np.max(np.abs(renormed.values - plain.values)) < 1e-12
         assert np.max(np.abs(renormed.mutual_info - plain.mutual_info)) < 1e-12
-
-    def test_rescale_divides_the_rest_of_the_run(self):
-        # trace errors of 1e-15 leave a faulty rescale invisible; halving at
-        # a sample inside a step must halve every later sample, those the
-        # step has already formed included, up to the stepper's own error
-        model, rho0 = reduced_case()
-        d = model.dim
-        liou, x0 = real_problem(model, rho0)
-        times = sample_grid(20.0, 0.05)
-        stepper = _Dopri5(liou, DEFAULT_REL_TOL, DEFAULT_ABS_TOL, d * d)
-        plain = [x.copy() for _, x in stepper.samples(x0, times)]
-        assert stepper.accepted < len(times) // 4     # several samples per step
-        stepper = _Dopri5(liou, DEFAULT_REL_TOL, DEFAULT_ABS_TOL, d * d)
-        for i, x in stepper.samples(x0, times):
-            if i == 201:
-                stepper.rescale(2.0)
-            expected = plain[i] / 2 if i >= 201 else plain[i]
-            assert np.max(np.abs(x - expected)) < 1e-6, i
 
     def test_work_bound(self, coarse_and_fine):
         # pins the work, not the time: 2,858 and 24,008 matvecs when every
@@ -544,20 +558,6 @@ class TestExactPropagator:
         reference = expm_multiply(liou, x0, start=0.0, stop=50.0, num=len(times),
                                   endpoint=True)
         assert np.max(np.abs(exact - reference)) < 1e-12
-
-    def test_rescale_halves_every_later_sample(self):
-        # y <- P y is linear and halving is exact in binary: halving at a
-        # mid-run sample halves that sample and every later one, bit for bit
-        model, rho0 = reduced_case()
-        liou, x0 = real_problem(model, rho0)
-        times = sample_grid(20.0, 0.5)
-        plain = [x.copy() for _, x in _Propagator(liou, 0.5).samples(x0, times)]
-        propagator = _Propagator(liou, 0.5)
-        for i, x in propagator.samples(x0, times):
-            if i == 20:
-                propagator.rescale(2.0)
-            assert np.array_equal(x, plain[i] / 2 if i >= 20 else plain[i]), i
-        assert propagator.matvecs == len(times) - 1
 
 
 class TestExponential:

@@ -7,7 +7,6 @@ from qsync.lindblad import Trajectory
 from qsync.models import mari_measure, moment_catalog, pauli_catalog, s_c_extras
 from qsync.opalg import DensityMatrix, SpaceLayout, mutual_information, pauli
 from qsync.syncmeter import (
-    AnalysisThresholds,
     OscillationFit,
     _ProjectedObjective,
     build_sync_report,
@@ -24,16 +23,6 @@ def grid(t_end=10 * np.pi, dt=0.01):
 
 
 class TestFitOscillation:
-    def test_detrend_degree_is_a_whole_number(self):
-        # the fit takes an integer degree: 2.7 is refused, and 2.0 is stored
-        # as the 2 that the fit uses and report.json echoes
-        with pytest.raises(ValueError, match="analysis.detrend_deg must be an integer, got 2.7"):
-            AnalysisThresholds(detrend_deg=2.7)
-        with pytest.raises(ValueError, match="detrend_deg"):
-            AnalysisThresholds(detrend_deg=np.inf)
-        whole = AnalysisThresholds(detrend_deg=2.0)
-        assert type(whole.detrend_deg) is int and whole == AnalysisThresholds(detrend_deg=2)
-
     def test_recovers_exact_sinusoid(self):
         t = grid()
         y = 0.3 * np.cos(2 * t + 1.0) + 0.1
