@@ -5,8 +5,9 @@ Subcommands
 run       simulate a preset or a config file; writes trajectory.csv,
           mutual_info.csv, diagnostics.csv, stats.json (integrator
           counters) and report.json
-analyze   recompute report.json from a trajectory.csv with the catalog its
-          run recorded (window and thresholds can be revisited afterwards)
+analyze   recompute report.json from a trajectory.csv with the catalog,
+          window and lock tolerances its run recorded (--window, --tol-freq
+          and --tol-phase revisit the last three)
 sweep     run a grid of scenarios from a sweep config, one forked worker
           per available CPU; writes per-point directories plus summary.csv
 presets   list the built-in scenario names
@@ -25,10 +26,12 @@ Config files are flat `key = value` text with dotted sections, for example::
 Configs are checked when parsed, before anything runs: numbers, initial
 amplitudes and the --tol-freq/--tol-phase flags must be finite, run.t_end
 a positive integer multiple of run.sample_dt of at most
-`lindblad.MAX_SAMPLES` samples, tolerances and sweep.cap positive, analysis
-thresholds >= 0, and analysis.catalog a valid spec, so a bad sweep config fails
-before its first point.  `initial.preset = NAME` stands for that preset's
-amplitudes and excludes other initial.* keys.  `opalg.DensityMatrix.product_state`
+`lindblad.MAX_SAMPLES` samples, tolerances and sweep.cap positive,
+analysis.tol_freq and analysis.tol_phase >= 0, and analysis.catalog a valid
+spec, so a bad sweep config fails before its first point.  The fit gates
+and the rank and commutator tolerances are `syncmeter` constants, not keys.
+`initial.preset = NAME` stands for that preset's amplitudes and excludes
+other initial.* keys.  `opalg.DensityMatrix.product_state`
 zero-pads an initial.* list shorter than its factor, so one list serves every
 point of a sweep over a truncation.  Configs and `models.PRESETS`
 are `models.Scenario` records; `Scenario.build()` makes the model, which
@@ -95,7 +98,7 @@ from .models import (
     resolve_catalog,
     s_c_extras,
 )
-from .syncmeter import AnalysisThresholds, analysis_window, build_sync_report
+from .syncmeter import FIXED_THRESHOLDS, AnalysisThresholds, analysis_window, build_sync_report
 
 SWEEP_CAP_DEFAULT = 64
 _RUN_OUTPUTS = ("report.json", "stats.json", "trajectory.csv", "mutual_info.csv",
@@ -174,7 +177,8 @@ def _parse_window(key: str, text: str) -> tuple[float, float]:
     return (t0, t1)
 
 
-# every field of AnalysisThresholds is a float analysis.* key
+# every field of AnalysisThresholds is a float analysis.* key and a --flag of
+# `run` and `analyze`
 _ANALYSIS_KEYS = {f"analysis.{f.name}": f.name for f in dataclasses.fields(AnalysisThresholds)}
 
 
@@ -372,35 +376,61 @@ def run_scenario(cfg: Scenario, outdir: Path) -> dict:
         (outdir / name).unlink(missing_ok=True)
     model, rho0 = cfg.build()
     analysis_window(sample_grid(cfg.t_end, cfg.sample_dt), cfg.window)
-    traj = evolve(
-        model,
-        rho0,
-        cfg.t_end,
-        cfg.sample_dt,
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-    )
+    traj = evolve(model, rho0, cfg.t_end, cfg.sample_dt, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        outdir / "trajectory.csv",
-        ["time"] + traj.names,
-        [traj.times] + [traj.values[:, j] for j in range(traj.values.shape[1])],
-    )
-    _write_csv(
-        outdir / "mutual_info.csv",
-        ["time", "mutual_info"],
-        [traj.times, traj.mutual_info],
-    )
-    _write_csv(
-        outdir / "diagnostics.csv",
-        ["time", "trace_error", "min_eigenvalue"],
-        [traj.times, traj.trace_errors, traj.min_eigenvalues],
-    )
+    _write_csv(outdir / "trajectory.csv", ["time"] + traj.names, [traj.times, *traj.values.T])
+    _write_csv(outdir / "mutual_info.csv", ["time", "mutual_info"], [traj.times, traj.mutual_info])
+    _write_csv(outdir / "diagnostics.csv", ["time", "trace_error", "min_eigenvalue"],
+               [traj.times, traj.trace_errors, traj.min_eigenvalues])
     _write_json(outdir / "stats.json", traj.stats)
     report = analyze_trajectory(traj, model.catalog, cfg.window, cfg.thresholds)
     report["scenario"] = cfg.echo()
     report["model"] = cfg.model
     _write_json(outdir / "report.json", report)
     return report
+
+
+def _prior_report(csv_path: Path) -> tuple[Path, dict]:
+    """The path of the report.json beside `csv_path` and its object ({} if absent)."""
+    sibling = csv_path.parent / "report.json"
+    try:
+        prior = json.loads(sibling.read_text()) if sibling.exists() else {}
+    except ValueError as exc:       # malformed JSON or not UTF-8
+        raise ConfigError(f"{sibling}: {exc}") from None
+    if not isinstance(prior, dict):
+        raise ConfigError(f"{sibling}: not a JSON object")
+    return sibling, prior
+
+
+def recorded_analysis(
+    csv_path: Path,
+) -> tuple[tuple[float, float] | None, AnalysisThresholds]:
+    """The window and lock tolerances that the report.json beside `csv_path` records.
+
+    What it does not record keeps its default: the second half of the run,
+    `AnalysisThresholds()`.  A malformed value, or a fit constant other than
+    `FIXED_THRESHOLDS`, is a ConfigError naming the file and key: that
+    report cannot be reproduced.
+    """
+    sibling, prior = _prior_report(csv_path)
+    record = prior.get("thresholds")
+    window, tolerances = None, {}
+    try:
+        for key, value in (record.items() if isinstance(record, dict) else ()):
+            # a recorded number is re-parsed from its JSON text: strings,
+            # booleans and nulls fail like a malformed config value
+            text = (":".join(map(json.dumps, value)) if isinstance(value, list)
+                    else json.dumps(value))
+            if value != FIXED_THRESHOLDS.get(key, value):
+                raise ConfigError(f"key 'thresholds.{key}' records {text}, which this "
+                                  f"version fixes at {FIXED_THRESHOLDS[key]!r}")
+            if key == "window":
+                window = _parse_window(f"thresholds.{key}", text)
+            elif key in _ANALYSIS_KEYS.values():
+                tolerances[key] = _parse_number(f"thresholds.{key}", text)
+        return window, AnalysisThresholds(**tolerances)
+    except ValueError as exc:       # ConfigError, or a negative tolerance
+        raise ConfigError(f"{sibling}: {exc}") from None
 
 
 def analyze_csv(
@@ -413,7 +443,9 @@ def analyze_csv(
     """Re-analyze a trajectory.csv with its sibling mutual_info.csv, if any.
 
     From a sibling report.json come the provenance and the run's catalog,
-    which is the default and which a given `catalog` must match.
+    which is the default and which a given `catalog` must match.  `window`
+    and `thresholds` are used as given; `recorded_analysis` reads the ones
+    that report.json records.
     """
     traj = read_trajectory_csv(csv_path)
     mi_path = csv_path.parent / "mutual_info.csv"
@@ -423,13 +455,7 @@ def analyze_csv(
             raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info' on the "
                               f"time column of {csv_path}")
         traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
-    sibling = csv_path.parent / "report.json"
-    try:
-        prior = json.loads(sibling.read_text()) if sibling.exists() else {}
-    except ValueError as exc:       # malformed JSON or not UTF-8
-        raise ConfigError(f"{sibling}: {exc}") from None
-    if not isinstance(prior, dict):
-        raise ConfigError(f"{sibling}: not a JSON object")
+    sibling, prior = _prior_report(csv_path)
     record = prior.get("thresholds")
     recorded = record.get("catalog") if isinstance(record, dict) else None
     if catalog is None:
@@ -563,16 +589,11 @@ def run_sweep(spec: SweepSpec, outdir: Path) -> int:
     def write(fh):
         out = csv.writer(fh, lineterminator="\n")   # QUOTE_MINIMAL: only messages get quoted
         out.writerow(header)
-        out.writerows([_summary_cell(row[h]) for h in header] for row in rows)
+        out.writerows([f"{row[h]:.17g}" if isinstance(row[h], float) else str(row[h])
+                       for h in header] for row in rows)
 
     _write_atomically(outdir / "summary.csv", write)
     return sum(result["status"] == "ok" for result in results)
-
-
-def _summary_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 # --- argument parsing / entry point ----------------------------------------
@@ -584,20 +605,18 @@ def _add_threshold_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tol-phase", help="phase class tolerance (rad)")
 
 
-def _thresholds_with_flags(base: AnalysisThresholds, args) -> AnalysisThresholds:
-    updates = {}
-    if args.tol_freq is not None:
-        updates["tol_freq"] = _parse_number("--tol-freq", args.tol_freq)
-    if args.tol_phase is not None:
-        updates["tol_phase"] = _parse_number("--tol-phase", args.tol_phase)
-    return dataclasses.replace(base, **updates) if updates else base
+def _with_flags(window, thresholds: AnalysisThresholds, args):
+    """`window` and `thresholds` with the values of the flags given replacing theirs."""
+    if args.window:
+        window = _parse_window("--window", args.window)
+    updates = {name: _parse_number("--" + name.replace("_", "-"), getattr(args, name))
+               for name in _ANALYSIS_KEYS.values() if getattr(args, name) is not None}
+    return window, dataclasses.replace(thresholds, **updates)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="qsync",
-        description="Open-system synchronization simulator and analyzer",
-    )
+        prog="qsync", description="Open-system synchronization simulator and analyzer")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -608,7 +627,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", required=True, help="output directory")
     _add_threshold_flags(p_run)
 
-    p_an = sub.add_parser("analyze", help="re-analyze a trajectory.csv")
+    p_an = sub.add_parser("analyze", help="re-analyze a trajectory.csv (window and "
+                          "tolerances default to those its report.json records)")
     p_an.add_argument("csv", help="path to trajectory.csv")
     p_an.add_argument("--catalog", help="'pauli' or 'moments:<N>' (default, and checked "
                       "against: the catalog in the report.json beside the CSV)")
@@ -624,12 +644,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except _RUN_FAILURES as exc:
+    except (*_RUN_FAILURES, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, TruncationError) else 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 4 if isinstance(exc, OSError) else 3 if isinstance(exc, TruncationError) else 2
 
 
 def _dispatch(args) -> int:
@@ -644,21 +661,18 @@ def _dispatch(args) -> int:
         if args.preset:
             cfg = scenario_from_preset(args.preset)
         elif args.config:
-            cfg = scenario_from_mapping(
-                parse_config_text(Path(args.config).read_text())
-            )
+            cfg = scenario_from_mapping(parse_config_text(Path(args.config).read_text()))
         else:
             raise ConfigError("run needs a preset name or --config")
-        if args.window:
-            cfg = dataclasses.replace(cfg, window=_parse_window("--window", args.window))
-        cfg = dataclasses.replace(cfg, thresholds=_thresholds_with_flags(cfg.thresholds, args))
+        window, thresholds = _with_flags(cfg.window, cfg.thresholds, args)
+        cfg = dataclasses.replace(cfg, window=window, thresholds=thresholds)
         run_scenario(cfg, Path(args.out))
         return 0
 
     if args.command == "analyze":
-        window = _parse_window("--window", args.window) if args.window else None
-        thresholds = _thresholds_with_flags(AnalysisThresholds(), args)
-        analyze_csv(Path(args.csv), args.catalog, window, thresholds, Path(args.out))
+        csv_path = Path(args.csv)
+        window, thresholds = _with_flags(*recorded_analysis(csv_path), args)
+        analyze_csv(csv_path, args.catalog, window, thresholds, Path(args.out))
         return 0
 
     if args.command == "sweep":

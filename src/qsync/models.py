@@ -318,9 +318,11 @@ class Scenario:
     `params` holds the model's params-class keyword arguments and `initial`
     each factor label's leading amplitudes, ground first (zero-padded by
     `DensityMatrix.product_state`); `build()` checks both.
-    `thresholds` relaxes individual lock criteria where a preset's physics
+    `thresholds` relaxes the lock tolerances where a preset's physics
     requires it (short transient windows limit the attainable
-    frequency-estimate precision); every value used ends up in the report.
+    frequency-estimate precision); the fit gates are `syncmeter` constants.
+    The report records the window, both tolerances and every constant, and
+    `qsync analyze` re-reads them from it.
     """
 
     model: str                              # a key of MODELS

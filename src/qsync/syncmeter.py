@@ -14,8 +14,9 @@ The pipeline turns recorded expectation-value series into:
 
 The underlying systems settle to steady states, so the "locked
 oscillations" are slowly decaying transients; the fit gates below are
-explicit, recorded in every report, and deliberately conservative about
-monotone drifts (a decaying exponential must not count as an oscillation).
+module constants, recorded in every report, and deliberately conservative
+about monotone drifts (a decaying exponential must not count as an
+oscillation).
 
 The analysis reads recorded series only: any `lindblad.Trajectory`, whether
 just simulated or re-read from CSV, plus the catalog operators.
@@ -39,32 +40,35 @@ MIN_WINDOW_SAMPLES = 64
 # (transients ride on relaxation trends; the locked oscillation, not the
 # trend, is what the verdict is about)
 DETREND_DEG = 3
+# the fit gates: minimum fitted amplitude as a fraction of the signal scale,
+# maximum residual rms as a fraction of the fitted amplitude, and minimum
+# number of fitted periods inside the window (below it the frequency is not
+# identifiable and the series is treated as non-oscillating)
+AMP_MIN = 1e-3
+FIT_TOL = 0.4
+MIN_CYCLES = 1.3
+# relative Hilbert-Schmidt tolerance for independence, and max-entry
+# tolerance for declaring two operators commuting
+RANK_TOL = 1e-10
+COMM_TOL = 1e-10
+# the constants that report.json records beside the lock tolerances
+FIXED_THRESHOLDS = {"amp_min": AMP_MIN, "fit_tol": FIT_TOL, "min_cycles": MIN_CYCLES,
+                    "rank_tol": RANK_TOL, "comm_tol": COMM_TOL, "detrend_deg": DETREND_DEG}
 
 
 @dataclass(frozen=True)
 class AnalysisThresholds:
-    """All knobs that turn a trajectory into verdicts.
+    """The lock tolerances that a scenario or an `analyze` flag sets.
 
     tol_freq:    max relative frequency mismatch for a locked pair
     tol_phase:   phase-class half-width (rad) around 0 and pi
-    amp_min:     minimum fitted amplitude as a fraction of the signal scale
-    fit_tol:     max residual rms as a fraction of the fitted amplitude
-    min_cycles:  minimum number of fitted periods inside the window; below
-                 this the frequency is not identifiable and the series is
-                 treated as non-oscillating
-    rank_tol:    relative Hilbert-Schmidt tolerance for independence
-    comm_tol:    max-entry tolerance for declaring two operators commuting
 
-    Every value must be >= 0 (ValueError otherwise).
+    Every value must be >= 0 (ValueError otherwise).  The fit gates and the
+    rank and commutator tolerances are the module constants above.
     """
 
     tol_freq: float = 0.01
     tol_phase: float = 0.2
-    amp_min: float = 1e-3
-    fit_tol: float = 0.4
-    min_cycles: float = 1.3
-    rank_tol: float = 1e-10
-    comm_tol: float = 1e-10
 
     def __post_init__(self):
         for f in fields(self):
@@ -244,7 +248,6 @@ def fit_oscillation(
     times: np.ndarray,
     values: np.ndarray,
     window: tuple[float, float],
-    thresholds: AnalysisThresholds = AnalysisThresholds(),
     *,
     signal_scale: float | None = None,
 ) -> OscillationFit:
@@ -266,6 +269,9 @@ def fit_oscillation(
     the same window are directly comparable; the reported offset is the
     window average of the non-oscillating part.
 
+    The fit counts as oscillating when it passes three gates: amplitude at
+    least AMP_MIN times the signal scale, residual rms at most FIT_TOL
+    times the amplitude, and at least MIN_CYCLES periods in the window.
     `signal_scale` sets the amplitude floor; by default the window's own
     peak deviation from its mean is used, but catalog-level analysis passes
     a common scale so that near-zero channels are not self-normalized into
@@ -323,35 +329,17 @@ def fit_oscillation(
     if not all(map(math.isfinite, (omega, phase, amplitude, offset, residual_rms))):
         raise ValueError("the oscillation fit is not finite: values too large for float64")
 
-    oscillating = True
     diagnostic = ""
-    if amplitude < thresholds.amp_min * scale:
-        oscillating = False
-        diagnostic = (
-            f"amplitude {amplitude:.3g} below floor "
-            f"{thresholds.amp_min:.3g} * scale {scale:.3g}"
-        )
-    elif residual_rms > thresholds.fit_tol * amplitude:
-        oscillating = False
-        diagnostic = (
-            f"residual rms {residual_rms:.3g} exceeds "
-            f"{thresholds.fit_tol} * amplitude {amplitude:.3g}"
-        )
-    elif omega * span < 2.0 * math.pi * thresholds.min_cycles:
-        oscillating = False
-        diagnostic = (
-            f"only {omega * span / (2 * math.pi):.2f} cycles in window, "
-            f"frequency not resolved (need {thresholds.min_cycles})"
-        )
-    return OscillationFit(
-        frequency=float(omega),
-        phase=float(phase),
-        amplitude=amplitude,
-        offset=offset,
-        residual_rms=residual_rms,
-        oscillating=oscillating,
-        diagnostic=diagnostic,
-    )
+    if amplitude < AMP_MIN * scale:
+        diagnostic = f"amplitude {amplitude:.3g} below floor {AMP_MIN:.3g} * scale {scale:.3g}"
+    elif residual_rms > FIT_TOL * amplitude:
+        diagnostic = (f"residual rms {residual_rms:.3g} exceeds "
+                      f"{FIT_TOL} * amplitude {amplitude:.3g}")
+    elif omega * span < 2.0 * math.pi * MIN_CYCLES:
+        diagnostic = (f"only {omega * span / (2 * math.pi):.2f} cycles in window, "
+                      f"frequency not resolved (need {MIN_CYCLES})")
+    return OscillationFit(float(omega), float(phase), amplitude, offset, residual_rms,
+                          oscillating=not diagnostic, diagnostic=diagnostic)
 
 
 def classify_pair(
@@ -372,18 +360,11 @@ def classify_pair(
         amplitude_ratio = a.amplitude / b.amplitude
     else:
         amplitude_ratio = math.inf if a.amplitude > 0 else 1.0
-    return PairVerdict(
-        synced=synced,
-        freq_mismatch=float(freq_mismatch),
-        phase_diff=float(phase_diff),
-        phase_class=phase_class,
-        amplitude_ratio=amplitude_ratio if math.isfinite(amplitude_ratio) else None,
-    )
+    return PairVerdict(synced, float(freq_mismatch), float(phase_diff), phase_class,
+                       amplitude_ratio if math.isfinite(amplitude_ratio) else None)
 
 
-def independent_subset(
-    ops: list[np.ndarray], rank_tol: float = 1e-10
-) -> list[int]:
+def independent_subset(ops: list[np.ndarray]) -> list[int]:
     """Greedy Hilbert-Schmidt Gram-Schmidt filter; returns kept indices."""
     kept: list[int] = []
     basis: list[np.ndarray] = []
@@ -395,17 +376,13 @@ def independent_subset(
         resid = vec.copy()
         for e in basis:
             resid -= np.vdot(e, resid) * e
-        if np.linalg.norm(resid) > rank_tol * norm:
+        if np.linalg.norm(resid) > RANK_TOL * norm:
             basis.append(resid / np.linalg.norm(resid))
             kept.append(i)
     return kept
 
 
-def degree_of_quantumness(
-    ops: list[Operator] | list[np.ndarray],
-    comm_tol: float = 1e-10,
-    rank_tol: float = 1e-10,
-) -> tuple[int, int, int]:
+def degree_of_quantumness(ops: list[Operator] | list[np.ndarray]) -> tuple[int, int, int]:
     """(chi, c, xi) for a linearly independent set of Hermitian operators.
 
     chi is the set size; c the largest number of set members commuting with
@@ -423,14 +400,9 @@ def degree_of_quantumness(
             raise ValueError("all operators must share one dimension")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("operators must be Hermitian")
-    if len(independent_subset(mats, rank_tol)) != chi:
+    if len(independent_subset(mats)) != chi:
         raise ValueError("operators must be linearly independent")
-    commute = np.zeros((chi, chi), dtype=bool)
-    for i in range(chi):
-        for j in range(i, chi):
-            defect = np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]))
-            commute[i, j] = commute[j, i] = defect <= comm_tol
-    c = int(np.max(np.sum(commute, axis=1)))
+    c = int(max(sum(np.max(np.abs(a @ b - b @ a)) <= COMM_TOL for b in mats) for a in mats))
     xi = chi - c
     if not 0 <= xi <= d * d - d:
         raise RuntimeError(f"xi={xi} violates the bound 0 <= xi <= {d*d - d}")
@@ -469,7 +441,7 @@ def build_sync_report(
 
     def fit(col: str) -> OscillationFit:
         try:
-            return fit_oscillation(times, series[col], window, thresholds, signal_scale=scale)
+            return fit_oscillation(times, series[col], window, signal_scale=scale)
         except ValueError as exc:
             raise ValueError(f"column '{col}': {exc}") from None
 
@@ -481,11 +453,9 @@ def build_sync_report(
         pairs[name] = {**asdict(verdict), "fit_1": asdict(fit1), "fit_2": asdict(fit2)}
         if verdict.synced:
             synced.append((name, op))
-    kept = independent_subset([op.matrix for _, op in synced], thresholds.rank_tol)
+    kept = independent_subset([op.matrix for _, op in synced])
     s = [synced[i] for i in kept]
-    chi, c, xi = degree_of_quantumness(
-        [op for _, op in s], comm_tol=thresholds.comm_tol, rank_tol=thresholds.rank_tol
-    )
+    chi, c, xi = degree_of_quantumness([op for _, op in s])
     return {
         "pairs": pairs,
         "synchronized_set": [name for name, _ in s],
@@ -496,7 +466,7 @@ def build_sync_report(
             "window": list(window),
             "signal_scale": scale,
             **asdict(thresholds),
-            "detrend_deg": DETREND_DEG,
+            **FIXED_THRESHOLDS,
             **(notes or {}),
         },
     }

@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -173,14 +174,39 @@ class TestConfigParsing:
         ("sweep.cap", "2.9"),
         ("sweep.cap", "0"),
         ("sweep.cap", "-1"),
-        *((f"analysis.{name}", "-0.5") for name in
-          ("tol_freq", "tol_phase", "amp_min", "fit_tol", "min_cycles", "rank_tol", "comm_tol")),
+        ("analysis.tol_freq", "-0.5"),
+        ("analysis.tol_phase", "-0.5"),
     ])
     def test_bad_run_setting_rejected(self, key, value):
         # refused when the sweep config is parsed, before any point runs
         text = FAST_SCENARIO + f"sweep.axis.param.Omega = 0 0.001\n{key} = {value}\n"
-        with pytest.raises(ConfigError, match=key):
+        # the key's own error, not the unknown-key one
+        own_error = rf"^({re.escape(key)} must be|key '{re.escape(key)}')"
+        with pytest.raises(ConfigError, match=own_error):
             sweep_from_mapping(parse_config_text(text))
+
+    @pytest.mark.parametrize("name", ["amp_min", "fit_tol", "min_cycles", "rank_tol",
+                                      "comm_tol"])
+    def test_fit_constant_keys_are_unknown(self, name):
+        # the fit gates and the rank/commutator tolerances are syncmeter
+        # constants: a config that sets one is refused, whatever the value
+        for value in ("-0.5", "0.5"):
+            text = FAST_SCENARIO + f"analysis.{name} = {value}\n"
+            with pytest.raises(ConfigError, match=f"^unknown key 'analysis.{name}'$"):
+                scenario_from_mapping(parse_config_text(text))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AnalysisThresholds)])
+    def test_every_tolerance_is_a_key_and_a_flag(self, name, tmp_path, capsys):
+        # what a config sets, `run` and `analyze` can set too, so a flagless
+        # re-analysis that reads the report.json back covers every field
+        cfg = scenario_from_mapping(parse_config_text(
+            FAST_SCENARIO + f"analysis.{name} = 0.125\n"))
+        assert getattr(cfg.thresholds, name) == 0.125
+        flag = "--" + name.replace("_", "-")
+        for argv in (["run", "fig2a"], ["analyze", str(tmp_path / "trajectory.csv")]):
+            assert main(argv + ["--out", str(tmp_path / "out"), flag, "x"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: key '{flag}': cannot parse 'x' as a number\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="param.bogus"):
@@ -310,8 +336,7 @@ _BASE_CONFIGS = {
 _REAL_KEYS = sorted(
     {"model", "initial.preset", "run.t_end", "run.sample_dt", "run.rel_tol", "run.abs_tol",
      "analysis.window", "analysis.catalog", "analysis.tol_freq", "analysis.tol_phase",
-     "analysis.amp_min", "analysis.fit_tol", "analysis.min_cycles", "analysis.rank_tol",
-     "analysis.comm_tol", "sweep.cap"}
+     "sweep.cap"}
     | {f"initial.{label}" for label in ("qubit1", "qubit2", "cav1", "cav2", "mode1", "mode2")}
     | {f"{prefix}{f.name}" for cls, _ in MODELS.values() for f in dataclasses.fields(cls)
        for prefix in ("param.", "sweep.axis.param.")}
@@ -1182,6 +1207,50 @@ run.sample_dt = 0.125
         renewed = json.loads((tmp_path / "re" / "report.json").read_text())
         assert renewed == json.loads((outdir / "report.json").read_text())
         assert renewed["thresholds"]["catalog"] == "moments:12"
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_flagless_analyze_reproduces_report(self, preset, request, tmp_path):
+        # window and tolerances come from the run's report.json, so the
+        # re-analysis writes the same bytes
+        outdir, _ = request.getfixturevalue(f"{preset}_run")
+        assert main(["analyze", str(outdir / "trajectory.csv"), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report.json").read_bytes() == (outdir / "report.json").read_bytes()
+
+    def test_analyze_flag_overrides_only_its_value(self, fig3_run, tmp_path):
+        outdir, _ = fig3_run
+        assert main(["analyze", str(outdir / "trajectory.csv"), "--tol-phase", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "report.json").read_text())["thresholds"]
+        assert (record["window"], record["tol_freq"], record["tol_phase"]) == ([2.0, 12.0],
+                                                                               0.05, 0.5)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("window", [300.0, 40.0], "key 'thresholds.window': window must have T1 > T0"),
+        ("window", [40.0], "key 'thresholds.window': window must be 'T0:T1'"),
+        ("window", ["40", 400.0], "key 'thresholds.window': cannot parse '\"40\"'"),
+        ("tol_freq", "0.01", "key 'thresholds.tol_freq': cannot parse '\"0.01\"'"),
+        ("tol_phase", True, "key 'thresholds.tol_phase': cannot parse 'true'"),
+        ("tol_phase", -0.2, "analysis.tol_phase must be >= 0"),
+        ("amp_min", 0.002, "key 'thresholds.amp_min' records 0.002, which this version "
+                           "fixes at 0.001"),
+        ("fit_tol", 0.5, "key 'thresholds.fit_tol' records 0.5, which"),
+        ("min_cycles", 1.0, "key 'thresholds.min_cycles' records 1.0, which"),
+        ("rank_tol", 1e-8, "key 'thresholds.rank_tol' records 1e-08, which"),
+        ("comm_tol", None, "key 'thresholds.comm_tol' records null, which"),
+        ("detrend_deg", 2, "key 'thresholds.detrend_deg' records 2, which"),
+    ])
+    def test_analyze_refuses_unreproducible_record(self, run_dir, tmp_path, capsys,
+                                                   key, value, message):
+        outdir, report = run_dir
+        for name in ("trajectory.csv", "mutual_info.csv"):
+            (tmp_path / name).write_bytes((outdir / name).read_bytes())
+        record = {**report["thresholds"], key: value}
+        (tmp_path / "report.json").write_text(json.dumps({**report, "thresholds": record}))
+        rc = main(["analyze", str(tmp_path / "trajectory.csv"), "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp_path / 'report.json'}: {message}")
+        assert not (tmp_path / "re").exists()
 
     def test_analyze_catalog_other_than_recorded_exit_code(self, fig3_run, tmp_path, capsys):
         outdir, _ = fig3_run
