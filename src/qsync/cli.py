@@ -26,10 +26,11 @@ Config files are flat `key = value` text with dotted sections, for example::
 Configs are checked when parsed, before anything runs: numbers, initial
 amplitudes and the --tol-freq/--tol-phase flags must be finite, run.t_end
 a positive integer multiple of run.sample_dt of at most
-`lindblad.MAX_SAMPLES` samples, tolerances and sweep.cap positive,
-analysis.tol_freq and analysis.tol_phase >= 0, and analysis.catalog a valid
-spec, so a bad sweep config fails before its first point.  The fit gates
-and the rank and commutator tolerances are `syncmeter` constants, not keys.
+`lindblad.MAX_SAMPLES` samples, sweep.cap positive, analysis.tol_freq and
+analysis.tol_phase >= 0, and analysis.catalog a valid spec, so a bad sweep
+config fails before its first point.  The fit gates and the rank and
+commutator tolerances are `syncmeter` constants, and the integrator's error
+tolerances `lindblad` constants, not keys.
 `initial.preset = NAME` stands for that preset's amplitudes and excludes
 other initial.* keys.  `opalg.DensityMatrix.product_state`
 zero-pads an initial.* list shorter than its factor, so one list serves every
@@ -48,12 +49,11 @@ final name.
 
 Exit codes: 0 ok, 2 config/schema error (including non-finite numbers, a
 model or catalog over `opalg.MAX_DIM` dimensions, an analysis window too
-short to fit, tolerances that the Dopri5 stepper cannot meet, which a
-run of at most `lindblad.EXACT_MAX_COORDINATES` stepped coordinates, on
-the exact propagator, does not use, parameters whose
-propagator overflows, or underflows so that a sample's trace is not a
-finite positive number, or a trajectory column too large for the fit's
-float64 arithmetic, or S_c columns that no state gives), 3 truncation-guard
+short to fit, parameters so extreme that the Dopri5 stepper cannot meet
+its tolerances with a representable step, parameters whose propagator
+overflows, or underflows so that a sample's trace is not a finite positive
+number, or a trajectory column too large for the fit's float64
+arithmetic, or S_c columns that no state gives), 3 truncation-guard
 abort (a top Fock level or the top excitation shell filled), 4 I/O error
 (in a sweep, also a worker process that died), 5 sweep with no successful
 point.  A sweep point that fails with a cause of exit 2 or 3 is recorded
@@ -81,7 +81,6 @@ import numpy as np
 
 from . import __version__
 from .lindblad import (
-    MIN_REL_TOL,
     StepSizeUnderflowError,
     Trajectory,
     TruncationError,
@@ -217,7 +216,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
                 preset = value
             else:
                 initial[name] = _parse_amplitudes(key, value)
-        elif key in ("run.t_end", "run.sample_dt", "run.rel_tol", "run.abs_tol"):
+        elif key in ("run.t_end", "run.sample_dt"):
             run[key.split(".", 1)[1]] = _parse_number(key, value)
         elif key == "analysis.window":
             window = _parse_window(key, value)
@@ -238,15 +237,10 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     for req in ("t_end", "sample_dt"):
         if req not in run:
             raise ConfigError(f"missing required key: run.{req}")
-    for name in ("sample_dt", "rel_tol", "abs_tol"):
-        if name in run and not run[name] > 0:
-            raise ConfigError(f"key 'run.{name}': must be positive")
-    if run.get("rel_tol", MIN_REL_TOL) < MIN_REL_TOL:
-        raise ConfigError(f"key 'run.rel_tol': {run['rel_tol']:.3g} is below the floor "
-                          f"{MIN_REL_TOL:.3g} (100 machine epsilons)")
-    t_end, sample_dt = run.pop("t_end"), run.pop("sample_dt")
+    if not run["sample_dt"] > 0:
+        raise ConfigError("key 'run.sample_dt': must be positive")
     try:
-        sample_count(t_end, sample_dt)
+        sample_count(**run)
     except ValueError as exc:
         raise ConfigError(f"key 'run.t_end': {exc}") from None
     if preset is not None:
@@ -269,12 +263,10 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         model=model,
         params=params,
         initial=initial,
-        t_end=t_end,
-        sample_dt=sample_dt,
+        **run,                       # t_end and sample_dt
         window=window,
         catalog=catalog,
         thresholds=thresholds,
-        **run,                       # rel_tol and abs_tol, where given
     )
 
 
@@ -376,7 +368,7 @@ def run_scenario(cfg: Scenario, outdir: Path) -> dict:
         (outdir / name).unlink(missing_ok=True)
     model, rho0 = cfg.build()
     analysis_window(sample_grid(cfg.t_end, cfg.sample_dt), cfg.window)
-    traj = evolve(model, rho0, cfg.t_end, cfg.sample_dt, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+    traj = evolve(model, rho0, cfg.t_end, cfg.sample_dt)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "trajectory.csv", ["time"] + traj.names, [traj.times, *traj.values.T])
     _write_csv(outdir / "mutual_info.csv", ["time", "mutual_info"], [traj.times, traj.mutual_info])
@@ -607,7 +599,7 @@ def _add_threshold_flags(parser: argparse.ArgumentParser):
 
 def _with_flags(window, thresholds: AnalysisThresholds, args):
     """`window` and `thresholds` with the values of the flags given replacing theirs."""
-    if args.window:
+    if args.window is not None:
         window = _parse_window("--window", args.window)
     updates = {name: _parse_number("--" + name.replace("_", "-"), getattr(args, name))
                for name in _ANALYSIS_KEYS.values() if getattr(args, name) is not None}

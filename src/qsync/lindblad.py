@@ -23,7 +23,7 @@ P = exp(L_r dt), formed once for the sample spacing dt by a Taylor scaling
 and squaring on the sparse L_r (`_expm`): one dense matvec per sample,
 exact to rounding, with no tolerances and no steps.  A larger block (the
 cavity-qubit pair at Nc >= 5: 1,681 coordinates and up; fig3's vdp pair:
-5,666) is stepped by Dopri5.
+5,666) is stepped by Dopri5 at the error tolerances REL_TOL and ABS_TOL.
 Only the reachable set is stepped: the
 entries that the initial state reaches through L's sparsity pattern, closed
 under rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1)
@@ -98,13 +98,12 @@ from .opalg import (
 if TYPE_CHECKING:     # annotations only: run/sweep import it where a generator is built
     from scipy import sparse
 
-DEFAULT_REL_TOL = 1e-8
-DEFAULT_ABS_TOL = 1e-10
+REL_TOL = 1e-8      # the Dopri5 stepper's relative and absolute error tolerances
+ABS_TOL = 1e-10
 GUARD_THRESHOLD = 1e-4
 RENORM_THRESHOLD = 1e-10
 ORACLE_CAP = 16
 MAX_SAMPLES = 10**6     # 500x the largest preset's 2,001 samples
-MIN_REL_TOL = 100 * np.finfo(float).eps     # below it the error estimate is rounding noise
 RHO_BLOCK_BYTES = 256 * 1024    # the recorded rho stack: 1,024 samples at D=4, 1 at D=144
 EXACT_MAX_COORDINATES = 1024    # the exact propagator's two dense n x n buffers: 8 MiB each
 _TAYLOR_DEGREE = 18     # at ||X||_1 < 1 the Taylor remainder is below 1/19! * e < 2^-53
@@ -359,8 +358,8 @@ class _Dopri5:
         d0, d1, d2 = (self._rms(v / scale) for v in self.u[:3])     # y, L y, L^2 y
         h0 = min(1e-6 if d1 < 1e-15 else 0.01 * d0 / d1, span)
         if not h0 > 0:      # the scaled derivative overflowed
-            raise StepSizeUnderflowError(f"initial step underflow (h={h0:.3g}); "
-                                         "tolerances cannot be met")
+            raise StepSizeUnderflowError(f"initial step underflow (h={h0:.3g}); tolerances "
+                                         "cannot be met: change the model's parameters")
         dmax = max(d1, d2)
         h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else h0 * 100
         return min(100 * h0, h1, span)
@@ -395,7 +394,7 @@ class _Dopri5:
                 if rejects > 50:
                     raise StepSizeUnderflowError(
                         f"50 consecutive step rejections at t={t:.6g}; "
-                        "tolerances cannot be met"
+                        "tolerances cannot be met: change the model's parameters"
                     )
                 continue
             if h == self.h:
@@ -563,8 +562,6 @@ def evolve(
     t_end: float,
     sample_dt: float,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
     keep_states: bool = False,
 ) -> Trajectory:
     """Integrate the master equation and sample on a uniform grid.
@@ -573,11 +570,6 @@ def evolve(
     ----------
     t_end, sample_dt:
         Run length and sample spacing (t_end must be an integer multiple).
-    rel_tol, abs_tol:
-        The adaptive stepper's relative and absolute error tolerances; both
-        positive, and rel_tol at least MIN_REL_TOL.  They are checked for
-        every model but used only by runs stepped with Dopri5: a run under
-        the exact propagator goes without them.
     keep_states:
         Store the sampled density matrices (memory scales with n*D^2).
 
@@ -589,7 +581,8 @@ def evolve(
     model: a block of at most EXACT_MAX_COORDINATES coordinates is advanced
     sample to sample by P = exp(L_r sample_dt) (`_Propagator`, formed by
     `_expm`), a larger one by the adaptive Dormand-Prince stepper
-    (`_Dopri5`).  Each guard aborts the run with a TruncationError when its
+    (`_Dopri5`) at the tolerances REL_TOL and ABS_TOL, read when `evolve`
+    is called.  Each guard aborts the run with a TruncationError when its
     population exceeds GUARD_THRESHOLD.
 
     With two or more factors, `mutual_info` records the mutual information
@@ -607,11 +600,6 @@ def evolve(
     and, under the label 'excitations', on the top shell of a capped model
     (see `_guards`).
     """
-    if not (rel_tol > 0 and abs_tol > 0):
-        raise ValueError("tolerances must be positive")
-    if rel_tol < MIN_REL_TOL:
-        raise ValueError(f"rel_tol {rel_tol:.3g} is below the floor {MIN_REL_TOL:.3g} "
-                         "(100 machine epsilons)")
     times = sample_grid(t_end, sample_dt)
     n_samples = len(times) - 1
     if rho0.layout != model.layout:
@@ -636,7 +624,7 @@ def evolve(
     if len(idx) <= EXACT_MAX_COORDINATES:
         stepper = _Propagator(generator, sample_dt)
     else:
-        stepper = _Dopri5(generator, rel_tol, abs_tol, d * d)
+        stepper = _Dopri5(generator, REL_TOL, ABS_TOL, d * d)
     names = model.observable_names()
     # tr(rho O) = vec(O^T) . E x, real for Hermitian O
     obs = np.array([(e.T @ op.matrix.T.ravel()).real for _, op in model.observables])
@@ -673,7 +661,7 @@ def evolve(
     rho0_vec = rho0.matrix.ravel()
     x0 = np.where(imag, rho0_vec[sel].imag, rho0_vec[sel].real)
     # an error norm that overflows reads inf and rejects the step, so
-    # tolerances too tight to meet end in StepSizeUnderflowError
+    # parameters too extreme for the tolerances end in StepSizeUnderflowError
     with np.errstate(over="ignore"):
         for i, y in stepper.samples(x0, times):
             row = i % len(block)

@@ -28,8 +28,7 @@ reduced_qubit
     jump (sigma_minus^1 + sigma_minus^2)/sqrt(2) at rate gamma_eff =
     g0^2/kappa, plus the detuning/drive Hamiltonian.  Its 16 real
     coordinates, well under `lindblad.EXACT_MAX_COORDINATES`, are advanced
-    by the exact per-sample propagator, not by the adaptive stepper, so run
-    tolerances do not affect it.
+    by the exact per-sample propagator, which takes no error tolerances.
 
 vdp
     Two quantum van der Pol oscillators: linear gain (jump a^dag, rate
@@ -56,7 +55,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lindblad import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Dissipator, ModelSpec
+from . import lindblad
+from .lindblad import Dissipator, ModelSpec
 from .opalg import (
     DensityMatrix,
     Operator,
@@ -320,7 +320,8 @@ class Scenario:
     `DensityMatrix.product_state`); `build()` checks both.
     `thresholds` relaxes the lock tolerances where a preset's physics
     requires it (short transient windows limit the attainable
-    frequency-estimate precision); the fit gates are `syncmeter` constants.
+    frequency-estimate precision); the fit gates are `syncmeter` constants,
+    the integrator's error tolerances `lindblad` ones, which `echo` records.
     The report records the window, both tolerances and every constant, and
     `qsync analyze` re-reads them from it.
     """
@@ -333,8 +334,6 @@ class Scenario:
     window: tuple[float, float] | None = None
     catalog: str | None = None              # where given, must be the model's catalog
     thresholds: AnalysisThresholds = AnalysisThresholds()
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
 
     def build(self) -> tuple[ModelSpec, DensityMatrix]:
         """The model and initial state; ConfigError where either does not fit."""
@@ -365,7 +364,7 @@ class Scenario:
 
     def echo(self) -> dict:
         """The scenario as report.json records it: every field of the params
-        class, defaults included."""
+        class, defaults included, and the integrator's tolerances."""
         def amp_text(z):
             z = complex(z)
             if z.imag == 0:
@@ -380,8 +379,8 @@ class Scenario:
             "run": {
                 "t_end": self.t_end,
                 "sample_dt": self.sample_dt,
-                "rel_tol": self.rel_tol,
-                "abs_tol": self.abs_tol,
+                "rel_tol": lindblad.REL_TOL,
+                "abs_tol": lindblad.ABS_TOL,
             },
         }
 

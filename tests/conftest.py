@@ -6,10 +6,11 @@ path the CLI uses, so the acceptance criteria all judge genuine end-to-end
 artifacts (CSV files plus report.json).  Each fixture returns
 (outdir, report).
 
-`dopri5()` and `unguarded()` are context managers, imported by the test
-modules: inside the first every `evolve` steps with `_Dopri5`, as no block
-is small enough for the exact propagator; inside the second no truncation
-guard fires.  A sweep's forked workers inherit either.
+`dopri5()`, `unguarded()` and `tolerances()` are context managers,
+imported by the test modules: inside the first every `evolve` steps with
+`_Dopri5`, as no block is small enough for the exact propagator; inside the
+second no truncation guard fires; inside the third `_Dopri5` steps to the
+given error tolerances.  A sweep's forked workers inherit each.
 
 BLAS is pinned to one thread before numpy is first imported: the
 generator's sparse matvecs are single-threaded, and a second BLAS thread
@@ -43,6 +44,15 @@ def unguarded():
     """No truncation guard fires inside: GUARD_THRESHOLD is inf."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lindblad, "GUARD_THRESHOLD", math.inf)
+        yield
+
+
+@contextlib.contextmanager
+def tolerances(rel_tol: float, abs_tol: float):
+    """`_Dopri5` steps inside to these tolerances: REL_TOL and ABS_TOL are patched."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "REL_TOL", rel_tol)
+        mp.setattr(lindblad, "ABS_TOL", abs_tol)
         yield
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsync.cli
-from conftest import dopri5
+from conftest import dopri5, tolerances
 from qsync.cli import (
     ConfigError,
     _write_csv,
@@ -34,7 +34,7 @@ from qsync.cli import (
     sweep_from_mapping,
     run_sweep,
 )
-from qsync.lindblad import evolve, propagate_dense
+from qsync.lindblad import ABS_TOL, REL_TOL, evolve, propagate_dense
 from qsync.models import MODELS, PRESET_NAMES, PRESETS
 from qsync.syncmeter import AnalysisThresholds
 
@@ -169,8 +169,6 @@ class TestConfigParsing:
             scenario_from_mapping(parse_config_text(text))
 
     @pytest.mark.parametrize("key, value", [
-        ("run.rel_tol", "-1"),
-        ("run.abs_tol", "0"),
         ("sweep.cap", "2.9"),
         ("sweep.cap", "0"),
         ("sweep.cap", "-1"),
@@ -194,6 +192,15 @@ class TestConfigParsing:
             text = FAST_SCENARIO + f"analysis.{name} = {value}\n"
             with pytest.raises(ConfigError, match=f"^unknown key 'analysis.{name}'$"):
                 scenario_from_mapping(parse_config_text(text))
+
+    @pytest.mark.parametrize("key", ["run.rel_tol", "run.abs_tol"])
+    def test_tolerance_keys_are_unknown(self, key):
+        # the integrator's error tolerances are lindblad constants: a config
+        # that sets one is refused, whatever the value
+        for value in ("-1", "0", "1e-3"):
+            text = FAST_SCENARIO + f"sweep.axis.param.Omega = 0 0.001\n{key} = {value}\n"
+            with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(key)}'$"):
+                sweep_from_mapping(parse_config_text(text))
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AnalysisThresholds)])
     def test_every_tolerance_is_a_key_and_a_flag(self, name, tmp_path, capsys):
@@ -334,9 +341,8 @@ _BASE_CONFIGS = {
                     + "run.t_end = 20\nrun.sample_dt = 2\n",
 }
 _REAL_KEYS = sorted(
-    {"model", "initial.preset", "run.t_end", "run.sample_dt", "run.rel_tol", "run.abs_tol",
-     "analysis.window", "analysis.catalog", "analysis.tol_freq", "analysis.tol_phase",
-     "sweep.cap"}
+    {"model", "initial.preset", "run.t_end", "run.sample_dt", "analysis.window",
+     "analysis.catalog", "analysis.tol_freq", "analysis.tol_phase", "sweep.cap"}
     | {f"initial.{label}" for label in ("qubit1", "qubit2", "cav1", "cav2", "mode1", "mode2")}
     | {f"{prefix}{f.name}" for cls, _ in MODELS.values() for f in dataclasses.fields(cls)
        for prefix in ("param.", "sweep.axis.param.")}
@@ -455,11 +461,19 @@ class TestRunAnalyze:
     def test_tolerances_leave_reduced_run_unchanged(self, run_dir, tmp_path):
         # the exact propagator takes no tolerances: they are echoed, not used
         outdir, _ = run_dir
-        text = FAST_SCENARIO + "run.rel_tol = 1e-3\nrun.abs_tol = 1e-4\n"
-        report = run_scenario(scenario_from_mapping(parse_config_text(text)), tmp_path)
-        assert report["scenario"]["run"]["rel_tol"] == 1e-3
+        with tolerances(1e-3, 1e-4):
+            report = run_scenario(scenario_from_mapping(parse_config_text(FAST_SCENARIO)),
+                                  tmp_path)
+        assert (report["scenario"]["run"]["rel_tol"], report["scenario"]["run"]["abs_tol"]) == (
+            1e-3, 1e-4)
         for name in ("trajectory.csv", "mutual_info.csv", "diagnostics.csv", "stats.json"):
             assert (tmp_path / name).read_bytes() == (outdir / name).read_bytes(), name
+
+    def test_report_echoes_integrator_tolerances(self, run_dir):
+        outdir, _ = run_dir
+        echo = json.loads((outdir / "report.json").read_text())["scenario"]["run"]
+        assert echo == {"t_end": 400.0, "sample_dt": 0.5,
+                        "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
 
     def test_report_structure(self, run_dir):
         _, report = run_dir
@@ -1029,18 +1043,18 @@ run.sample_dt = 0.125
         assert err == f"error: analysis.{flag[2:].replace('-', '_')} must be >= 0, got -0.5\n"
         assert not (tmp_path / "re" / "report.json").exists()
 
-    def test_unmeetable_tolerances_exit_code(self, tmp_path, capsys):
-        # the derivative scaled by abs_tol overflows: no step can be chosen.
+    def test_stiff_parameters_exit_code(self, tmp_path, capsys):
+        # at kappa = 1e300 no representable step meets the tolerances.
         # fig2a's pair at Nc = 5 steps 1,681 coordinates, too many for the
-        # exact propagator, so Dopri5 takes them; a smaller block takes no
-        # tolerances
+        # exact propagator, so Dopri5 takes them; t_end = 256 gives the
+        # default window its 64 samples
         text = (_BASE_CONFIGS["cavity_qubit"].replace("param.Nc = 4\n", "param.Nc = 5\n")
-                .replace("run.t_end = 20\n", "run.t_end = 256\n") + "run.abs_tol = 1e-300\n")
+                .replace("param.kappa = 1.0\n", "param.kappa = 1e300\n")
+                .replace("run.t_end = 20\n", "run.t_end = 256\n"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, text)),
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: initial step underflow") and len(err.splitlines()) == 1
+        assert capsys.readouterr().err == "error: step size underflow at t=0 (h=0)\n"
         assert not (out / "report.json").exists()
         sweep = write_config(tmp_path, text + "sweep.axis.param.Omega = 0.0005\n", "sweep.cfg")
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw")]) == 5
@@ -1060,17 +1074,16 @@ run.sample_dt = 0.125
             "error: the trace at t=0.5 is 0, not a finite positive number\n")
         assert not (out / "report.json").exists()
 
-    def test_rel_tol_below_floor_exit_code(self, tmp_path, capsys):
-        # below 100 machine epsilons the error estimate is rounding noise:
-        # refused at parse time, before any integration
-        text = FAST_SCENARIO + "run.rel_tol = 1e-20\n"
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(write_config(tmp_path, text)),
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: key 'run.rel_tol': 1e-20 is below the floor 2.22e-14 "
-            "(100 machine epsilons)\n")
-        assert not out.exists()
+    def test_empty_window_flag_exit_code(self, run_dir, tmp_path, capsys):
+        # an empty --window is refused, not taken for an absent flag
+        outdir, _ = run_dir
+        config = str(write_config(tmp_path, FAST_SCENARIO))
+        for argv in (["run", "--config", config], ["analyze", str(outdir / "trajectory.csv")]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--window", "", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "error: key '--window': window must be 'T0:T1', got ''\n")
+            assert not out.exists()
 
     def test_sweep_bad_sample_grid_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("run.t_end = 400", "run.t_end = 400.2")
