@@ -36,13 +36,12 @@ excitation number of a basis state being the sum of its factors' basis
 indices.  Restricting L to that block is the Galerkin projection of the
 model onto the capped space, P H P with jumps P L_k P for jumps L_k that
 lower the excitation number, so the capped run is itself a trace-preserving
-Lindblad evolution; rho stays D x D, with zeros outside the block.  The RMS
-error norm divides by D^2, as if the pruned coordinates, exact zeros, were
-stepped too, so pruning by reachability changes the steps taken only by
-rounding.
+Lindblad evolution; rho stays D x D, with zeros outside the block.
 
-The adaptive stepper steps freely over the whole run: the error control
-alone sizes each step, and only the last one is cut to land on t_end.  Each
+The adaptive stepper steps freely over the whole run: the error norm is the
+RMS over the stepped coordinates, and the first trial step is the remaining
+span, which the controller's rejections cut down.  The error control alone
+sizes each step, and only the last one is cut to land on t_end.  Each
 sample y is the 4th-order continuous extension of the step that covers it,
 evaluated from that step's powers, so the sample grid does not shape the
 steps.
@@ -315,15 +314,15 @@ class _Dopri5:
     y holds the real Hermitian coordinates of rho (or of its reachable
     part) and L is the real generator from `_real_generator`.  The block
     `u` holds y and L^k y for k = 1..7: six sparse matvecs per accepted
-    step, L y carried over (FSAL), and none for a rejected step.  The RMS
-    norms divide by `n_full` = D^2: the pruned coordinates are exact zeros
-    that add nothing to the sum of squares, so the steps taken are those of
-    the unpruned run up to rounding.
+    step, L y carried over (FSAL), and none for a rejected step.  The error
+    norm is the RMS over the stepped coordinates, scaled by the tolerances
+    REL_TOL and ABS_TOL, read when the stepper is built.
 
-    `samples` steps freely across a whole sample grid: the controller alone
-    sizes the steps, and only the last one is cut to land on the grid's
-    end.  Each sample comes from the continuous extension of the step that
-    covers it, so the sample spacing does not shape the step sequence.
+    `samples` steps freely across a whole sample grid: the first trial step
+    is the remaining span, the controller alone sizes the steps, and only
+    the last one is cut to land on the grid's end.  Each sample comes from
+    the continuous extension of the step that covers it, so the sample
+    spacing does not shape the step sequence.
     The counters `matvecs`, `accepted`, `rejected` and `h_min`
     (the smallest accepted step the controller chose; the cut last step is
     not counted) accumulate over the stepper's life.
@@ -331,11 +330,10 @@ class _Dopri5:
 
     name = "dopri5"
 
-    def __init__(self, liou: sparse.csr_matrix, rel_tol: float, abs_tol: float, n_full: int):
+    def __init__(self, liou: sparse.csr_matrix):
         self.liou = liou
-        self.rel = rel_tol
-        self.abs = abs_tol
-        self.n_full = n_full
+        self.rel = REL_TOL
+        self.abs = ABS_TOL
         self.u = np.zeros((8, liou.shape[0]))
         self.h = None
         self.err_prev = 1.0
@@ -345,24 +343,13 @@ class _Dopri5:
         self.h_min = np.inf
 
     def _rms(self, v: np.ndarray) -> float:
-        return float(np.sqrt(np.dot(v, v) / self.n_full))
+        return float(np.sqrt(np.dot(v, v) / len(v)))
 
     def _powers(self, start: int):
         """u[k] = L^k y for k = start..7, from u[start - 1]."""
         for k in range(start, 8):
             self.u[k] = self.liou @ self.u[k - 1]
         self.matvecs += 8 - start
-
-    def _initial_step(self, span):
-        scale = self.abs + self.rel * np.abs(self.u[0])
-        d0, d1, d2 = (self._rms(v / scale) for v in self.u[:3])     # y, L y, L^2 y
-        h0 = min(1e-6 if d1 < 1e-15 else 0.01 * d0 / d1, span)
-        if not h0 > 0:      # the scaled derivative overflowed
-            raise StepSizeUnderflowError(f"initial step underflow (h={h0:.3g}); tolerances "
-                                         "cannot be met: change the model's parameters")
-        dmax = max(d1, d2)
-        h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else h0 * 100
-        return min(100 * h0, h1, span)
 
     def samples(self, y0: np.ndarray, times: np.ndarray):
         """Integrate from times[0] to times[-1]; yield (i, y(times[i])) for every i.
@@ -375,12 +362,15 @@ class _Dopri5:
         yield 0, u[0]
         self._powers(1)
         t, t_end = times[0], times[-1]
-        self.h = self._initial_step(t_end - t)
+        self.h = t_end - t
         i, last = 0, len(times) - 1
         rejects = 0
         while i < last:
             if self.h < 1e-14 * max(abs(t), 1.0):
-                raise StepSizeUnderflowError(f"step size underflow at t={t:.6g} (h={self.h:.3g})")
+                raise StepSizeUnderflowError(
+                    f"step size underflow at t={t:.6g} (h={self.h:.3g}); "
+                    "tolerances cannot be met: change the model's parameters"
+                )
             h = min(self.h, t_end - t)
             hk = h ** np.arange(8)
             c = _DP_C * hk[1:7]
@@ -582,8 +572,9 @@ def evolve(
     sample to sample by P = exp(L_r sample_dt) (`_Propagator`, formed by
     `_expm`), a larger one by the adaptive Dormand-Prince stepper
     (`_Dopri5`) at the tolerances REL_TOL and ABS_TOL, read when `evolve`
-    is called.  Each guard aborts the run with a TruncationError when its
-    population exceeds GUARD_THRESHOLD.
+    is called; its error norm is the RMS over the stepped coordinates, and
+    its first trial step is the remaining span.  Each guard aborts the run
+    with a TruncationError when its population exceeds GUARD_THRESHOLD.
 
     With two or more factors, `mutual_info` records the mutual information
     of factors 0 and 1 at every sample; with one factor it is None.  The
@@ -624,7 +615,7 @@ def evolve(
     if len(idx) <= EXACT_MAX_COORDINATES:
         stepper = _Propagator(generator, sample_dt)
     else:
-        stepper = _Dopri5(generator, REL_TOL, ABS_TOL, d * d)
+        stepper = _Dopri5(generator)
     names = model.observable_names()
     # tr(rho O) = vec(O^T) . E x, real for Hermitian O
     obs = np.array([(e.T @ op.matrix.T.ravel()).real for _, op in model.observables])
@@ -660,9 +651,9 @@ def evolve(
 
     rho0_vec = rho0.matrix.ravel()
     x0 = np.where(imag, rho0_vec[sel].imag, rho0_vec[sel].real)
-    # an error norm that overflows reads inf and rejects the step, so
+    # an error norm that overflows reads inf or NaN and rejects the step, so
     # parameters too extreme for the tolerances end in StepSizeUnderflowError
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, y in stepper.samples(x0, times):
             row = i % len(block)
             x = np.divide(y, scale, out=block[row])

@@ -896,11 +896,33 @@ class TestMainEntry:
         assert rc == 0
         assert (tmp_path / "out" / "report.json").exists()
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, FAST_SCENARIO.replace("run.t_end = 400\n", ""))
-        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "run.t_end" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, text, message", [
+        (["run"], FAST_SCENARIO.replace("run.t_end = 400\n", ""),
+         "missing required key: run.t_end"),
+        (["run"], FAST_SCENARIO.replace("initial.qubit1 = 0.9486832980505138 0.31622776601683794",
+                                        "initial.qubit1 = ,"),
+         "key 'initial.qubit1': empty amplitude list"),
+        (["run"], FAST_SCENARIO.replace("model = reduced_qubit\n", ""),
+         "missing required key: model"),
+        (["run"], FAST_SCENARIO.replace("model = reduced_qubit", "model = bogus"),
+         "key 'model': unknown model 'bogus' (known: cavity_qubit, reduced_qubit, vdp)"),
+        (["run"], FAST_SCENARIO.replace("param.gamma_eff = 0.25\n", ""),
+         "missing required keys: param.gamma_eff"),
+        (["sweep"], FAST_SCENARIO, "sweep config needs at least one sweep.axis.param.<name> line"),
+        (["sweep"], FAST_SCENARIO + "sweep.axis.param.Omega = ,\n",
+         "key 'sweep.axis.param.Omega': empty value list"),
+        (["run", "fig2a"], FAST_SCENARIO, "give either a preset or --config, not both"),
+        (["run"], None, "run needs a preset name or --config"),
+    ], ids=["no_t_end", "empty_amplitudes", "no_model", "unknown_model", "missing_param",
+            "no_axis", "empty_axis", "preset_and_config", "neither"])
+    def test_config_error_exit_code(self, tmp_path, capsys, argv, text, message):
+        # one 'error:' line on stderr, no traceback, and nothing written
+        out = tmp_path / "out"
+        if text is not None:
+            argv = argv + ["--config", str(write_config(tmp_path, text))]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_truncation_error_exit_code(self, tmp_path, capsys):
         # resonant strong drive on a tiny vdp truncation blows the guard
@@ -1043,8 +1065,10 @@ run.sample_dt = 0.125
         assert err == f"error: analysis.{flag[2:].replace('-', '_')} must be >= 0, got -0.5\n"
         assert not (tmp_path / "re" / "report.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stiff_parameters_exit_code(self, tmp_path, capsys):
-        # at kappa = 1e300 no representable step meets the tolerances.
+        # at kappa = 1e300 no representable step meets the tolerances, and
+        # the error norms that overflow to inf or NaN only reject steps.
         # fig2a's pair at Nc = 5 steps 1,681 coordinates, too many for the
         # exact propagator, so Dopri5 takes them; t_end = 256 gives the
         # default window its 64 samples
@@ -1054,13 +1078,15 @@ run.sample_dt = 0.125
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, text)),
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: step size underflow at t=0 (h=0)\n"
+        message = ("step size underflow at t=0 (h=4.29e-15); "
+                   "tolerances cannot be met: change the model's parameters")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "report.json").exists()
         sweep = write_config(tmp_path, text + "sweep.axis.param.Omega = 0.0005\n", "sweep.cfg")
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw")]) == 5
         with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
             _, failed = csv.reader(fh)
-        assert failed[-1].startswith("error:StepSizeUnderflowError: ")
+        assert failed[-1] == f"error:StepSizeUnderflowError: {message}"
 
     def test_vanishing_trace_exit_code(self, tmp_path, capsys):
         # the propagator over one sample spacing underflows to zero, so the
@@ -1107,8 +1133,8 @@ run.sample_dt = 0.125
         assert err.startswith("error:") and "samples" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("defect", ["nan", "header_only", "ragged", "time_prefix",
-                                        "duplicate", "mi_columns", "mi_grid",
+    @pytest.mark.parametrize("defect", ["nan", "header_only", "ragged", "narrow",
+                                        "time_prefix", "duplicate", "mi_columns", "mi_grid",
                                         "report_list", "report_json"])
     def test_bad_trajectory_csv_exit_code(self, tmp_path, capsys, defect):
         t = np.arange(0.0, 1001.0)
@@ -1123,6 +1149,8 @@ run.sample_dt = 0.125
             lines = lines[:1]
         elif defect == "ragged":
             lines[500] = lines[500].rsplit(",", 1)[0]
+        elif defect == "narrow":       # every row one column short of the header
+            lines[1:] = [line.rsplit(",", 1)[0] for line in lines[1:]]
         elif defect == "time_prefix":  # a first column that only starts with 'time'
             lines[0] = lines[0].replace("time", "timestamp", 1)
         elif defect == "duplicate":    # a second sigma_x_1 column after the catalog

@@ -20,7 +20,6 @@ from qsync.lindblad import (
     RHO_BLOCK_BYTES,
     Dissipator,
     ModelSpec,
-    StepSizeUnderflowError,
     TruncationError,
     _Dopri5,
     _Propagator,
@@ -77,6 +76,9 @@ def rabi_qubit(omega):
         dissipators=(),
         observables=(("sigma_z", pauli("z", "q")),),
     )
+
+
+MODE = SpaceLayout((3,), ("m",))     # a layout that is not the qubit's
 
 
 def excited(lay):
@@ -176,6 +178,41 @@ class TestEvolve:
         with pytest.raises(ValueError, match="layout"):
             evolve(model, bad, 1.0, 0.5)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda m: dataclasses.replace(m, hamiltonian=Operator(MODE, np.zeros((3, 3)))),
+         "hamiltonian layout does not match model layout"),
+        (lambda m: dataclasses.replace(m, hamiltonian=pauli("minus", "q")),
+         r"hamiltonian must be Hermitian \(defect 1\)"),
+        (lambda m: dataclasses.replace(m, observables=m.observables * 2),
+         "observable names must be unique"),
+        (lambda m: dataclasses.replace(m, observables=(("n", destroy(3, "m")),)),
+         "observable 'n' layout does not match model"),
+        (lambda m: dataclasses.replace(m, observables=(("minus", pauli("minus", "q")),)),
+         "observable 'minus' must be Hermitian"),
+        (lambda m: dataclasses.replace(m, dissipators=(Dissipator(1.0, destroy(3, "m")),)),
+         "dissipator jump layout does not match model"),
+        (lambda m: evolve(m, DensityMatrix(m.layout, np.eye(2)), 1.0, 0.5),
+         "initial state trace error 1 > 1e-8"),
+        (lambda m: evolve(m, DensityMatrix(m.layout, [[1, 0.5], [0, 0]]), 1.0, 0.5),
+         "initial state is not Hermitian to 1e-10"),
+        (lambda m: propagate_dense(m, DensityMatrix(MODE, np.eye(3) / 3), [1.0]),
+         "initial state layout does not match model layout"),
+        (lambda m: propagate_dense(m, excited(m.layout), []),
+         "times must be a non-empty strictly increasing 1-D grid"),
+        (lambda m: propagate_dense(m, excited(m.layout), [[0.5, 1.0]]),
+         "times must be a non-empty strictly increasing 1-D grid"),
+        (lambda m: propagate_dense(m, excited(m.layout), [0.5, 0.5]),
+         "times must be a non-empty strictly increasing 1-D grid"),
+    ], ids=["hamiltonian_layout", "hamiltonian_hermitian", "observable_names",
+            "observable_layout", "observable_hermitian", "jump_layout", "initial_trace",
+            "initial_hermitian", "oracle_layout", "oracle_empty_grid", "oracle_2d_grid",
+            "oracle_repeated_time"])
+    def test_library_refusals(self, call, message):
+        # ModelSpec, evolve and the oracle refuse bad input with a ValueError
+        # that says what is wrong
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(single_qubit_decay())
+
     def test_excited_decay_matches_closed_form(self):
         kappa = 0.4
         model = single_qubit_decay(kappa)
@@ -251,17 +288,18 @@ class TestEvolve:
                 fine = evolve(model, rho0, 40.0, 1.0)
         assert np.max(np.abs(base.values - fine.values)) < 1e-6
 
-    def test_unmeetable_tolerances_name_the_parameters(self):
-        # an absolute tolerance of 1e-300 overflows the scaled derivative,
-        # so no first step can be chosen; the message says what to change
+    def test_tiny_absolute_tolerance_is_met(self):
+        # the first trial step is the whole span and the controller cuts it
+        # down: an absolute tolerance of 1e-300 leaves the relative one to
+        # size the steps, and the run follows the oracle
         model, rho0 = reduced_case()
-        liou, x0 = real_problem(model, rho0)
-        stepper = _Dopri5(liou, REL_TOL, 1e-300, model.dim ** 2)
-        with np.errstate(over="ignore"), pytest.raises(
-                StepSizeUnderflowError,
-                match=r"^initial step underflow \(h=0\); tolerances cannot be met: "
-                      "change the model's parameters$"):
-            list(stepper.samples(x0, sample_grid(1.0, 0.5)))
+        with dopri5(), tolerances(REL_TOL, 1e-300):
+            traj = evolve(model, rho0, 20.0, 0.5, keep_states=True)
+        assert traj.stats["propagator"] == "dopri5"
+        oracle = propagate_dense(model, rho0, traj.times)
+        worst = max(float(np.max(np.abs(s.matrix - o.matrix)))
+                    for s, o in zip(traj.states, oracle))
+        assert worst < 1e-6, worst
 
     def test_truncation_guard_fires(self):
         # strong resonant drive on a tiny Fock space overflows the top level
@@ -420,14 +458,14 @@ class TestFreeStepping:
 
     def test_rejected_steps_cost_no_matvec(self):
         # a detuning-free pair driven hard against its decay: the controller
-        # rejects 48 steps, each re-sized from the same block of powers
+        # rejects 52 steps, each re-sized from the same block of powers
         model = build_reduced_qubit(ReducedQubitParams(0.0, 0.0, 20.0, 5.0))
         rho0 = DensityMatrix.product_state(model.layout, [(1, 0), (0, 1)])
         with dopri5(), tolerances(1e-10, 1e-12):
             traj = evolve(model, rho0, 20.0, 0.5, keep_states=True)
         stats = traj.stats
-        assert (stats["steps_accepted"], stats["steps_rejected"]) == (3226, 48)
-        assert stats["matvecs"] == 6 * 3226 + 1 == 19357
+        assert (stats["steps_accepted"], stats["steps_rejected"]) == (3225, 52)
+        assert stats["matvecs"] == 6 * 3225 + 1 == 19351
         oracle = propagate_dense(model, rho0, traj.times)
         worst = max(float(np.max(np.abs(s.matrix - o.matrix)))
                     for s, o in zip(traj.states, oracle))
@@ -530,7 +568,7 @@ class TestExactPropagator:
         liou, x0 = real_problem(model, rho0)
         times = sample_grid(t_end, 0.5)
         exact = [x.copy() for _, x in _Propagator(liou, 0.5).samples(x0, times)]
-        stepper = _Dopri5(liou, REL_TOL, ABS_TOL, model.dim ** 2)
+        stepper = _Dopri5(liou)
         stepped = [x.copy() for _, x in stepper.samples(x0, times)]
         assert len(exact) == len(stepped) == len(times)
         assert np.max(np.abs(np.array(exact) - np.array(stepped))) < 1e-6
@@ -703,14 +741,18 @@ class TestReachablePruning:
     def test_pruned_evolve_matches_unpruned_stepper(self):
         model, rho0 = small_vdp_case()
         d = model.dim
-        assert reachable_count(model, rho0) < d * d
+        n = reachable_count(model, rho0)
+        assert n < d * d
         with dopri5():
             traj = evolve(model, rho0, 2.0, 0.25, keep_states=True)
         assert traj.stats["renormalizations"] == 0
-        # the real generator on all D^2 coordinates, stepped without pruning
+        # the real generator on all D^2 coordinates, stepped without pruning.
+        # The pruned coordinates are exact zeros, so tolerances scaled by
+        # sqrt(n / D^2) give its RMS error norm the pruned run's
         e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
-        stepper = _Dopri5(_real_generator(_liouvillian(model)[sel], e, imag),
-                          REL_TOL, ABS_TOL, d * d)
+        s = math.sqrt(n / d ** 2)
+        with tolerances(REL_TOL * s, ABS_TOL * s):
+            stepper = _Dopri5(_real_generator(_liouvillian(model)[sel], e, imag))
         vec = rho0.matrix.ravel()
         x0 = np.where(imag, vec[sel].imag, vec[sel].real)
         worst = 0.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ class TestFitOscillation:
         fit = fit_oscillation(t, y, (t[0], t[-1]), signal_scale=1.0)
         assert not fit.oscillating
         assert "amplitude" in fit.diagnostic
+
+    def test_noise_above_fit_tol_not_oscillating(self):
+        # white noise of rms 0.1 beside an amplitude of 0.2: the residual
+        # exceeds FIT_TOL = 0.4 times the amplitude
+        rng = np.random.default_rng(5)
+        t = grid(200.0, 0.25)
+        y = 0.2 * np.cos(0.5 * t) + 0.1 * rng.standard_normal(t.size)
+        fit = fit_oscillation(t, y, (t[0], t[-1]))
+        assert not fit.oscillating
+        assert re.fullmatch(r"residual rms \S+ exceeds 0\.4 \* amplitude \S+", fit.diagnostic)
 
 
 class TestProjectedObjective:
