@@ -18,25 +18,27 @@ the polynomial in hL it is on this linear problem: six CSR matvecs per
 accepted step, none per rejected one.  A run whose stepped block holds at
 most EXACT_MAX_COORDINATES coordinates, whatever its model (the reduced
 pair's 16, the cavity-qubit pair's 169 to 625 at the presets' cap, a vdp
-pair up to N = 6 from fig3's state), is instead advanced by
+pair up to N = 10 from fig3's state: 945), is instead advanced by
 P = exp(L_r dt), formed once for the sample spacing dt by a Taylor scaling
 and squaring on the sparse L_r (`_expm`): one dense matvec per sample,
 exact to rounding, with no tolerances and no steps.  A larger block (the
 cavity-qubit pair at Nc >= 5: 1,681 coordinates and up; fig3's vdp pair:
-5,666) is stepped by Dopri5 at the error tolerances REL_TOL and ABS_TOL.
+1,604) is stepped by Dopri5 at the error tolerances REL_TOL and ABS_TOL.
 Only the reachable set is stepped: the
 entries that the initial state reaches through L's sparsity pattern, closed
 under rho -> rho^dag; every other entry stays exactly zero.  Weak-U(1)
 couplings (excitation exchange, pair creation) leave most entries
 unreachable; a coherent drive reaches all of them.  A model with an
 excitation cap (`ModelSpec.excitation_cap`, raised where needed to lie above
-the initial state's highest occupied shell) further keeps only the entries
-rho_ij whose basis states i and j both hold at most `cap` excitations, the
+the initial state's highest occupied shell) is stepped as its Galerkin
+projection onto the basis states that hold at most `cap` excitations, the
 excitation number of a basis state being the sum of its factors' basis
-indices.  Restricting L to that block is the Galerkin projection of the
-model onto the capped space, P H P with jumps P L_k P for jumps L_k that
-lower the excitation number, so the capped run is itself a trace-preserving
-Lindblad evolution; rho stays D x D, with zeros outside the block.
+indices: L is built from P H P and jumps P L_k P, with P the projector onto
+those states (`_projected`).  The capped run is then itself a
+trace-preserving Lindblad evolution, for jumps that raise the excitation
+number (vdp's gain a^dag) as for jumps that lower it, and every rho_ij with
+i or j outside the capped states is unreachable; rho stays D x D, with
+zeros outside the block.
 
 The adaptive stepper steps freely over the whole run: the error norm is the
 RMS over the stepped coordinates, and the first trial step is the remaining
@@ -64,7 +66,12 @@ Each sample does only the sequential work:
     than GUARD_THRESHOLD population.
 Each block of samples then gets the observables (one real matrix product),
 rho = E x as a stack, Hermitian by construction, one stacked eigvalsh and
-the mutual information.  The rho stack is at most RHO_BLOCK_BYTES.
+the mutual information.  The eigvalsh is taken on rho's block over the
+stepped support, the basis states that own a stepped coordinate: every
+other row and column of rho is exactly zero, so the block holds rho's
+nonzero spectrum, and where the support is a proper subset the recorded
+smallest eigenvalue is the block's or 0, whichever is lower.  The rho stack
+is at most RHO_BLOCK_BYTES.
 
 scipy is imported inside the functions that use it, so that a command
 pays for the import only when it needs it.  scipy.sparse is imported by
@@ -138,10 +145,11 @@ class ModelSpec:
     embeddings '<name>_1', '<name>_2' the model records and a run analyses;
     None for a model without one.
 
-    `excitation_cap`, where set, restricts `evolve` to the basis states
-    whose excitation number (see `excitation_numbers`) is at most the cap,
-    or at most one above the initial state's highest occupied shell where
-    that is higher; None steps the whole space.
+    `excitation_cap`, where set, makes `evolve` step the model's projection
+    onto the basis states whose excitation number (see `excitation_numbers`)
+    is at most the cap, or at most one above the initial state's highest
+    occupied shell where that is higher; None steps the whole space.  The
+    model itself stays unprojected.
     """
 
     layout: SpaceLayout
@@ -193,7 +201,6 @@ class Trajectory:
     names: list[str]
     trace_errors: np.ndarray | None = None   # |tr rho - 1| before the per-sample fix
     min_eigenvalues: np.ndarray | None = None
-    final_state: DensityMatrix | None = None
     mutual_info: np.ndarray | None = None
     states: list[DensityMatrix] | None = None
     stats: dict | None = None        # integrator counters, see `evolve`
@@ -500,6 +507,22 @@ def _excitation_cap(model: ModelSpec, rho0: DensityMatrix) -> int | None:
     return max(model.excitation_cap, top + 1)
 
 
+def _projected(model: ModelSpec, cap: int) -> ModelSpec:
+    """The Galerkin projection of the model onto the basis states with at most
+    `cap` excitations: P H P and jumps P L_k P, with P the diagonal projector
+    onto those states.  Its generator leaves every rho_ij with i or j outside
+    them exactly zero, and preserves the trace for raising jumps as well as
+    lowering ones."""
+    keep = (excitation_numbers(model.layout) <= cap).astype(float)
+
+    def project(op: Operator) -> Operator:
+        return Operator(model.layout, keep[:, None] * op.matrix * keep)
+
+    return ModelSpec(model.layout, project(model.hamiltonian),
+                     tuple(Dissipator(dis.rate, project(dis.jump)) for dis in model.dissipators),
+                     observables=())
+
+
 def _guards(layout: SpaceLayout, idx: np.ndarray,
             cap: int | None) -> list[tuple[str, np.ndarray, str]]:
     """The truncation guards over the coordinates at flat indices `idx`.
@@ -563,9 +586,9 @@ def evolve(
     keep_states:
         Store the sampled density matrices (memory scales with n*D^2).
 
-    A model with an `excitation_cap` steps only the capped block (see the
-    module docstring), with the cap raised where needed to lie above rho0's
-    highest occupied shell.
+    A model with an `excitation_cap` steps only its projection onto the
+    capped block (see the module docstring), with the cap raised where
+    needed to lie above rho0's highest occupied shell.
 
     The size of the stepped block alone picks the propagator, for every
     model: a block of at most EXACT_MAX_COORDINATES coordinates is advanced
@@ -602,12 +625,8 @@ def evolve(
 
     d = model.dim
     cap = _excitation_cap(model, rho0)
-    liou = _liouvillian(model)
-    reach = _reachable(liou, rho0.matrix)
-    if cap is not None:
-        inside = excitation_numbers(model.layout) <= cap
-        reach &= np.outer(inside, inside).ravel()
-    idx = np.flatnonzero(reach)
+    liou = _liouvillian(model if cap is None else _projected(model, cap))
+    idx = np.flatnonzero(_reachable(liou, rho0.matrix))
     e, sel, imag = _hermitian_coordinates(idx, d)
     liou = liou[sel]    # only the rows R reads: the full complex L is freed here
     generator = _real_generator(liou, e, imag)
@@ -634,20 +653,24 @@ def evolve(
     renorms = 0
     scale = 1.0     # the product of the renormalizations so far
 
-    def record_block(start: int, xs: np.ndarray) -> np.ndarray:
-        """Record the samples xs, from sample `start` on; returns their rho stack."""
+    # the stepped support: every row and column of rho outside these basis
+    # states is exactly zero, so rho's block on them holds its nonzero spectrum
+    support = np.unique(idx // d)
+    whole = len(support) == d
+
+    def record_block(start: int, xs: np.ndarray):
+        """Record the samples xs, from sample `start` on."""
         stop = start + len(xs)
         values[start:stop] = xs @ obs.T
         rho = np.ascontiguousarray((e @ xs.T).T).reshape(len(xs), d, d)
-        spectra = np.linalg.eigvalsh(rho)
-        min_eigs[start:stop] = spectra[:, 0]
+        spectra = np.linalg.eigvalsh(rho if whole else rho[:, support[:, None], support])
+        min_eigs[start:stop] = spectra[:, 0] if whole else np.minimum(spectra[:, 0], 0.0)
         if mi is not None:
             # with two factors the pair leaves rho whole: reuse its spectrum
             s_ab = spectral_entropy(spectra) if len(factors) == 2 else None
             mi[start:stop] = _mutual_information(rho, factors, (0,), (1,), s_ab)
         if states is not None:
             states.extend(DensityMatrix(model.layout, r) for r in rho)
-        return rho
 
     rho0_vec = rho0.matrix.ravel()
     x0 = np.where(imag, rho0_vec[sel].imag, rho0_vec[sel].real)
@@ -675,7 +698,7 @@ def evolve(
                     )
                 top_pop[label] = max(top_pop[label], pop)
             if row == len(block) - 1 or i == n_samples:
-                rho = record_block(i - row, block[:row + 1])
+                record_block(i - row, block[:row + 1])
 
     return Trajectory(
         times=times,
@@ -683,7 +706,6 @@ def evolve(
         names=names,
         trace_errors=trace_errors,
         min_eigenvalues=min_eigs,
-        final_state=DensityMatrix(model.layout, rho[-1]),
         mutual_info=mi,
         states=states,
         stats={

@@ -33,7 +33,15 @@ reduced_qubit
 vdp
     Two quantum van der Pol oscillators: linear gain (jump a^dag, rate
     Omega_j), two-photon loss (jump a^2, rate kappa_j), and the pair-
-    creating coupling i*J*(a1^dag a2^dag - a1 a2).
+    creating coupling i*J*(a1^dag a2^dag - a1 a2).  The model carries the
+    excitation cap N - 1, the modes' top Fock level: `evolve` steps its
+    projection onto the states with n1 + n2 <= cap (the cap raised above the
+    initial state's highest shell where needed).  At the cap N - 1 its one
+    guard aborts a run when the top shell n1 + n2 == cap fills; that shell
+    holds both modes' top Fock levels.  The stiff corner levels of the
+    N x N square are never stepped: fig3 (N = 12) steps 1,604 coordinates
+    and keeps its top shell below 1e-9, and up to N = 10 from fig3's state
+    (945 coordinates) the exact per-sample propagator samples the block.
 
 Each builder fixes its model's catalog (`ModelSpec.catalog`): 'pauli' for
 the two qubit models, 'moments:<N>' at the run's own truncation for vdp.
@@ -245,7 +253,7 @@ def build_vdp(p: VdpParams) -> ModelSpec:
         ("xminus2", xm2),
         ("pminus2", pm2),
     )
-    return ModelSpec(layout, h, dissipators, observables, catalog)
+    return ModelSpec(layout, h, dissipators, observables, catalog, excitation_cap=p.N - 1)
 
 
 def _relative_quadrature_moments(layout: SpaceLayout) -> tuple[Operator, Operator]:

@@ -11,6 +11,8 @@ imported by the test modules: inside the first every `evolve` steps with
 `_Dopri5`, as no block is small enough for the exact propagator; inside the
 second no truncation guard fires; inside the third `_Dopri5` steps to the
 given error tolerances.  A sweep's forked workers inherit each.
+`small_vdp_model` is a hand-built van der Pol pair small enough for the
+dense oracle.
 
 BLAS is pinned to one thread before numpy is first imported: the
 generator's sparse matvecs are single-threaded, and a second BLAS thread
@@ -29,6 +31,8 @@ import pytest  # noqa: E402
 
 from qsync import lindblad  # noqa: E402
 from qsync.cli import run_scenario, scenario_from_preset  # noqa: E402
+from qsync.lindblad import Dissipator, ModelSpec  # noqa: E402
+from qsync.opalg import SpaceLayout, destroy, embed  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -54,6 +58,28 @@ def tolerances(rel_tol: float, abs_tol: float):
         mp.setattr(lindblad, "REL_TOL", rel_tol)
         mp.setattr(lindblad, "ABS_TOL", abs_tol)
         yield
+
+
+def small_vdp_model(n=4):
+    # hand-assembled van der Pol pair on a small truncation so the total
+    # dimension stays within the dense-oracle cap (the production builder
+    # enforces N >= 6, which would exceed it); weak gain and coupling keep
+    # the top Fock level inside the truncation guard
+    layout = SpaceLayout((n, n), ("mode1", "mode2"))
+    a1 = embed(destroy(n), layout, 0)
+    a2 = embed(destroy(n), layout, 1)
+    h = 1.0 * (a1.dag() @ a1) + 1.1 * (a2.dag() @ a2) + 1j * 0.05 * (
+        a1.dag() @ a2.dag() - a1 @ a2
+    )
+    dissipators = (
+        Dissipator(0.01, a1.dag()),
+        Dissipator(0.008, a2.dag()),
+        Dissipator(0.4, a1 @ a1),
+        Dissipator(0.5, a2 @ a2),
+    )
+    n1 = ("n_1", a1.dag() @ a1)
+    n2 = ("n_2", a2.dag() @ a2)
+    return ModelSpec(layout, h, dissipators, (n1, n2))
 
 
 def _run_preset(tmp_path_factory, name: str):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from conftest import dopri5, unguarded
+from conftest import dopri5, small_vdp_model, unguarded
 from qsync.cli import (
     analyze_csv,
     parse_config_text,
@@ -39,8 +39,6 @@ from qsync.models import (
 from qsync.opalg import (
     DensityMatrix,
     SpaceLayout,
-    destroy,
-    embed,
     mutual_information,
     partial_trace,
     trace_distance,
@@ -131,28 +129,6 @@ def test_criterion_4b_normal_mode_frequencies():
     expected = np.sort([p.delta1 - p.J, p.delta1 + p.J])
     assert np.max(np.abs(eigs - expected)) <= 1e-12
     passed("4b", "coupled-cavity quadratic form eigenvalues equal Delta +/- J")
-
-
-def small_vdp_model(n=4):
-    # hand-assembled van der Pol pair on a small truncation so the total
-    # dimension stays within the dense-oracle cap (the production builder
-    # enforces N >= 6, which would exceed it); weak gain and coupling keep
-    # the top Fock level inside the truncation guard
-    layout = SpaceLayout((n, n), ("mode1", "mode2"))
-    a1 = embed(destroy(n), layout, 0)
-    a2 = embed(destroy(n), layout, 1)
-    h = 1.0 * (a1.dag() @ a1) + 1.1 * (a2.dag() @ a2) + 1j * 0.05 * (
-        a1.dag() @ a2.dag() - a1 @ a2
-    )
-    dissipators = (
-        Dissipator(0.01, a1.dag()),
-        Dissipator(0.008, a2.dag()),
-        Dissipator(0.4, a1 @ a1),
-        Dissipator(0.5, a2 @ a2),
-    )
-    n1 = ("n_1", a1.dag() @ a1)
-    n2 = ("n_2", a2.dag() @ a2)
-    return ModelSpec(layout, h, dissipators, (n1, n2))
 
 
 def test_criterion_5_integrator_matches_dense_oracle():

@@ -96,7 +96,9 @@ PRESET_PINS = {
 }
 
 
-# a small van der Pol pair: its trajectory carries the S_c moments behind `extras`
+# a small van der Pol pair: its trajectory carries the S_c moments behind
+# `extras`.  At N = 8 its top excitation shell n1 + n2 = 7 stays below the
+# guard (5.6e-5); at N = 6 the shell n1 + n2 = 5 fills past it
 SMALL_VDP = """
 model = vdp
 param.omega1 = 1
@@ -106,7 +108,7 @@ param.Omega1 = 0.1
 param.Omega2 = 0.1
 param.kappa1 = 0.3
 param.kappa2 = 0.3
-param.N = 6
+param.N = 8
 initial.mode1 = 1 0 0 0 0 0
 initial.mode2 = 1 0 0 0 0 0
 run.t_end = 20
@@ -231,9 +233,10 @@ class TestConfigParsing:
             (FAST_SCENARIO.replace("initial.qubit1 = 0.9486832980505138 0.31622776601683794",
                                    "initial.qubit1 = 1.0 1.0"),
              "^initial.qubit1: amplitudes have squared norm 2, not 1$"),
-            # a list longer than its factor: seven amplitudes for N = 6
-            (SMALL_VDP.replace("initial.mode1 = 1 0 0 0 0 0", "initial.mode1 = 1 0 0 0 0 0 0"),
-             "^initial.mode1: expected at most 6 amplitudes, got 7$"),
+            # a list longer than its factor: nine amplitudes for N = 8
+            (SMALL_VDP.replace("initial.mode1 = 1 0 0 0 0 0",
+                               "initial.mode1 = 1 0 0 0 0 0 0 0 0"),
+             "^initial.mode1: expected at most 8 amplitudes, got 9$"),
         ]
         for text, message in cases:
             cfg = scenario_from_mapping(parse_config_text(text))
@@ -320,7 +323,7 @@ class TestConfigParsing:
         padded, short = (
             scenario_from_mapping(parse_config_text(
                 SMALL_VDP.replace("initial.mode2 = 1 0 0 0 0 0", f"initial.mode2 = {line}")))
-            for line in ("0.6+0j 0.8+0j 0+0j 0+0j 0+0j 0+0j", "0.6+0j 0.8+0j"))
+            for line in ("0.6+0j 0.8+0j 0+0j 0+0j 0+0j 0+0j 0+0j 0+0j", "0.6+0j 0.8+0j"))
         assert np.array_equal(padded.build()[1].matrix, short.build()[1].matrix)
         # the reanalyze workload passes "pauli" for a CSV with no report.json beside it
         bare = tmp_path / "input" / "trajectory.csv"
@@ -546,7 +549,7 @@ class TestRunAnalyze:
         report = run_scenario(cfg, outdir)
         assert set(report["extras"]) == {"s_c_final", "s_c_max", "s_c_min"}
         (outdir / "report.json").unlink()
-        re_report = analyze_csv(outdir / "trajectory.csv", "moments:6", None,
+        re_report = analyze_csv(outdir / "trajectory.csv", "moments:8", None,
                                 cfg.thresholds, tmp_path / "re")
         assert re_report["extras"] == report["extras"]
         assert re_report["mutual_info_final"] == report["mutual_info_final"]
@@ -648,23 +651,23 @@ class TestSweep:
     def test_vdp_default_catalog_follows_each_point(self, tmp_path):
         # no analysis.catalog and no base param.N (VdpParams' default N = 12):
         # each point is analysed with the moments of its own truncation, and
-        # the six amplitudes per mode are zero-padded at N = 7
-        text = SMALL_VDP.replace("param.N = 6\n", "") + "sweep.axis.param.N = 6 7\n"
+        # the six amplitudes per mode are zero-padded at N = 8 and 9
+        text = SMALL_VDP.replace("param.N = 8\n", "") + "sweep.axis.param.N = 8 9\n"
         spec = sweep_from_mapping(parse_config_text(text))
-        assert spec.axes == [("N", [6, 7])]
+        assert spec.axes == [("N", [8, 9])]
         assert [type(v) for v in spec.axes[0][1]] == [int, int]
         assert run_sweep(spec, tmp_path / "sweep") == 2
-        for k, n in enumerate((6, 7)):
+        for k, n in enumerate((8, 9)):
             report = json.loads(
                 (tmp_path / "sweep" / f"point_{k:04d}" / "report.json").read_text())
             assert report["thresholds"]["catalog"] == f"moments:{n}"
             assert report["scenario"]["params"]["N"] == n
         with open(tmp_path / "sweep" / "summary.csv", newline="") as fh:
             _, *rows = csv.reader(fh)
-        assert [(row[1], row[-1]) for row in rows] == [("6", "ok"), ("7", "ok")]
+        assert [(row[1], row[-1]) for row in rows] == [("8", "ok"), ("9", "ok")]
 
     def test_failed_point_message_in_status(self, tmp_path):
-        # strong gain on the second point drives the top Fock level past the guard
+        # strong gain on the second point drives the top excitation shell past the guard
         sweep_text = SMALL_VDP + "sweep.axis.param.Omega1 = 0.1 5\n"
         spec = sweep_from_mapping(parse_config_text(sweep_text))
         assert run_sweep(spec, tmp_path / "sweep") == 1
@@ -672,7 +675,7 @@ class TestSweep:
             header, ok, failed = csv.reader(fh)
         assert header[-1] == "status"
         assert ok[-1] == "ok"
-        assert failed[-1].startswith("error:TruncationError: top Fock level of factor")
+        assert failed[-1].startswith("error:TruncationError: top excitation shell N = 7 ")
         assert "raise the truncation" in failed[-1]
         assert not (tmp_path / "sweep" / "summary.csv.tmp").exists()
 
@@ -826,6 +829,40 @@ class TestExcitationCap:
         assert stats["coordinates"] == 39 ** 2      # basis states with N <= 4
         assert set(stats["top_level_population"]) == {"excitations", "cav1", "cav2"}
 
+    def test_vdp_top_shell_guard_exit_code(self, tmp_path, capsys):
+        # SMALL_VDP at N = 6: the cap N - 1 = 5 guards the shell n1 + n2 = 5,
+        # which the gain fills past the guard although the N x N square's top
+        # Fock levels stay below it
+        text = SMALL_VDP.replace("param.N = 8", "param.N = 6")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: top excitation shell N = 5 ")
+        assert not (out / "report.json").exists()
+
+    def test_capped_vdp_matches_square(self, fig3_run):
+        # fig3's cap N - 1 = 11 steps 1,604 coordinates, the N x N square
+        # 5,666: up to the end of the analysis window the two agree within
+        # criterion 5's 1e-6 and give the same verdicts
+        outdir, report = fig3_run
+        cfg = scenario_from_preset("fig3")
+        model, rho0 = cfg.build()
+        square = evolve(dataclasses.replace(model, excitation_cap=None), rho0,
+                        cfg.window[1], cfg.sample_dt)
+        assert square.stats["coordinates"] == 5666
+        assert square.stats["renormalizations"] == 0
+        n = len(square.times)
+        capped = read_trajectory_csv(outdir / "trajectory.csv")
+        assert np.max(np.abs(capped.values[:n] - square.values)) < 1e-6
+        mutual_info = np.loadtxt(outdir / "mutual_info.csv", delimiter=",", skiprows=1)[:n, 1]
+        assert np.max(np.abs(mutual_info - square.mutual_info)) < 1e-6
+        reference = analyze_trajectory(square, model.catalog, cfg.window, cfg.thresholds)
+        for key in ("synchronized_set", "chi", "c", "xi"):
+            assert report[key] == reference[key]
+        for pair_name, pair in report["pairs"].items():
+            for key in ("synced", "phase_class"):
+                assert pair[key] == reference["pairs"][pair_name][key]
+
 
 class TestImportFootprint:
     def test_cli_import_leaves_scipy_linalg_to_the_oracle(self):
@@ -951,7 +988,7 @@ run.sample_dt = 0.125
         out = tmp_path / "o2"
         good = write_config(tmp_path, SMALL_VDP, "good.cfg")
         bad_runs = [
-            # strong gain drives the top Fock level past the guard
+            # strong gain drives the top excitation shell past the guard
             (SMALL_VDP.replace("param.Omega1 = 0.1", "param.Omega1 = 5"), 3),
             # unnormalised amplitudes: Scenario.build() refuses them
             (SMALL_VDP.replace("initial.mode1 = 1 0", "initial.mode1 = 1 1"), 2),
@@ -974,8 +1011,7 @@ run.sample_dt = 0.125
     def test_catalog_other_than_models_refused(self, tmp_path, capsys, model):
         # moments:6 for the qubit pair, and for a vdp pair truncated at N = 8
         # (its six amplitudes per mode are zero-padded)
-        text = FAST_SCENARIO if model == "reduced_qubit" else (
-            SMALL_VDP.replace("param.N = 6", "param.N = 8"))
+        text = FAST_SCENARIO if model == "reduced_qubit" else SMALL_VDP
         out = tmp_path / "out"
         path = write_config(tmp_path, text + "analysis.catalog = moments:6\n")
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -990,7 +1026,7 @@ run.sample_dt = 0.125
         assert report["thresholds"]["catalog"] == own
 
     @pytest.mark.parametrize("text", [
-        SMALL_VDP.replace("param.N = 6", "param.N = 10000000"),
+        SMALL_VDP.replace("param.N = 8", "param.N = 10000000"),
         FAST_SCENARIO + "analysis.catalog = moments:10000000\n",   # refused when parsed
     ], ids=["param", "catalog"])
     def test_oversized_space_exit_code(self, tmp_path, capsys, text):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import dopri5, tolerances, unguarded
+from conftest import dopri5, small_vdp_model, tolerances, unguarded
 from qsync import lindblad
 from qsync.lindblad import (
     _DP_C,
@@ -27,6 +27,7 @@ from qsync.lindblad import (
     _expm,
     _hermitian_coordinates,
     _liouvillian,
+    _projected,
     _reachable,
     _real_generator,
     _squarings,
@@ -232,9 +233,9 @@ class TestEvolve:
             observables=(("n", a.dag() @ a),),
         )
         rho0 = DensityMatrix.product_state(lay, [(1,) + (0,) * (n - 1)])
-        traj = evolve(model, rho0, 3.0, 0.5)
+        traj = evolve(model, rho0, 3.0, 0.5, keep_states=True)
         assert np.max(np.abs(traj.column("n"))) < 1e-12
-        assert np.max(np.abs(traj.final_state.matrix - rho0.matrix)) < 1e-12
+        assert np.max(np.abs(traj.states[-1].matrix - rho0.matrix)) < 1e-12
 
     def test_trace_and_positivity_diagnostics(self):
         model = build_reduced_qubit(ReducedQubitParams(0.1, 0.05, 2e-3, 0.25))
@@ -347,11 +348,14 @@ class TestEvolve:
         rho0 = small_vdp_case()[1]
         traj = evolve(model, rho0, 0.5, 0.05, keep_states=True)
         top = traj.stats["top_level_population"]
-        assert set(top) == {"mode1", "mode2"}
-        # the largest top-level population over the run, read from the states
-        for slot, label in enumerate(("mode1", "mode2")):
-            direct = max(partial_trace(s, (slot,)).matrix[-1, -1].real for s in traj.states)
-            assert top[label] == pytest.approx(direct, rel=1e-12, abs=1e-18)
+        # the cap N - 1 = 5 is the modes' top Fock level: the top shell
+        # n1 + n2 = 5 is the one guard
+        assert model.excitation_cap == 5
+        assert set(top) == {"excitations"}
+        # the largest top-shell population over the run, read from the states
+        shell = excitation_numbers(model.layout) == 5
+        direct = max(s.matrix.diagonal()[shell].real.sum() for s in traj.states)
+        assert top["excitations"] == pytest.approx(direct, rel=1e-12, abs=1e-18)
         qubit = rabi_qubit(0.5)
         assert evolve(qubit, excited(qubit.layout), 1.0, 0.5).stats["top_level_population"] == {}
 
@@ -375,7 +379,8 @@ class TestEvolve:
         traj = evolve(model, rho0, 2.0, 0.5, keep_states=True)
         assert traj.mutual_info is None     # one factor: no pair to record
         assert len(traj.states) == 5
-        assert np.allclose(traj.states[-1].matrix, traj.final_state.matrix)
+        psi = np.array([np.cos(1.0), -1j * np.sin(1.0)])     # exp(-i t sigma_x / 2)|g> at t = 2
+        assert np.allclose(traj.states[-1].matrix, np.outer(psi, psi.conj()))
 
 
 class TestDenseOracle:
@@ -434,8 +439,8 @@ class TestDenseOracle:
         )
         t_final = 20.0
         oracle = propagate_dense(model, rho0, [t_final])[0]
-        traj = evolve(model, rho0, t_final, t_final / 4)
-        assert np.max(np.abs(traj.final_state.matrix - oracle.matrix)) < 1e-6
+        traj = evolve(model, rho0, t_final, t_final / 4, keep_states=True)
+        assert np.max(np.abs(traj.states[-1].matrix - oracle.matrix)) < 1e-6
 
 
 class TestFreeStepping:
@@ -503,11 +508,16 @@ class TestFreeStepping:
         )
         traj = evolve(model, rho0, 1.5, 0.05, keep_states=True)
         assert len(traj.states) == 31
-        eigs = [np.linalg.eigvalsh(s.matrix)[0] for s in traj.states]
+        # the spectrum is taken on the stepped support, the basis states
+        # with N <= 3: every other row and column of rho is zero, so the
+        # smallest eigenvalue is the block's, or 0 where that is lower
+        support = np.unique(stepped_generator(model, rho0)[1] // model.dim)
+        assert len(support) < model.dim
+        eigs = [min(np.linalg.eigvalsh(s.matrix[np.ix_(support, support)])[0], 0.0)
+                for s in traj.states]
         mi = [mutual_information(partial_trace(s, (0, 1)), ((0,), (1,))) for s in traj.states]
         assert np.array_equal(traj.min_eigenvalues, eigs)
         assert np.array_equal(traj.mutual_info, mi)
-        assert np.array_equal(traj.states[-1].matrix, traj.final_state.matrix)
         assert np.all(traj.mutual_info[1:] > 0)
 
 
@@ -520,12 +530,12 @@ def criterion_4a_reduced_case():
 
 
 def stepped_generator(model, rho0):
-    """L_r on the coordinates `evolve` steps: the reachable part of the capped block."""
-    liou = _liouvillian(model)
-    inside = excitation_numbers(model.layout) <= _excitation_cap(model, rho0)
-    idx = np.flatnonzero(_reachable(liou, rho0.matrix) & np.outer(inside, inside).ravel())
+    """L_r on the coordinates `evolve` steps, and their flat indices: the
+    reachable set of the model projected onto its capped block."""
+    liou = _liouvillian(_projected(model, _excitation_cap(model, rho0)))
+    idx = np.flatnonzero(_reachable(liou, rho0.matrix))
     e, sel, imag = _hermitian_coordinates(idx, model.dim)
-    return _real_generator(liou[sel], e, imag)
+    return _real_generator(liou[sel], e, imag), idx
 
 
 def relative_deviation(p, reference):
@@ -534,9 +544,10 @@ def relative_deviation(p, reference):
 
 class TestExactPropagator:
     def test_block_size_picks_the_propagator(self):
-        # fig3's pair from fig3's state: N = 6 steps 676 coordinates and
-        # takes the exact propagator, N = 7 steps 1,091 and takes Dopri5
-        for n, count, propagator in [(6, 676, "expm"), (7, 1091, "dopri5")]:
+        # fig3's pair from fig3's state, capped at N - 1: N = 10 steps 945
+        # coordinates and takes the exact propagator, N = 11 steps 1,246 and
+        # takes Dopri5
+        for n, count, propagator in [(10, 945, "expm"), (11, 1246, "dopri5")]:
             scenario = dataclasses.replace(PRESETS["fig3"],
                                            params={**PRESETS["fig3"].params, "N": n})
             stats = evolve(*scenario.build(), 0.25, 0.25).stats
@@ -603,7 +614,7 @@ class TestExponential:
         from scipy.linalg import expm
 
         scenario = PRESETS[name]
-        liou = stepped_generator(*scenario.build())
+        liou, _ = stepped_generator(*scenario.build())
         dt = scenario.sample_dt
         assert _squarings(liou, dt) == squarings
         reference = expm(liou.toarray() * dt)
@@ -741,18 +752,19 @@ class TestReachablePruning:
     def test_pruned_evolve_matches_unpruned_stepper(self):
         model, rho0 = small_vdp_case()
         d = model.dim
-        n = reachable_count(model, rho0)
-        assert n < d * d
         with dopri5():
             traj = evolve(model, rho0, 2.0, 0.25, keep_states=True)
+        n = traj.stats["coordinates"]
+        assert n < reachable_count(model, rho0) < d * d
         assert traj.stats["renormalizations"] == 0
-        # the real generator on all D^2 coordinates, stepped without pruning.
-        # The pruned coordinates are exact zeros, so tolerances scaled by
-        # sqrt(n / D^2) give its RMS error norm the pruned run's
+        # the real generator of the model projected onto its cap N - 1 = 5,
+        # on all D^2 coordinates, stepped without pruning.  The pruned
+        # coordinates are exact zeros, so tolerances scaled by sqrt(n / D^2)
+        # give its RMS error norm the pruned run's
         e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
         s = math.sqrt(n / d ** 2)
         with tolerances(REL_TOL * s, ABS_TOL * s):
-            stepper = _Dopri5(_real_generator(_liouvillian(model)[sel], e, imag))
+            stepper = _Dopri5(_real_generator(_liouvillian(_projected(model, 5))[sel], e, imag))
         vec = rho0.matrix.ravel()
         x0 = np.where(imag, vec[sel].imag, vec[sel].real)
         worst = 0.0
@@ -764,24 +776,40 @@ class TestReachablePruning:
         assert worst < 1e-12, worst
 
 
+def projected_by_hand(model, cap):
+    """The model with P H P and jumps P L_k P, P the projector onto N <= cap, and no cap."""
+    inside = np.diag((excitation_numbers(model.layout) <= cap).astype(float))
+
+    def project(op):
+        return Operator(model.layout, inside @ op.matrix @ inside)
+
+    return ModelSpec(model.layout, project(model.hamiltonian),
+                     [Dissipator(d.rate, project(d.jump)) for d in model.dissipators],
+                     model.observables)
+
+
 class TestExcitationCap:
     def test_excitation_numbers(self):
         # ground-first qubit, photon-counting mode: N = e + n
         lay = SpaceLayout((2, 3), ("q", "m"))
         assert excitation_numbers(lay).tolist() == [0, 1, 2, 1, 2, 3]
 
-    @pytest.mark.parametrize("name, nc, count, propagator", [
+    @pytest.mark.parametrize("name, n, count, propagator", [
         pytest.param("fig2a", 4, 625, "expm", id="fig2a-625"),
         pytest.param("fig2b", 4, 169, "expm", id="fig2b-169"),
         pytest.param("fig2c", 4, 625, "expm", id="fig2c-625"),
         # one Fock level more: the block exceeds EXACT_MAX_COORDINATES
         pytest.param("fig2a", 5, 1681, "dopri5", id="fig2a-Nc5-1681"),
+        # vdp's cap N - 1 keeps 1,604 of the square's 5,666 reachable coordinates
+        pytest.param("fig3", 12, 1604, "dopri5", id="fig3-1604"),
     ])
-    def test_preset_stepped_counts(self, name, nc, count, propagator):
+    def test_preset_stepped_counts(self, name, n, count, propagator):
+        # n is the truncation, Nc per cavity or N per oscillator
         scenario = PRESETS[name]
-        scenario = dataclasses.replace(scenario, params={**scenario.params, "Nc": nc})
+        key = "N" if scenario.model == "vdp" else "Nc"
+        scenario = dataclasses.replace(scenario, params={**scenario.params, key: n})
         model, rho0 = scenario.build()
-        assert model.excitation_cap == nc - 1
+        assert model.excitation_cap == n - 1
         stats = evolve(model, rho0, 2.0, 2.0).stats
         assert (stats["coordinates"], stats["propagator"]) == (count, propagator)
         assert (count <= EXACT_MAX_COORDINATES) == (propagator == "expm")
@@ -806,14 +834,7 @@ class TestExcitationCap:
         assert model.excitation_cap == 2
         rho0 = DensityMatrix.product_state(model.layout, [PRESETS["fig2a"].initial[label]
                                                           for label in model.layout.labels])
-        inside = np.diag((excitation_numbers(model.layout) <= 3).astype(float))
-
-        def project(op):
-            return Operator(model.layout, inside @ op.matrix @ inside)
-
-        projected = ModelSpec(model.layout, project(model.hamiltonian),
-                              [Dissipator(d.rate, project(d.jump)) for d in model.dissipators],
-                              model.observables)
+        projected = projected_by_hand(model, 3)
         # this strong drive fills the top levels; only the generators are compared
         with unguarded():
             capped = evolve(model, rho0, 10.0, 0.5)
@@ -823,6 +844,29 @@ class TestExcitationCap:
         assert np.max(capped.trace_errors) < 1e-10
         # the cavities' top Fock level N = 2 lies below the cap: still guarded
         assert set(capped.stats["top_level_population"]) == {"excitations", "cav1", "cav2"}
+
+    @pytest.mark.parametrize("amps, cap", [
+        ([(np.sqrt(0.9), np.sqrt(0.1)), (np.sqrt(0.95), np.sqrt(0.05))], 3),
+        # a state on the top shell N = 3: evolve raises the cap to 4
+        ([(np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)), (1.0,)], 4),
+    ], ids=["inside", "top_shell"])
+    def test_gain_jump_run_is_the_projected_model(self, amps, cap):
+        # vdp's gain jump a^dag raises the excitation number, so restricting
+        # the generator to the capped block would leak trace through the top
+        # shell.  The capped run is the Lindbladian of P H P with jumps
+        # P L_k P, at the cap evolve applies: it follows the dense oracle of
+        # that model and needs no renormalization
+        model = dataclasses.replace(small_vdp_model(4), excitation_cap=3)
+        rho0 = DensityMatrix.product_state(model.layout, amps)
+        assert _excitation_cap(model, rho0) == cap
+        # the gain fills the top shell; only the generators are compared
+        with unguarded():
+            traj = evolve(model, rho0, 10.0, 0.5, keep_states=True)
+        assert traj.stats["renormalizations"] == 0
+        oracle = propagate_dense(projected_by_hand(model, cap), rho0, traj.times)
+        worst = max(float(np.max(np.abs(s.matrix - o.matrix)))
+                    for s, o in zip(traj.states, oracle))
+        assert worst < 1e-6, worst
 
 
 class TestRealGenerator:
