@@ -6,8 +6,8 @@ run       simulate a preset or a config file; writes trajectory.csv,
           mutual_info.csv, diagnostics.csv, stats.json (integrator
           counters) and report.json
 analyze   recompute report.json from a trajectory.csv with the catalog,
-          window and lock tolerances its run recorded (--window, --tol-freq
-          and --tol-phase revisit the last three)
+          window and lock tolerance its run recorded (--window and
+          --tol-freq revisit the last two); `run` takes no such flags
 sweep     run a grid of scenarios from a sweep config, one forked worker
           per available CPU; writes per-point directories plus summary.csv
 presets   list the built-in scenario names
@@ -23,14 +23,14 @@ Config files are flat `key = value` text with dotted sections, for example::
     run.sample_dt = 2
     analysis.window = 300:1100
 
-Configs are checked when parsed, before anything runs: numbers, initial
-amplitudes and the --tol-freq/--tol-phase flags must be finite, run.t_end
-a positive integer multiple of run.sample_dt of at most
-`lindblad.MAX_SAMPLES` samples, sweep.cap positive, analysis.tol_freq and
-analysis.tol_phase >= 0, and analysis.catalog a valid spec, so a bad sweep
-config fails before its first point.  The fit gates and the rank and
-commutator tolerances are `syncmeter` constants, and the integrator's error
-tolerances `lindblad` constants, not keys.
+Configs are checked when parsed, before anything runs: numbers and initial
+amplitudes must be finite, run.t_end a positive integer multiple of
+run.sample_dt of at most `lindblad.MAX_SAMPLES` samples, sweep.cap
+positive, analysis.tol_freq >= 0, and analysis.catalog a valid spec, so a
+bad sweep config fails before its first point.  The fit gates, the
+phase-class half-width and the rank and commutator tolerances are
+`syncmeter` constants, and the integrator's error tolerances `lindblad`
+constants, not keys.
 `initial.preset = NAME` stands for that preset's amplitudes and excludes
 other initial.* keys.  `opalg.DensityMatrix.product_state`
 zero-pads an initial.* list shorter than its factor, so one list serves every
@@ -58,9 +58,9 @@ abort (a top Fock level or the top excitation shell filled), 4 I/O error
 (in a sweep, also a worker process that died), 5 sweep with no successful
 point.  A sweep point that fails with a cause of exit 2 or 3 is recorded
 in its summary.csv `status` cell instead, and the sweep goes on.  Every
-failure prints a one-line `error:` message to stderr.  report.json and
-stats.json are strict JSON: a value that is not finite is refused, not
-written.
+failure, a usage error included, prints a one-line `error:` message to
+stderr.  report.json and stats.json are strict JSON: a value that is not
+finite is refused, not written.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _parse_window(key: str, text: str) -> tuple[float, float]:
 
 
 # every field of AnalysisThresholds is a float analysis.* key and a --flag of
-# `run` and `analyze`
+# `analyze`
 _ANALYSIS_KEYS = {f"analysis.{f.name}": f.name for f in dataclasses.fields(AnalysisThresholds)}
 
 
@@ -397,10 +397,10 @@ def _prior_report(csv_path: Path) -> tuple[Path, dict]:
 def recorded_analysis(
     csv_path: Path,
 ) -> tuple[tuple[float, float] | None, AnalysisThresholds]:
-    """The window and lock tolerances that the report.json beside `csv_path` records.
+    """The window and lock tolerance that the report.json beside `csv_path` records.
 
     What it does not record keeps its default: the second half of the run,
-    `AnalysisThresholds()`.  A malformed value, or a fit constant other than
+    `AnalysisThresholds()`.  A malformed value, or a constant other than
     `FIXED_THRESHOLDS`, is a ConfigError naming the file and key: that
     report cannot be reproduced.
     """
@@ -591,23 +591,15 @@ def run_sweep(spec: SweepSpec, outdir: Path) -> int:
 # --- argument parsing / entry point ----------------------------------------
 
 
-def _add_threshold_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--window", help="analysis window 'T0:T1'")
-    parser.add_argument("--tol-freq", help="relative frequency lock tolerance")
-    parser.add_argument("--tol-phase", help="phase class tolerance (rad)")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subparsers' too, raise ConfigError: `main` prints one `error:` line."""
 
-
-def _with_flags(window, thresholds: AnalysisThresholds, args):
-    """`window` and `thresholds` with the values of the flags given replacing theirs."""
-    if args.window is not None:
-        window = _parse_window("--window", args.window)
-    updates = {name: _parse_number("--" + name.replace("_", "-"), getattr(args, name))
-               for name in _ANALYSIS_KEYS.values() if getattr(args, name) is not None}
-    return window, dataclasses.replace(thresholds, **updates)
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsync", description="Open-system synchronization simulator and analyzer")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -617,15 +609,15 @@ def main(argv=None) -> int:
                        help=f"preset name, one of: {', '.join(PRESET_NAMES)}")
     p_run.add_argument("--config", help="path to a scenario config file")
     p_run.add_argument("--out", required=True, help="output directory")
-    _add_threshold_flags(p_run)
 
     p_an = sub.add_parser("analyze", help="re-analyze a trajectory.csv (window and "
-                          "tolerances default to those its report.json records)")
+                          "tolerance default to those its report.json records)")
     p_an.add_argument("csv", help="path to trajectory.csv")
     p_an.add_argument("--catalog", help="'pauli' or 'moments:<N>' (default, and checked "
                       "against: the catalog in the report.json beside the CSV)")
     p_an.add_argument("--out", required=True, help="output directory")
-    _add_threshold_flags(p_an)
+    p_an.add_argument("--window", help="analysis window 'T0:T1'")
+    p_an.add_argument("--tol-freq", help="relative frequency lock tolerance")
 
     p_sw = sub.add_parser("sweep", help="run a parameter sweep")
     p_sw.add_argument("--config", required=True, help="path to a sweep config file")
@@ -633,9 +625,8 @@ def main(argv=None) -> int:
 
     sub.add_parser("presets", help="list preset scenario names")
 
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except (*_RUN_FAILURES, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, OSError) else 3 if isinstance(exc, TruncationError) else 2
@@ -656,14 +647,16 @@ def _dispatch(args) -> int:
             cfg = scenario_from_mapping(parse_config_text(Path(args.config).read_text()))
         else:
             raise ConfigError("run needs a preset name or --config")
-        window, thresholds = _with_flags(cfg.window, cfg.thresholds, args)
-        cfg = dataclasses.replace(cfg, window=window, thresholds=thresholds)
         run_scenario(cfg, Path(args.out))
         return 0
 
     if args.command == "analyze":
         csv_path = Path(args.csv)
-        window, thresholds = _with_flags(*recorded_analysis(csv_path), args)
+        window, thresholds = recorded_analysis(csv_path)
+        if args.window is not None:
+            window = _parse_window("--window", args.window)
+        if args.tol_freq is not None:
+            thresholds = AnalysisThresholds(tol_freq=_parse_number("--tol-freq", args.tol_freq))
         analyze_csv(csv_path, args.catalog, window, thresholds, Path(args.out))
         return 0
 

@@ -326,11 +326,11 @@ class Scenario:
     `params` holds the model's params-class keyword arguments and `initial`
     each factor label's leading amplitudes, ground first (zero-padded by
     `DensityMatrix.product_state`); `build()` checks both.
-    `thresholds` relaxes the lock tolerances where a preset's physics
+    `thresholds.tol_freq` relaxes the lock tolerance where a preset's physics
     requires it (short transient windows limit the attainable
     frequency-estimate precision); the fit gates are `syncmeter` constants,
     the integrator's error tolerances `lindblad` ones, which `echo` records.
-    The report records the window, both tolerances and every constant, and
+    The report records the window, `tol_freq` and every constant, and
     `qsync analyze` re-reads them from it.
     """
 

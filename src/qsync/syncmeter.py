@@ -29,7 +29,7 @@ operators, such as the S_c of `models.mari_measure`, live with the models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -51,30 +51,30 @@ MIN_CYCLES = 1.3
 # tolerance for declaring two operators commuting
 RANK_TOL = 1e-10
 COMM_TOL = 1e-10
-# the constants that report.json records beside the lock tolerances
+# phase-class half-width (rad) around 0 and pi; no verdict or index reads it
+TOL_PHASE = 0.2
+# the constants that report.json records beside the lock tolerance
 FIXED_THRESHOLDS = {"amp_min": AMP_MIN, "fit_tol": FIT_TOL, "min_cycles": MIN_CYCLES,
-                    "rank_tol": RANK_TOL, "comm_tol": COMM_TOL, "detrend_deg": DETREND_DEG}
+                    "rank_tol": RANK_TOL, "comm_tol": COMM_TOL, "detrend_deg": DETREND_DEG,
+                    "tol_phase": TOL_PHASE}
 
 
 @dataclass(frozen=True)
 class AnalysisThresholds:
-    """The lock tolerances that a scenario or an `analyze` flag sets.
+    """The lock tolerance that a scenario or an `analyze` flag sets.
 
     tol_freq:    max relative frequency mismatch for a locked pair
-    tol_phase:   phase-class half-width (rad) around 0 and pi
 
-    Every value must be >= 0 (ValueError otherwise).  The fit gates and the
-    rank and commutator tolerances are the module constants above.
+    It must be >= 0 (ValueError otherwise).  The fit gates, the phase-class
+    half-width and the rank and commutator tolerances are the module
+    constants above.
     """
 
     tol_freq: float = 0.01
-    tol_phase: float = 0.2
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not value >= 0:      # NaN too
-                raise ValueError(f"analysis.{f.name} must be >= 0, got {value}")
+        if not self.tol_freq >= 0:      # NaN too
+            raise ValueError(f"analysis.tol_freq must be >= 0, got {self.tol_freq}")
 
 
 @dataclass(frozen=True)
@@ -350,9 +350,9 @@ def classify_pair(
     freq_mismatch = 0.0 if f_max == 0 else abs(a.frequency - b.frequency) / f_max
     synced = bool(a.oscillating and b.oscillating and freq_mismatch <= thresholds.tol_freq)
     phase_diff = wrap_phase(a.phase - b.phase)
-    if abs(phase_diff) <= thresholds.tol_phase:
+    if abs(phase_diff) <= TOL_PHASE:
         phase_class = "in_phase"
-    elif abs(abs(phase_diff) - math.pi) <= thresholds.tol_phase:
+    elif abs(abs(phase_diff) - math.pi) <= TOL_PHASE:
         phase_class = "anti_phase"
     else:
         phase_class = "phase_locked_other"

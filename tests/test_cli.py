@@ -175,7 +175,6 @@ class TestConfigParsing:
         ("sweep.cap", "0"),
         ("sweep.cap", "-1"),
         ("analysis.tol_freq", "-0.5"),
-        ("analysis.tol_phase", "-0.5"),
     ])
     def test_bad_run_setting_rejected(self, key, value):
         # refused when the sweep config is parsed, before any point runs
@@ -186,10 +185,11 @@ class TestConfigParsing:
             sweep_from_mapping(parse_config_text(text))
 
     @pytest.mark.parametrize("name", ["amp_min", "fit_tol", "min_cycles", "rank_tol",
-                                      "comm_tol"])
+                                      "comm_tol", "tol_phase"])
     def test_fit_constant_keys_are_unknown(self, name):
-        # the fit gates and the rank/commutator tolerances are syncmeter
-        # constants: a config that sets one is refused, whatever the value
+        # the fit gates, the rank/commutator tolerances and the phase-class
+        # half-width are syncmeter constants: a config that sets one is
+        # refused, whatever the value
         for value in ("-0.5", "0.5"):
             text = FAST_SCENARIO + f"analysis.{name} = {value}\n"
             with pytest.raises(ConfigError, match=f"^unknown key 'analysis.{name}'$"):
@@ -206,16 +206,15 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AnalysisThresholds)])
     def test_every_tolerance_is_a_key_and_a_flag(self, name, tmp_path, capsys):
-        # what a config sets, `run` and `analyze` can set too, so a flagless
+        # what a config sets, `analyze` can set too, so a flagless
         # re-analysis that reads the report.json back covers every field
         cfg = scenario_from_mapping(parse_config_text(
             FAST_SCENARIO + f"analysis.{name} = 0.125\n"))
         assert getattr(cfg.thresholds, name) == 0.125
         flag = "--" + name.replace("_", "-")
-        for argv in (["run", "fig2a"], ["analyze", str(tmp_path / "trajectory.csv")]):
-            assert main(argv + ["--out", str(tmp_path / "out"), flag, "x"]) == 2
-            assert capsys.readouterr().err == (
-                f"error: key '{flag}': cannot parse 'x' as a number\n")
+        argv = ["analyze", str(tmp_path / "trajectory.csv"), "--out", str(tmp_path / "out")]
+        assert main(argv + [flag, "x"]) == 2
+        assert capsys.readouterr().err == f"error: key '{flag}': cannot parse 'x' as a number\n"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="param.bogus"):
@@ -345,7 +344,7 @@ _BASE_CONFIGS = {
 }
 _REAL_KEYS = sorted(
     {"model", "initial.preset", "run.t_end", "run.sample_dt", "analysis.window",
-     "analysis.catalog", "analysis.tol_freq", "analysis.tol_phase", "sweep.cap"}
+     "analysis.catalog", "analysis.tol_freq", "sweep.cap"}
     | {f"initial.{label}" for label in ("qubit1", "qubit2", "cav1", "cav2", "mode1", "mode2")}
     | {f"{prefix}{f.name}" for cls, _ in MODELS.values() for f in dataclasses.fields(cls)
        for prefix in ("param.", "sweep.axis.param.")}
@@ -961,6 +960,42 @@ class TestMainEntry:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig2a", "--window", "0:100", "--out", "D"],
+        ["run", "fig2a", "--tol-freq", "0.02", "--out", "D"],
+        ["run", "fig2a", "--tol-phase", "0.3", "--out", "D"],
+        ["analyze", "X.csv", "--tol-phase", "0.3", "--out", "D"],
+        ["run", "fig2a"],
+    ], ids=["run_window", "run_tol_freq", "run_tol_phase", "analyze_tol_phase", "no_out"])
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv):
+        # argparse's failures take the same one-line 'error:' route as a bad config
+        argv = [str(tmp_path / a) if a in ("D", "X.csv") else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "D").exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_config_and_analyze_routes_agree(self, tmp_path):
+        # the analysis a config sets and the one `analyze` flags set write
+        # the same report.json
+        flagless = FAST_SCENARIO.replace("analysis.window = 40:400\n", "")
+        keyed = flagless + "analysis.window = 40:300\nanalysis.tol_freq = 0.02\n"
+        for name, text in (("keyed", keyed), ("flagless", flagless)):
+            path = write_config(tmp_path, text, f"{name}.cfg")
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        assert main(["analyze", str(tmp_path / "flagless" / "trajectory.csv"),
+                     "--window", "40:300", "--tol-freq", "0.02",
+                     "--out", str(tmp_path / "re")]) == 0
+        assert ((tmp_path / "re" / "report.json").read_bytes()
+                == (tmp_path / "keyed" / "report.json").read_bytes())
+
     def test_truncation_error_exit_code(self, tmp_path, capsys):
         # resonant strong drive on a tiny vdp truncation blows the guard
         text = """
@@ -1078,7 +1113,7 @@ run.sample_dt = 0.125
         assert "initial.qubit1" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag", ["--tol-freq", "--tol-phase"])
+    @pytest.mark.parametrize("flag", ["--tol-freq"])
     def test_non_finite_tolerance_flag_exit_code(self, run_dir, tmp_path, capsys, flag):
         outdir, _ = run_dir
         rc = main([
@@ -1091,7 +1126,7 @@ run.sample_dt = 0.125
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "re" / "report.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--tol-freq", "--tol-phase"])
+    @pytest.mark.parametrize("flag", ["--tol-freq"])
     def test_negative_tolerance_flag_exit_code(self, run_dir, tmp_path, capsys, flag):
         outdir, _ = run_dir
         rc = main(["analyze", str(outdir / "trajectory.csv"), flag, "-0.5",
@@ -1139,13 +1174,11 @@ run.sample_dt = 0.125
     def test_empty_window_flag_exit_code(self, run_dir, tmp_path, capsys):
         # an empty --window is refused, not taken for an absent flag
         outdir, _ = run_dir
-        config = str(write_config(tmp_path, FAST_SCENARIO))
-        for argv in (["run", "--config", config], ["analyze", str(outdir / "trajectory.csv")]):
-            out = tmp_path / argv[0]
-            assert main(argv + ["--window", "", "--out", str(out)]) == 2
-            assert capsys.readouterr().err == (
-                "error: key '--window': window must be 'T0:T1', got ''\n")
-            assert not out.exists()
+        out = tmp_path / "re"
+        assert main(["analyze", str(outdir / "trajectory.csv"), "--window", "",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: key '--window': window must be 'T0:T1', got ''\n"
+        assert not out.exists()
 
     def test_sweep_bad_sample_grid_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("run.t_end = 400", "run.t_end = 400.2")
@@ -1295,19 +1328,23 @@ run.sample_dt = 0.125
 
     def test_analyze_flag_overrides_only_its_value(self, fig3_run, tmp_path):
         outdir, _ = fig3_run
-        assert main(["analyze", str(outdir / "trajectory.csv"), "--tol-phase", "0.5",
+        assert main(["analyze", str(outdir / "trajectory.csv"), "--tol-freq", "0.5",
                      "--out", str(tmp_path)]) == 0
         record = json.loads((tmp_path / "report.json").read_text())["thresholds"]
         assert (record["window"], record["tol_freq"], record["tol_phase"]) == ([2.0, 12.0],
-                                                                               0.05, 0.5)
+                                                                               0.5, 0.2)
 
     @pytest.mark.parametrize("key, value, message", [
         ("window", [300.0, 40.0], "key 'thresholds.window': window must have T1 > T0"),
         ("window", [40.0], "key 'thresholds.window': window must be 'T0:T1'"),
         ("window", ["40", 400.0], "key 'thresholds.window': cannot parse '\"40\"'"),
         ("tol_freq", "0.01", "key 'thresholds.tol_freq': cannot parse '\"0.01\"'"),
-        ("tol_phase", True, "key 'thresholds.tol_phase': cannot parse 'true'"),
-        ("tol_phase", -0.2, "analysis.tol_phase must be >= 0"),
+        ("tol_freq", True, "key 'thresholds.tol_freq': cannot parse 'true'"),
+        ("tol_freq", -0.01, "analysis.tol_freq must be >= 0"),
+        ("tol_phase", True, "key 'thresholds.tol_phase' records true, which this version "
+                            "fixes at 0.2"),
+        ("tol_phase", -0.2, "key 'thresholds.tol_phase' records -0.2, which"),
+        ("tol_phase", 0.3, "key 'thresholds.tol_phase' records 0.3, which"),
         ("amp_min", 0.002, "key 'thresholds.amp_min' records 0.002, which this version "
                            "fixes at 0.001"),
         ("fit_tol", 0.5, "key 'thresholds.fit_tol' records 0.5, which"),
