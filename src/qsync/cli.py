@@ -7,7 +7,8 @@ run       simulate a preset or a config file; writes trajectory.csv,
           counters) and report.json
 analyze   recompute report.json from a trajectory.csv with the catalog,
           window and lock tolerance its run recorded (--window and
-          --tol-freq revisit the last two); `run` takes no such flags
+          --tol-freq revisit the last two); `run` takes no such flags,
+          and `analyze_csv` takes the recorded value for each None
 sweep     run a grid of scenarios from a sweep config, one forked worker
           per available CPU; writes per-point directories plus summary.csv
 presets   list the built-in scenario names
@@ -176,11 +177,6 @@ def _parse_window(key: str, text: str) -> tuple[float, float]:
     return (t0, t1)
 
 
-# every field of AnalysisThresholds is a float analysis.* key and a --flag of
-# `analyze`
-_ANALYSIS_KEYS = {f"analysis.{f.name}": f.name for f in dataclasses.fields(AnalysisThresholds)}
-
-
 def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     mapping = dict(mapping)
     model = mapping.pop("model", None)
@@ -198,7 +194,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     initial: dict = {}
     preset = None
     run: dict = {}
-    analysis_overrides: dict = {}
+    tolerances: dict = {}
     window = None
     catalog = None
     for key in list(mapping):
@@ -223,8 +219,8 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         elif key == "analysis.catalog":
             resolve_catalog(value)          # a malformed spec is refused here
             catalog = value
-        elif key in _ANALYSIS_KEYS:
-            analysis_overrides[_ANALYSIS_KEYS[key]] = _parse_number(key, value)
+        elif key == "analysis.tol_freq":
+            tolerances["tol_freq"] = _parse_number(key, value)
         else:
             raise ConfigError(f"unknown key '{key}'")
 
@@ -255,7 +251,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
                           "or initial.<factor> amplitude lists")
 
     try:
-        thresholds = AnalysisThresholds(**analysis_overrides)
+        thresholds = AnalysisThresholds(**tolerances)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -303,7 +299,8 @@ def _write_json(path: Path, obj: dict):
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
-    """The samples of a `time,...` CSV; a malformed or non-finite one is a ConfigError."""
+    """The samples of a `time,...` CSV; a malformed or non-finite one, or one whose
+    times do not strictly increase, is a ConfigError."""
     with open(path) as fh:
         columns = fh.readline().strip().split(",")
         if columns[0] != "time" or len(set(columns)) != len(columns):
@@ -323,6 +320,10 @@ def read_trajectory_csv(path: Path) -> Trajectory:
         row, col = bad[0]
         raise ConfigError(f"{path}: non-finite value in column "
                           f"'{columns[col]}' of data row {row + 1}")
+    stalls = np.flatnonzero(np.diff(data[:, 0]) <= 0)
+    if stalls.size:
+        raise ConfigError(f"{path}: time column is not strictly increasing "
+                          f"at data row {stalls[0] + 2}")
     return Trajectory(data[:, 0], data[:, 1:], columns[1:])
 
 
@@ -382,62 +383,70 @@ def run_scenario(cfg: Scenario, outdir: Path) -> dict:
     return report
 
 
-def _prior_report(csv_path: Path) -> tuple[Path, dict]:
-    """The path of the report.json beside `csv_path` and its object ({} if absent)."""
-    sibling = csv_path.parent / "report.json"
-    try:
-        prior = json.loads(sibling.read_text()) if sibling.exists() else {}
-    except ValueError as exc:       # malformed JSON or not UTF-8
-        raise ConfigError(f"{sibling}: {exc}") from None
-    if not isinstance(prior, dict):
-        raise ConfigError(f"{sibling}: not a JSON object")
-    return sibling, prior
-
-
 def recorded_analysis(
     csv_path: Path,
-) -> tuple[tuple[float, float] | None, AnalysisThresholds]:
-    """The window and lock tolerance that the report.json beside `csv_path` records.
+    catalog: str | None,
+    window: tuple[float, float] | None,
+    thresholds: AnalysisThresholds | None,
+) -> tuple[str, tuple[float, float] | None, AnalysisThresholds, dict]:
+    """The catalog, window, thresholds and provenance that analyse `csv_path`.
 
-    What it does not record keeps its default: the second half of the run,
-    `AnalysisThresholds()`.  A malformed value, or a constant other than
-    `FIXED_THRESHOLDS`, is a ConfigError naming the file and key: that
-    report cannot be reproduced.
+    A None argument takes what the report.json beside `csv_path` records
+    under `thresholds`, else the default (the second half of the run,
+    `AnalysisThresholds()`); a given catalog must match the recorded one.
+    That report is read once and its whole record is checked: a malformed
+    value, or a constant other than `FIXED_THRESHOLDS`, is a ConfigError
+    naming the file and key.  The provenance is its `scenario` and `model`.
     """
-    sibling, prior = _prior_report(csv_path)
-    record = prior.get("thresholds")
-    window, tolerances = None, {}
+    sibling = csv_path.parent / "report.json"
+    recorded_window, tolerances = None, {}
     try:
-        for key, value in (record.items() if isinstance(record, dict) else ()):
+        prior = json.loads(sibling.read_text()) if sibling.exists() else {}
+        if not isinstance(prior, dict):
+            raise ConfigError("not a JSON object")
+        record = prior.get("thresholds", {})
+        if not isinstance(record, dict):
+            raise ConfigError("key 'thresholds' is not a JSON object")
+        for key, value in record.items():
             # a recorded number is re-parsed from its JSON text: strings,
             # booleans and nulls fail like a malformed config value
             text = (":".join(map(json.dumps, value)) if isinstance(value, list)
                     else json.dumps(value))
-            if value != FIXED_THRESHOLDS.get(key, value):
+            if key in FIXED_THRESHOLDS and value != FIXED_THRESHOLDS[key]:
                 raise ConfigError(f"key 'thresholds.{key}' records {text}, which this "
                                   f"version fixes at {FIXED_THRESHOLDS[key]!r}")
             if key == "window":
-                window = _parse_window(f"thresholds.{key}", text)
-            elif key in _ANALYSIS_KEYS.values():
+                recorded_window = _parse_window(f"thresholds.{key}", text)
+            elif key == "tol_freq":
                 tolerances[key] = _parse_number(f"thresholds.{key}", text)
-        return window, AnalysisThresholds(**tolerances)
-    except ValueError as exc:       # ConfigError, or a negative tolerance
+        recorded_thresholds = AnalysisThresholds(**tolerances)
+    except ValueError as exc:       # malformed JSON, not UTF-8, or a refused value
         raise ConfigError(f"{sibling}: {exc}") from None
+    recorded_catalog = record.get("catalog")
+    if catalog is None:
+        catalog = recorded_catalog
+    elif recorded_catalog not in (None, catalog):
+        raise ConfigError(f"catalog '{catalog}' differs from the catalog "
+                          f"'{recorded_catalog}' recorded in {sibling}")
+    if catalog is None:
+        raise ConfigError(f"{csv_path}: no report.json beside it records the catalog; "
+                          "give --catalog")
+    return (catalog, recorded_window if window is None else window,
+            recorded_thresholds if thresholds is None else thresholds,
+            {"scenario": prior.get("scenario"), "model": prior.get("model")})
 
 
 def analyze_csv(
     csv_path: Path,
     catalog: str | None,
     window: tuple[float, float] | None,
-    thresholds: AnalysisThresholds,
+    thresholds: AnalysisThresholds | None,
     outdir: Path,
 ) -> dict:
     """Re-analyze a trajectory.csv with its sibling mutual_info.csv, if any.
 
-    From a sibling report.json come the provenance and the run's catalog,
-    which is the default and which a given `catalog` must match.  `window`
-    and `thresholds` are used as given; `recorded_analysis` reads the ones
-    that report.json records.
+    A None `catalog`, `window` or `thresholds` takes what the run recorded,
+    else the default (`recorded_analysis`), as an absent `analyze` flag does.
     """
     traj = read_trajectory_csv(csv_path)
     mi_path = csv_path.parent / "mutual_info.csv"
@@ -447,21 +456,9 @@ def analyze_csv(
             raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info' on the "
                               f"time column of {csv_path}")
         traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
-    sibling, prior = _prior_report(csv_path)
-    record = prior.get("thresholds")
-    recorded = record.get("catalog") if isinstance(record, dict) else None
-    if catalog is None:
-        catalog = recorded
-    elif recorded not in (None, catalog):
-        raise ConfigError(f"catalog '{catalog}' differs from the catalog '{recorded}' "
-                          f"recorded in {sibling}")
-    if catalog is None:
-        raise ConfigError(f"{csv_path}: no report.json beside it records the catalog; "
-                          "give --catalog")
-
-    report = analyze_trajectory(traj, catalog, window, thresholds)
-    report["scenario"] = prior.get("scenario")
-    report["model"] = prior.get("model")
+    catalog, window, thresholds, provenance = recorded_analysis(
+        csv_path, catalog, window, thresholds)
+    report = analyze_trajectory(traj, catalog, window, thresholds) | provenance
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "report.json", report)
     return report
@@ -651,13 +648,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "analyze":
-        csv_path = Path(args.csv)
-        window, thresholds = recorded_analysis(csv_path)
-        if args.window is not None:
-            window = _parse_window("--window", args.window)
-        if args.tol_freq is not None:
-            thresholds = AnalysisThresholds(tol_freq=_parse_number("--tol-freq", args.tol_freq))
-        analyze_csv(csv_path, args.catalog, window, thresholds, Path(args.out))
+        # an absent flag is None: analyze_csv takes the recorded value
+        window = None if args.window is None else _parse_window("--window", args.window)
+        thresholds = (None if args.tol_freq is None
+                      else AnalysisThresholds(_parse_number("--tol-freq", args.tol_freq)))
+        analyze_csv(Path(args.csv), args.catalog, window, thresholds, Path(args.out))
         return 0
 
     if args.command == "sweep":

@@ -323,7 +323,7 @@ class _Dopri5:
     `u` holds y and L^k y for k = 1..7: six sparse matvecs per accepted
     step, L y carried over (FSAL), and none for a rejected step.  The error
     norm is the RMS over the stepped coordinates, scaled by the tolerances
-    REL_TOL and ABS_TOL, read when the stepper is built.
+    REL_TOL and ABS_TOL, read at each step.
 
     `samples` steps freely across a whole sample grid: the first trial step
     is the remaining span, the controller alone sizes the steps, and only
@@ -339,8 +339,6 @@ class _Dopri5:
 
     def __init__(self, liou: sparse.csr_matrix):
         self.liou = liou
-        self.rel = REL_TOL
-        self.abs = ABS_TOL
         self.u = np.zeros((8, liou.shape[0]))
         self.h = None
         self.err_prev = 1.0
@@ -382,7 +380,7 @@ class _Dopri5:
             hk = h ** np.arange(8)
             c = _DP_C * hk[1:7]
             y_new = u[0] + c @ u[1:7]
-            scale = self.abs + self.rel * np.maximum(np.abs(u[0]), np.abs(y_new))
+            scale = ABS_TOL + REL_TOL * np.maximum(np.abs(u[0]), np.abs(y_new))
             err = self._rms((_DP_E * hk[5:]) @ u[5:] / scale)
             if not err <= 1.0:     # NaN rejects too
                 self.h = h * max(_FAC_MIN, _SAFETY * err ** -0.2)
@@ -594,10 +592,10 @@ def evolve(
     model: a block of at most EXACT_MAX_COORDINATES coordinates is advanced
     sample to sample by P = exp(L_r sample_dt) (`_Propagator`, formed by
     `_expm`), a larger one by the adaptive Dormand-Prince stepper
-    (`_Dopri5`) at the tolerances REL_TOL and ABS_TOL, read when `evolve`
-    is called; its error norm is the RMS over the stepped coordinates, and
-    its first trial step is the remaining span.  Each guard aborts the run
-    with a TruncationError when its population exceeds GUARD_THRESHOLD.
+    (`_Dopri5`) at the tolerances REL_TOL and ABS_TOL, read at each step;
+    its error norm is the RMS over the stepped coordinates, and its first
+    trial step is the remaining span.  Each guard aborts the run with a
+    TruncationError when its population exceeds GUARD_THRESHOLD.
 
     With two or more factors, `mutual_info` records the mutual information
     of factors 0 and 1 at every sample; with one factor it is None.  The

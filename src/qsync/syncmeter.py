@@ -203,14 +203,14 @@ class _ProjectedObjective:
         return self._yy - _explained(float(c @ c), float(c @ s), float(s @ s), r0, r1, self._cut)
 
 
-def _golden_min(fun, lo: float, hi: float, rel_tol: float = 1e-8):
-    """Deterministic golden-section minimizer on [lo, hi]."""
+def _golden_min(fun, lo: float, hi: float):
+    """Deterministic golden-section minimizer on [lo, hi], to a relative width of 1e-8."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
+    while (b - a) > 1e-8 * max(abs(a), abs(b), 1e-300):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

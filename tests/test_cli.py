@@ -317,6 +317,13 @@ class TestConfigParsing:
         again = analyze_csv(outdir / "trajectory.csv", "pauli", cfg.window, cfg.thresholds,
                             tmp_path / "redo")
         assert again == report
+        # an explicit window or thresholds wins over the recorded one
+        other = analyze_csv(outdir / "trajectory.csv", "pauli", (100.0, 400.0),
+                            AnalysisThresholds(tol_freq=0.5), tmp_path / "other")
+        assert report["thresholds"]["window"] == [40.0, 400.0]
+        assert (other["thresholds"]["window"], other["thresholds"]["tol_freq"]) == (
+            [100.0, 400.0], 0.5)
+        assert other["scenario"] == report["scenario"]
         # the transient workloads write each amplitude list zero-padded to
         # its factor's full length, and get the state of the short list
         padded, short = (
@@ -1244,6 +1251,23 @@ run.sample_dt = 0.125
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "re" / "report.json").exists()
 
+    @pytest.mark.parametrize("shape, row", [("equal", 2), ("decreasing", 2), ("swapped", 11)])
+    def test_non_increasing_time_column_exit_code(self, tmp_path, capsys, shape, row):
+        t = np.arange(0.0, 200.5, 0.5)
+        columns = {"sigma_x_1": 0.3 * np.cos(0.5 * t), "sigma_x_2": 0.3 * np.cos(0.5 * t)}
+        if shape == "equal":
+            t = np.full_like(t, 1.0)
+        elif shape == "decreasing":
+            t = t[::-1].copy()
+        else:          # two rows before the default window, the second half
+            t[[9, 10]] = t[[10, 9]]
+        path = write_pauli_csv(tmp_path / "trajectory.csv", t, columns)
+        assert main(["analyze", str(path), "--catalog", "pauli",
+                     "--out", str(tmp_path / "re")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: time column is not strictly increasing at data row {row}\n")
+        assert not (tmp_path / "re" / "report.json").exists()
+
     def test_report_is_strict_json(self, tmp_path):
         # a constant sigma_x_2 fits amplitude 0: its partner's amplitude
         # ratio overflows and is recorded as null
@@ -1318,12 +1342,20 @@ run.sample_dt = 0.125
         assert renewed == json.loads((outdir / "report.json").read_text())
         assert renewed["thresholds"]["catalog"] == "moments:12"
 
-    @pytest.mark.parametrize("preset", PRESET_NAMES)
-    def test_flagless_analyze_reproduces_report(self, preset, request, tmp_path):
-        # window and tolerances come from the run's report.json, so the
-        # re-analysis writes the same bytes
+    @pytest.mark.parametrize("preset, route", [
+        *(pytest.param(name, "cli", id=name) for name in PRESET_NAMES),
+        *(pytest.param(name, "library", id=f"{name}-library") for name in PRESET_NAMES),
+    ])
+    def test_flagless_analyze_reproduces_report(self, preset, route, request, tmp_path):
+        # catalog, window and tolerance come from the run's report.json, on
+        # the CLI with no flags and in analyze_csv with None for each, so
+        # the re-analysis writes the same bytes
         outdir, _ = request.getfixturevalue(f"{preset}_run")
-        assert main(["analyze", str(outdir / "trajectory.csv"), "--out", str(tmp_path)]) == 0
+        csv_path = outdir / "trajectory.csv"
+        if route == "cli":
+            assert main(["analyze", str(csv_path), "--out", str(tmp_path)]) == 0
+        else:
+            analyze_csv(csv_path, None, None, None, tmp_path)
         assert (tmp_path / "report.json").read_bytes() == (outdir / "report.json").read_bytes()
 
     def test_analyze_flag_overrides_only_its_value(self, fig3_run, tmp_path):
@@ -1341,6 +1373,7 @@ run.sample_dt = 0.125
         ("tol_freq", "0.01", "key 'thresholds.tol_freq': cannot parse '\"0.01\"'"),
         ("tol_freq", True, "key 'thresholds.tol_freq': cannot parse 'true'"),
         ("tol_freq", -0.01, "analysis.tol_freq must be >= 0"),
+        ("tol_freq", float("nan"), "key 'thresholds.tol_freq': 'NaN' is not a finite number"),
         ("tol_phase", True, "key 'thresholds.tol_phase' records true, which this version "
                             "fixes at 0.2"),
         ("tol_phase", -0.2, "key 'thresholds.tol_phase' records -0.2, which"),
@@ -1364,6 +1397,23 @@ run.sample_dt = 0.125
         err = capsys.readouterr().err
         assert rc == 2 and len(err.splitlines()) == 1
         assert err.startswith(f"error: {tmp_path / 'report.json'}: {message}")
+        assert not (tmp_path / "re").exists()
+
+    @pytest.mark.parametrize("record", [["x"], "pauli", None], ids=["list", "string", "null"])
+    def test_analyze_refuses_thresholds_not_an_object(self, run_dir, tmp_path, capsys, record):
+        outdir, report = run_dir
+        csv_path = tmp_path / "trajectory.csv"
+        csv_path.write_bytes((outdir / "trajectory.csv").read_bytes())
+        (tmp_path / "report.json").write_text(json.dumps({**report, "thresholds": record}))
+        rc = main(["analyze", str(csv_path), "--catalog", "pauli", "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1
+        assert err == (f"error: {tmp_path / 'report.json'}: "
+                       "key 'thresholds' is not a JSON object\n")
+        assert not (tmp_path / "re").exists()
+        # the library route reads the same record
+        with pytest.raises(ConfigError, match="key 'thresholds' is not a JSON object"):
+            analyze_csv(csv_path, "pauli", (40.0, 400.0), AnalysisThresholds(), tmp_path / "re")
         assert not (tmp_path / "re").exists()
 
     def test_analyze_catalog_other_than_recorded_exit_code(self, fig3_run, tmp_path, capsys):

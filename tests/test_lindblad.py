@@ -760,17 +760,18 @@ class TestReachablePruning:
         # the real generator of the model projected onto its cap N - 1 = 5,
         # on all D^2 coordinates, stepped without pruning.  The pruned
         # coordinates are exact zeros, so tolerances scaled by sqrt(n / D^2)
-        # give its RMS error norm the pruned run's
+        # give its RMS error norm the pruned run's; the stepper reads them
+        # at each step
         e, sel, imag = _hermitian_coordinates(np.arange(d * d), d)
         s = math.sqrt(n / d ** 2)
-        with tolerances(REL_TOL * s, ABS_TOL * s):
-            stepper = _Dopri5(_real_generator(_liouvillian(_projected(model, 5))[sel], e, imag))
+        stepper = _Dopri5(_real_generator(_liouvillian(_projected(model, 5))[sel], e, imag))
         vec = rho0.matrix.ravel()
         x0 = np.where(imag, vec[sel].imag, vec[sel].real)
         worst = 0.0
-        for i, x in stepper.samples(x0, traj.times):
-            rho = (e @ x).reshape(d, d)
-            worst = max(worst, float(np.max(np.abs(traj.states[i].matrix - rho))))
+        with tolerances(REL_TOL * s, ABS_TOL * s):
+            for i, x in stepper.samples(x0, traj.times):
+                rho = (e @ x).reshape(d, d)
+                worst = max(worst, float(np.max(np.abs(traj.states[i].matrix - rho))))
         assert i == len(traj.times) - 1
         assert stepper.accepted == traj.stats["steps_accepted"]
         assert worst < 1e-12, worst
