@@ -8,7 +8,9 @@ run       simulate a preset or a config file; writes trajectory.csv,
 analyze   recompute report.json from a trajectory.csv with the catalog,
           window and lock tolerance its run recorded (--window and
           --tol-freq revisit the last two); `run` takes no such flags,
-          and `analyze_csv` takes the recorded value for each None
+          and `analyze_csv` takes the recorded value for each None.
+          Repeated analyses of an unchanged run in one process parse
+          its CSVs once; a one-shot `analyze` only adds a hash of them
 sweep     run a grid of scenarios from a sweep config, one forked worker
           per available CPU; writes per-point directories plus summary.csv
 presets   list the built-in scenario names
@@ -98,7 +100,9 @@ from .models import (
     resolve_catalog,
     s_c_extras,
 )
-from .syncmeter import FIXED_THRESHOLDS, AnalysisThresholds, analysis_window, build_sync_report
+from .syncmeter import (
+    FIXED_THRESHOLDS, RECORD_KEYS, AnalysisThresholds, analysis_window, build_sync_report,
+)
 
 SWEEP_CAP_DEFAULT = 64
 _RUN_OUTPUTS = ("report.json", "stats.json", "trajectory.csv", "mutual_info.csv",
@@ -107,6 +111,9 @@ _SUMMARY_FIELDS = ("chi", "c", "xi", "mutual_info_final")
 # the failures that `main` maps to exit 2 (ConfigError is a ValueError) or,
 # for TruncationError, to exit 3; a sweep point records them in its status
 _RUN_FAILURES = (ValueError, StepSizeUnderflowError, TruncationError)
+# the keys a run writes under report.json's `thresholds`: `build_sync_report`'s
+# own and the notes of `analyze_trajectory`; a re-analysis refuses any other
+_RECORDED_KEYS = RECORD_KEYS | {"catalog", "chi_lower_bound_only"}
 
 
 def _parse_number(key: str, text: str) -> float:
@@ -395,8 +402,8 @@ def recorded_analysis(
     under `thresholds`, else the default (the second half of the run,
     `AnalysisThresholds()`); a given catalog must match the recorded one.
     That report is read once and its whole record is checked: a malformed
-    value, or a constant other than `FIXED_THRESHOLDS`, is a ConfigError
-    naming the file and key.  The provenance is its `scenario` and `model`.
+    value, a constant other than `FIXED_THRESHOLDS`, or a key this version
+    does not write, is a ConfigError naming the file and key.  The provenance is its `scenario` and `model`.
     """
     sibling = csv_path.parent / "report.json"
     recorded_window, tolerances = None, {}
@@ -408,6 +415,9 @@ def recorded_analysis(
         if not isinstance(record, dict):
             raise ConfigError("key 'thresholds' is not a JSON object")
         for key, value in record.items():
+            if key not in _RECORDED_KEYS:
+                raise ConfigError(f"key 'thresholds.{key}' is not one this version "
+                                  "records")
             # a recorded number is re-parsed from its JSON text: strings,
             # booleans and nulls fail like a malformed config value
             text = (":".join(map(json.dumps, value)) if isinstance(value, list)
@@ -436,6 +446,56 @@ def recorded_analysis(
             {"scenario": prior.get("scenario"), "model": prior.get("model")})
 
 
+def _digests(csv_path: Path, mi_path: Path) -> tuple[bytes, bytes | None]:
+    """SHA-256 of trajectory.csv and of its sibling mutual_info.csv (None where absent)."""
+    import hashlib      # not at module level: `import qsync.cli` would pay for it
+
+    def digest(path: Path) -> bytes:
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                h.update(block)
+        return h.digest()
+
+    csv_digest = digest(csv_path)
+    try:
+        return csv_digest, digest(mi_path)
+    except FileNotFoundError:
+        return csv_digest, None
+
+
+# the last run `_read_run` parsed: (`_digests` of its files, its read-only Trajectory)
+_last_read: tuple = (None, None)
+
+
+def _read_run(csv_path: Path) -> Trajectory:
+    """`read_trajectory_csv(csv_path)` with its sibling mutual_info.csv, if any, attached.
+
+    The result is kept for the content it was parsed from: a second call on
+    the same bytes parses nothing.  It is kept only if both files still
+    hash as they did before the parse, and never after a failed one.
+    """
+    global _last_read
+    mi_path = csv_path.parent / "mutual_info.csv"
+    key = _digests(csv_path, mi_path)
+    kept_key, kept = _last_read         # one read: another thread may replace it
+    if kept_key == key:
+        return kept
+    traj = read_trajectory_csv(csv_path)
+    if key[1] is not None:
+        mi = read_trajectory_csv(mi_path)
+        if mi.names != ["mutual_info"] or not np.array_equal(mi.times, traj.times):
+            raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info' on the "
+                              f"time column of {csv_path}")
+        traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
+    for array in (traj.times, traj.values, traj.mutual_info):
+        if array is not None:
+            array.flags.writeable = False
+    if _digests(csv_path, mi_path) == key:
+        _last_read = (key, traj)
+    return traj
+
+
 def analyze_csv(
     csv_path: Path,
     catalog: str | None,
@@ -447,15 +507,11 @@ def analyze_csv(
 
     A None `catalog`, `window` or `thresholds` takes what the run recorded,
     else the default (`recorded_analysis`), as an absent `analyze` flag does.
+    The report.json beside the CSV is read on every call, but the two CSVs
+    are parsed once per content: repeated analyses of an unchanged run, say
+    under several windows, only hash its files again (`_read_run`).
     """
-    traj = read_trajectory_csv(csv_path)
-    mi_path = csv_path.parent / "mutual_info.csv"
-    if mi_path.exists():
-        mi = read_trajectory_csv(mi_path)
-        if mi.names != ["mutual_info"] or not np.array_equal(mi.times, traj.times):
-            raise ConfigError(f"{mi_path}: columns must be 'time,mutual_info' on the "
-                              f"time column of {csv_path}")
-        traj = dataclasses.replace(traj, mutual_info=mi.values[:, 0])
+    traj = _read_run(csv_path)
     catalog, window, thresholds, provenance = recorded_analysis(
         csv_path, catalog, window, thresholds)
     report = analyze_trajectory(traj, catalog, window, thresholds) | provenance

@@ -29,7 +29,7 @@ operators, such as the S_c of `models.mari_measure`, live with the models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -75,6 +75,11 @@ class AnalysisThresholds:
     def __post_init__(self):
         if not self.tol_freq >= 0:      # NaN too
             raise ValueError(f"analysis.tol_freq must be >= 0, got {self.tol_freq}")
+
+
+# the keys `build_sync_report` writes under `thresholds`, beside its caller's notes
+RECORD_KEYS = frozenset(
+    {"window", "signal_scale", *(f.name for f in fields(AnalysisThresholds)), *FIXED_THRESHOLDS})
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,12 @@ class _ProjectedObjective:
 
 
 def _golden_min(fun, lo: float, hi: float):
-    """Deterministic golden-section minimizer on [lo, hi], to a relative width of 1e-8."""
+    """Deterministic golden-section minimizer on [lo, hi], to a relative width of 1e-8.
+
+    It only compares values, never interpolates them, so every trial point
+    lies on a lattice fixed by the bracket: two columns on one mode whose
+    comparisons agree end on a bitwise-equal frequency (Brent's steps would not).
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)

@@ -572,6 +572,170 @@ class TestRunAnalyze:
             analyze_csv(path, "pauli", None, AnalysisThresholds(), tmp_path / "out")
 
 
+def _copy_run(outdir, dest, names=("trajectory.csv", "mutual_info.csv", "report.json")):
+    dest.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        (dest / name).write_bytes((outdir / name).read_bytes())
+    return dest / "trajectory.csv"
+
+
+class TestParsedRunMemo:
+    """`analyze_csv` parses a run's CSVs once per content of both files."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        # the names of the files read_trajectory_csv parses, from an empty memo
+        calls = []
+
+        def counting(path):
+            calls.append(Path(path).name)
+            return read_trajectory_csv(path)
+
+        monkeypatch.setattr(qsync.cli, "read_trajectory_csv", counting)
+        monkeypatch.setattr(qsync.cli, "_last_read", (None, None))
+        return calls
+
+    def test_unchanged_run_is_parsed_once(self, run_dir, tmp_path, parsed):
+        outdir, _ = run_dir
+        csv_path = outdir / "trajectory.csv"
+        analyze_csv(csv_path, None, None, None, tmp_path / "first")
+        assert parsed == ["trajectory.csv", "mutual_info.csv"]
+        parsed.clear()
+        analyze_csv(csv_path, None, None, None, tmp_path / "second")
+        assert parsed == []
+        for name in ("first", "second"):
+            assert ((tmp_path / name / "report.json").read_bytes()
+                    == (outdir / "report.json").read_bytes())
+        # a later window re-uses the same arrays, which no caller can change
+        traj = qsync.cli._last_read[1]
+        assert not any(a.flags.writeable for a in (traj.times, traj.values, traj.mutual_info))
+        analyze_csv(csv_path, None, (100.0, 300.0), None, tmp_path / "third")
+        assert parsed == [] and qsync.cli._last_read[1] is traj
+
+    def test_digests_need_no_python_311(self, run_dir, tmp_path, parsed, monkeypatch):
+        # hashlib.file_digest is new in Python 3.11, and pyproject.toml allows 3.10
+        import hashlib
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        csv_path = run_dir[0] / "trajectory.csv"
+        for name in ("first", "second"):
+            analyze_csv(csv_path, None, None, None, tmp_path / name)
+        assert parsed == ["trajectory.csv", "mutual_info.csv"]
+
+    def test_rewrite_with_same_size_and_mtime_is_parsed_again(self, run_dir, tmp_path,
+                                                              parsed):
+        outdir, report = run_dir
+        csv_path = _copy_run(outdir, tmp_path / "run")
+        analyze_csv(csv_path, None, None, None, tmp_path / "first")
+        before = csv_path.stat()
+        text = csv_path.read_text()
+        header, body = text.split("\n", 1)
+        swapped = header.replace("sigma_x_1", "@").replace("sigma_y_1", "sigma_x_1")
+        csv_path.write_text(swapped.replace("@", "sigma_y_1") + "\n" + body)
+        os.utime(csv_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = csv_path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        parsed.clear()
+        renewed = analyze_csv(csv_path, None, None, None, tmp_path / "second")
+        assert parsed == ["trajectory.csv", "mutual_info.csv"]
+        assert renewed["pairs"]["sigma_x"]["fit_1"] == report["pairs"]["sigma_y"]["fit_1"]
+        assert renewed["pairs"]["sigma_y"]["fit_1"] == report["pairs"]["sigma_x"]["fit_1"]
+
+    def test_mutual_info_changes_are_read_again(self, run_dir, tmp_path, capsys, parsed):
+        outdir, report = run_dir
+        csv_path = _copy_run(outdir, tmp_path / "run", ("trajectory.csv", "report.json"))
+        mi_path = csv_path.parent / "mutual_info.csv"
+        mi_text = (outdir / "mutual_info.csv").read_text()
+        changed = mi_text.rsplit(",", 1)[0] + ",0.25\n"
+
+        def analyze(edit):
+            edit()
+            parsed.clear()
+            return analyze_csv(csv_path, None, None, None, tmp_path / "re")["mutual_info_final"]
+
+        assert analyze(lambda: None) is None
+        assert parsed == ["trajectory.csv"]
+        assert analyze(lambda: mi_path.write_text(mi_text)) == report["mutual_info_final"]
+        assert parsed == ["trajectory.csv", "mutual_info.csv"]
+        assert analyze(lambda: mi_path.write_text(changed)) == 0.25
+        assert parsed == ["trajectory.csv", "mutual_info.csv"]
+        assert analyze(mi_path.unlink) is None
+        assert parsed == ["trajectory.csv"]
+        # an emptied file is not an absent one: it is read, and refused
+        mi_path.write_text("")
+        parsed.clear()
+        assert main(["analyze", str(csv_path), "--out", str(tmp_path / "empty")]) == 2
+        assert parsed == ["trajectory.csv", "mutual_info.csv"]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mi_path}: header must be") and len(err.splitlines()) == 1
+        assert not (tmp_path / "empty").exists()
+
+    def test_failed_parse_is_not_kept(self, run_dir, tmp_path, parsed):
+        outdir, _ = run_dir
+        csv_path = _copy_run(outdir, tmp_path / "run")
+        mi_path = csv_path.parent / "mutual_info.csv"
+        mi_path.write_text("time,mutual_info\n0,0\n")      # off the trajectory's grid
+        for _ in range(2):
+            parsed.clear()
+            with pytest.raises(ConfigError, match="columns must be 'time,mutual_info'"):
+                analyze_csv(csv_path, None, None, None, tmp_path / "re")
+            assert parsed == ["trajectory.csv", "mutual_info.csv"]
+        mi_path.unlink()
+        lines = csv_path.read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")
+        lines[5] = ",".join([cells[0], "nan", *cells[2:]])
+        csv_path.write_text("".join(lines))
+        for _ in range(2):
+            parsed.clear()
+            with pytest.raises(ConfigError, match="non-finite value"):
+                analyze_csv(csv_path, None, None, None, tmp_path / "re")
+            assert parsed == ["trajectory.csv"]
+        assert qsync.cli._last_read == (None, None)
+        assert not (tmp_path / "re").exists()
+
+    def test_file_changed_during_the_parse_is_not_kept(self, run_dir, tmp_path, parsed,
+                                                       monkeypatch):
+        outdir, report = run_dir
+        csv_path = _copy_run(outdir, tmp_path / "run")
+        mi_path = csv_path.parent / "mutual_info.csv"
+        parse = qsync.cli.read_trajectory_csv
+
+        def rewriting(path):
+            traj = parse(path)
+            if Path(path).name == "mutual_info.csv":
+                mi_path.write_text(mi_path.read_text().rsplit(",", 1)[0] + ",0.25\n")
+            return traj
+
+        monkeypatch.setattr(qsync.cli, "read_trajectory_csv", rewriting)
+        first = analyze_csv(csv_path, None, None, None, tmp_path / "first")
+        assert first["mutual_info_final"] == report["mutual_info_final"]
+        assert qsync.cli._last_read == (None, None)
+        parsed.clear()
+        monkeypatch.setattr(qsync.cli, "read_trajectory_csv", parse)
+        assert analyze_csv(csv_path, None, None, None, tmp_path / "second")[
+            "mutual_info_final"] == 0.25
+        assert parsed == ["trajectory.csv", "mutual_info.csv"]
+
+    def test_copy_follows_its_own_report(self, run_dir, tmp_path, parsed):
+        outdir, report = run_dir
+        analyze_csv(outdir / "trajectory.csv", None, None, None, tmp_path / "first")
+        csv_path = _copy_run(outdir, tmp_path / "copy", ("trajectory.csv", "mutual_info.csv"))
+        other = {**report, "model": "elsewhere",
+                 "thresholds": {**report["thresholds"], "window": [100.0, 300.0],
+                                "tol_freq": 0.5}}
+        (csv_path.parent / "report.json").write_text(json.dumps(other))
+        parsed.clear()
+        renewed = analyze_csv(csv_path, None, None, None, tmp_path / "second")
+        assert parsed == []
+        assert renewed["model"] == "elsewhere"
+        assert (renewed["thresholds"]["window"], renewed["thresholds"]["tol_freq"]) == (
+            [100.0, 300.0], 0.5)
+        # and beside no report.json at all, the catalog must be given again
+        (csv_path.parent / "report.json").unlink()
+        with pytest.raises(ConfigError, match="give --catalog"):
+            analyze_csv(csv_path, None, None, None, tmp_path / "third")
+        assert parsed == []
+
+
 class TestSweep:
     def test_one_point_sweep_matches_run(self, tmp_path):
         sweep_text = FAST_SCENARIO + "sweep.axis.param.Omega = 0.0\n"
@@ -919,6 +1083,29 @@ class TestImportFootprint:
         done = run_fresh_python(["-c", code, str(tmp_path)], FAST_SCENARIO)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "re" / "report.json").exists()
+
+
+    def test_only_analyze_csv_loads_hashlib(self, tmp_path):
+        # the run's digests are taken on re-analysis only, so the interpreter
+        # that setup times does not import hashlib
+        t = np.arange(0.0, 60.0, 0.05)
+        write_pauli_csv(tmp_path / "trajectory.csv", t, {"sigma_x_1": 0.4 * np.cos(1.1 * t),
+                                                         "sigma_x_2": 0.4 * np.cos(1.1 * t)})
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import qsync.cli as c\n"
+            "assert 'hashlib' not in sys.modules, 'import qsync.cli'\n"
+            "c.scenario_from_mapping(c.parse_config_text(sys.stdin.read()))\n"
+            "assert 'hashlib' not in sys.modules, 'a config parse'\n"
+            "assert c.main(['presets']) == 0\n"
+            "assert 'hashlib' not in sys.modules, 'qsync presets'\n"
+            "tmp = Path(sys.argv[1])\n"
+            "c.analyze_csv(tmp / 'trajectory.csv', 'pauli', None, None, tmp / 're')\n"
+            "assert 'hashlib' in sys.modules, 'analyze_csv'\n"
+        )
+        done = run_fresh_python(["-c", code, str(tmp_path)], FAST_SCENARIO)
+        assert done.returncode == 0, done.stderr
 
 
 class TestMainEntry:
@@ -1385,6 +1572,7 @@ run.sample_dt = 0.125
         ("rank_tol", 1e-8, "key 'thresholds.rank_tol' records 1e-08, which"),
         ("comm_tol", None, "key 'thresholds.comm_tol' records null, which"),
         ("detrend_deg", 2, "key 'thresholds.detrend_deg' records 2, which"),
+        ("min_snr", 5.0, "key 'thresholds.min_snr' is not one this version records"),
     ])
     def test_analyze_refuses_unreproducible_record(self, run_dir, tmp_path, capsys,
                                                    key, value, message):

@@ -8,6 +8,7 @@ from qsync.lindblad import Trajectory
 from qsync.models import mari_measure, moment_catalog, pauli_catalog, s_c_extras
 from qsync.opalg import DensityMatrix, SpaceLayout, mutual_information, pauli
 from qsync.syncmeter import (
+    RECORD_KEYS,
     OscillationFit,
     _ProjectedObjective,
     build_sync_report,
@@ -210,6 +211,12 @@ class TestSynchronizedSet:
         traj = trajectory(t, cols)
         res = build_sync_report(traj, catalog, (0.0, 39.0))
         assert res["synchronized_set"] == ["sigma_x", "sigma_y"]
+
+    def test_record_keys_are_the_ones_written(self):
+        # a re-analysis refuses any `thresholds` key outside RECORD_KEYS and the notes
+        traj = self.make_traj({"sigma_x"})
+        res = build_sync_report(traj, pauli_catalog(), (0.0, 39.0), notes={"note": 1})
+        assert set(res["thresholds"]) == RECORD_KEYS | {"note"}
 
     def test_missing_column_raises(self):
         t = np.arange(2000) * 0.02
