@@ -30,7 +30,6 @@ from .models import (
     PRESET_NAMES,
     PRESETS,
     CavityQubitParams,
-    ConfigError,
     ReducedQubitParams,
     Scenario,
     VdpParams,
@@ -39,17 +38,18 @@ from .models import (
     build_vdp,
     cavity_mode_matrix,
     mari_measure,
-    moment_catalog,
-    pauli_catalog,
 )
 from .syncmeter import (
     AnalysisThresholds,
+    ConfigError,
     OscillationFit,
     PairVerdict,
     build_sync_report,
     classify_pair,
     degree_of_quantumness,
     fit_oscillation,
+    moment_catalog,
+    pauli_catalog,
 )
 
 __version__ = "0.1.0"

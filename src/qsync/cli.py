@@ -91,17 +91,10 @@ from .lindblad import (
     sample_count,
     sample_grid,
 )
-from .models import (
-    MODELS,
-    PRESET_NAMES,
-    PRESETS,
-    ConfigError,
-    Scenario,
-    resolve_catalog,
-    s_c_extras,
-)
+from .models import MODELS, PRESET_NAMES, PRESETS, Scenario, s_c_extras
 from .syncmeter import (
-    FIXED_THRESHOLDS, RECORD_KEYS, AnalysisThresholds, analysis_window, build_sync_report,
+    FIXED_THRESHOLDS, RECORD_KEYS, AnalysisThresholds, ConfigError, analysis_window,
+    build_sync_report, resolve_catalog,
 )
 
 SWEEP_CAP_DEFAULT = 64
@@ -111,9 +104,6 @@ _SUMMARY_FIELDS = ("chi", "c", "xi", "mutual_info_final")
 # the failures that `main` maps to exit 2 (ConfigError is a ValueError) or,
 # for TruncationError, to exit 3; a sweep point records them in its status
 _RUN_FAILURES = (ValueError, StepSizeUnderflowError, TruncationError)
-# the keys a run writes under report.json's `thresholds`: `build_sync_report`'s
-# own and the notes of `analyze_trajectory`; a re-analysis refuses any other
-_RECORDED_KEYS = RECORD_KEYS | {"catalog", "chi_lower_bound_only"}
 
 
 def _parse_number(key: str, text: str) -> float:
@@ -131,6 +121,15 @@ def _parse_int(key: str, text: str) -> int:
     if number != int(number):
         raise ConfigError(f"key '{key}': expected an integer, got '{text}'")
     return int(number)
+
+
+def _parse_tol_freq(key: str, text: str) -> AnalysisThresholds:
+    """The lock tolerance that config key, flag or record `key` sets: a finite number >= 0."""
+    value = _parse_number(key, text)
+    try:
+        return AnalysisThresholds(value)
+    except ValueError as exc:
+        raise ConfigError(f"key '{key}': {exc}") from None
 
 
 def _parse_param(key: str, text: str, field: dataclasses.Field):
@@ -201,7 +200,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     initial: dict = {}
     preset = None
     run: dict = {}
-    tolerances: dict = {}
+    thresholds = AnalysisThresholds()
     window = None
     catalog = None
     for key in list(mapping):
@@ -227,7 +226,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
             resolve_catalog(value)          # a malformed spec is refused here
             catalog = value
         elif key == "analysis.tol_freq":
-            tolerances["tol_freq"] = _parse_number(key, value)
+            thresholds = _parse_tol_freq(key, value)
         else:
             raise ConfigError(f"unknown key '{key}'")
 
@@ -256,11 +255,6 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     if not initial:
         raise ConfigError("missing initial state: provide initial.preset "
                           "or initial.<factor> amplitude lists")
-
-    try:
-        thresholds = AnalysisThresholds(**tolerances)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     return Scenario(
         model=model,
@@ -340,21 +334,9 @@ def analyze_trajectory(
     window: tuple[float, float] | None,
     thresholds: AnalysisThresholds,
 ) -> dict:
-    """Every report field but the scenario echo, for fresh runs and CSV re-analysis."""
-    members = resolve_catalog(catalog)
-    missing = [col for name, _ in members for col in (f"{name}_1", f"{name}_2")
-               if col not in traj.names]
-    if missing:
-        raise ConfigError(f"trajectory lacks catalog columns: {', '.join(missing)}")
-    report = build_sync_report(
-        traj, members, window, thresholds,
-        notes={
-            "catalog": catalog,
-            # truncated continuous-variable catalogs only bound the true
-            # synchronized-set cardinality from below
-            "chi_lower_bound_only": catalog.startswith("moments:"),
-        },
-    )
+    """Every report field but the scenario echo, for fresh runs and CSV re-analysis:
+    `build_sync_report`'s, then the version, final mutual information and S_c extras."""
+    report = build_sync_report(traj, catalog, window, thresholds)
     report["version"] = __version__
     mi = traj.mutual_info
     report["mutual_info_final"] = None if mi is None else float(mi[-1])
@@ -406,7 +388,7 @@ def recorded_analysis(
     does not write, is a ConfigError naming the file and key.  The provenance is its `scenario` and `model`.
     """
     sibling = csv_path.parent / "report.json"
-    recorded_window, tolerances = None, {}
+    recorded_window, recorded_thresholds = None, AnalysisThresholds()
     try:
         prior = json.loads(sibling.read_text()) if sibling.exists() else {}
         if not isinstance(prior, dict):
@@ -415,7 +397,7 @@ def recorded_analysis(
         if not isinstance(record, dict):
             raise ConfigError("key 'thresholds' is not a JSON object")
         for key, value in record.items():
-            if key not in _RECORDED_KEYS:
+            if key not in RECORD_KEYS:
                 raise ConfigError(f"key 'thresholds.{key}' is not one this version "
                                   "records")
             # a recorded number is re-parsed from its JSON text: strings,
@@ -428,8 +410,7 @@ def recorded_analysis(
             if key == "window":
                 recorded_window = _parse_window(f"thresholds.{key}", text)
             elif key == "tol_freq":
-                tolerances[key] = _parse_number(f"thresholds.{key}", text)
-        recorded_thresholds = AnalysisThresholds(**tolerances)
+                recorded_thresholds = _parse_tol_freq(f"thresholds.{key}", text)
     except ValueError as exc:       # malformed JSON, not UTF-8, or a refused value
         raise ConfigError(f"{sibling}: {exc}") from None
     recorded_catalog = record.get("catalog")
@@ -707,7 +688,7 @@ def _dispatch(args) -> int:
         # an absent flag is None: analyze_csv takes the recorded value
         window = None if args.window is None else _parse_window("--window", args.window)
         thresholds = (None if args.tol_freq is None
-                      else AnalysisThresholds(_parse_number("--tol-freq", args.tol_freq)))
+                      else _parse_tol_freq("--tol-freq", args.tol_freq))
         analyze_csv(Path(args.csv), args.catalog, window, thresholds, Path(args.out))
         return 0
 

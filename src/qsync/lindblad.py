@@ -141,7 +141,7 @@ class ModelSpec:
     """Hamiltonian + dissipators + named Hermitian observables.
 
     `catalog` is the spec, 'pauli' or 'moments:<N>' (see
-    `models.resolve_catalog`), of the single-subsystem observables whose two
+    `syncmeter.resolve_catalog`), of the single-subsystem observables whose two
     embeddings '<name>_1', '<name>_2' the model records and a run analyses;
     None for a model without one.
 

@@ -45,8 +45,9 @@ vdp
 
 Each builder fixes its model's catalog (`ModelSpec.catalog`): 'pauli' for
 the two qubit models, 'moments:<N>' at the run's own truncation for vdp.
-`resolve_catalog` is the one parser of such specs; the builders record the
-two subsystem embeddings '<name>_1', '<name>_2' of every member through it.
+The catalogs and `syncmeter.resolve_catalog`, the one parser of such specs,
+live with the analysis; the builders record the two subsystem embeddings
+'<name>_1', '<name>_2' of every member through it.
 
 MODELS maps each model name to its (params class, builder) pair.  A
 `Scenario` holds everything a run and its analysis need, for the built-in
@@ -76,11 +77,7 @@ from .opalg import (
     pauli,
     position,
 )
-from .syncmeter import AnalysisThresholds
-
-
-class ConfigError(ValueError):
-    """Configuration or schema problem; maps to exit code 2."""
+from .syncmeter import AnalysisThresholds, ConfigError, resolve_catalog
 
 
 @dataclass(frozen=True)
@@ -137,51 +134,6 @@ class VdpParams:
         for name in ("omega1", "omega2", "J", "Omega1", "Omega2", "kappa1", "kappa2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-
-def pauli_catalog() -> list[tuple[str, Operator]]:
-    """Single-qubit observables analyzed for synchronization."""
-    return [
-        ("sigma_x", pauli("x")),
-        ("sigma_y", pauli("y")),
-        ("sigma_z", pauli("z")),
-    ]
-
-
-def moment_catalog(n: int) -> list[tuple[str, Operator]]:
-    """Single-mode moments up to quadratic order on an n-level truncation.
-
-    The quadratic entries are matrix polynomials of the truncated x and p,
-    so algebraic identities like [x, x2] = 0 hold exactly on the truncated
-    space.
-    """
-    x = position(n)
-    p = momentum(n)
-    a = destroy(n)
-    return [
-        ("x", x),
-        ("p", p),
-        ("n", a.dag() @ a),
-        ("x2", x @ x),
-        ("p2", p @ p),
-        ("xpsym", 0.5 * (x @ p + p @ x)),
-    ]
-
-
-def resolve_catalog(spec: str) -> list[tuple[str, Operator]]:
-    """The (name, operator) pairs of a catalog spec: 'pauli' or 'moments:<N>'."""
-    if spec == "pauli":
-        return pauli_catalog()
-    if isinstance(spec, str) and spec.startswith("moments:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad catalog spec '{spec}'") from None
-        try:
-            return moment_catalog(n)
-        except ValueError as exc:       # n < 2, or over the dimension cap
-            raise ConfigError(f"catalog '{spec}': {exc}") from None
-    raise ConfigError(f"unknown catalog '{spec}' (use 'pauli' or 'moments:<N>')")
 
 
 def _pair_observables(layout: SpaceLayout, catalog: str) -> list[tuple[str, Operator]]:

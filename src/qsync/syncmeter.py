@@ -19,10 +19,13 @@ about monotone drifts (a decaying exponential must not count as an
 oscillation).
 
 The analysis reads recorded series only: any `lindblad.Trajectory`, whether
-just simulated or re-read from CSV, plus the catalog operators.
-`build_sync_report` is the one function that turns them into report.json's
-analysis fields; `analysis_window` is the one check that a window holds
-enough samples to fit.  Figures of merit built on the models' own
+just simulated or re-read from CSV, plus a catalog spec, 'pauli' or
+'moments:<N>'.  The catalogs live here, and `resolve_catalog` is the one
+parser of their specs, which the models' builders use too.
+`build_sync_report` is the one function that turns a trajectory and a spec
+into report.json's analysis fields, its whole `thresholds` record
+(RECORD_KEYS) included; `analysis_window` is the one check that a window
+holds enough samples to fit.  Figures of merit built on the models' own
 operators, such as the S_c of `models.mari_measure`, live with the models.
 """
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .opalg import Operator
+from .opalg import Operator, destroy, momentum, pauli, position
 
 MIN_WINDOW_SAMPLES = 64
 # degree of the polynomial background removed jointly with the cosine fit
@@ -74,12 +77,61 @@ class AnalysisThresholds:
 
     def __post_init__(self):
         if not self.tol_freq >= 0:      # NaN too
-            raise ValueError(f"analysis.tol_freq must be >= 0, got {self.tol_freq}")
+            raise ValueError(f"tol_freq must be >= 0, got {self.tol_freq}")
 
 
-# the keys `build_sync_report` writes under `thresholds`, beside its caller's notes
-RECORD_KEYS = frozenset(
-    {"window", "signal_scale", *(f.name for f in fields(AnalysisThresholds)), *FIXED_THRESHOLDS})
+# the keys `build_sync_report` writes under `thresholds`, all of them
+RECORD_KEYS = frozenset({"window", "signal_scale", "catalog", "chi_lower_bound_only",
+                         *(f.name for f in fields(AnalysisThresholds)), *FIXED_THRESHOLDS})
+
+
+class ConfigError(ValueError):
+    """Configuration or schema problem; maps to exit code 2."""
+
+
+def pauli_catalog() -> list[tuple[str, Operator]]:
+    """Single-qubit observables analyzed for synchronization."""
+    return [
+        ("sigma_x", pauli("x")),
+        ("sigma_y", pauli("y")),
+        ("sigma_z", pauli("z")),
+    ]
+
+
+def moment_catalog(n: int) -> list[tuple[str, Operator]]:
+    """Single-mode moments up to quadratic order on an n-level truncation.
+
+    The quadratic entries are matrix polynomials of the truncated x and p,
+    so algebraic identities like [x, x2] = 0 hold exactly on the truncated
+    space.
+    """
+    x = position(n)
+    p = momentum(n)
+    a = destroy(n)
+    return [
+        ("x", x),
+        ("p", p),
+        ("n", a.dag() @ a),
+        ("x2", x @ x),
+        ("p2", p @ p),
+        ("xpsym", 0.5 * (x @ p + p @ x)),
+    ]
+
+
+def resolve_catalog(spec: str) -> list[tuple[str, Operator]]:
+    """The (name, operator) pairs of a catalog spec: 'pauli' or 'moments:<N>'."""
+    if spec == "pauli":
+        return pauli_catalog()
+    if isinstance(spec, str) and spec.startswith("moments:"):
+        try:
+            n = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"bad catalog spec '{spec}'") from None
+        try:
+            return moment_catalog(n)
+        except ValueError as exc:       # n < 2, or over the dimension cap
+            raise ConfigError(f"catalog '{spec}': {exc}") from None
+    raise ConfigError(f"unknown catalog '{spec}' (use 'pauli' or 'moments:<N>')")
 
 
 @dataclass(frozen=True)
@@ -421,25 +473,30 @@ def degree_of_quantumness(ops: list[Operator] | list[np.ndarray]) -> tuple[int, 
 
 def build_sync_report(
     trajectory,
-    catalog: list[tuple[str, Operator]],
+    catalog: str,
     window: tuple[float, float] | None = None,
     thresholds: AnalysisThresholds = AnalysisThresholds(),
-    notes: dict | None = None,
 ) -> dict:
     """report.json's analysis fields: pairs with fits, synchronized set, chi, c, xi, thresholds.
 
-    The trajectory must hold columns '<name>_1' and '<name>_2' for every
-    catalog member (KeyError otherwise).  One common signal scale, the
-    largest in-window deviation across the whole catalog family, feeds every
-    amplitude gate.  S holds the members whose two embeddings lock, filtered
-    to a linearly independent set; chi, c and xi are counted on it.  A
-    column too large for float64 arithmetic, in its spread or its fit, is
-    a ValueError that names it.
+    `catalog` is a spec that `resolve_catalog` reads, and the trajectory
+    must hold columns '<name>_1' and '<name>_2' for every member
+    (ConfigError otherwise).  One common signal scale, the largest in-window
+    deviation across the whole catalog family, feeds every amplitude gate.
+    S holds the members whose two embeddings lock, filtered to a linearly
+    independent set; chi, c and xi are counted on it.  `thresholds` records
+    exactly the keys of RECORD_KEYS.  A column too large for float64
+    arithmetic, in its spread or its fit, is a ValueError that names it.
     """
+    members = resolve_catalog(catalog)
+    missing = [col for name, _ in members for col in (f"{name}_1", f"{name}_2")
+               if col not in trajectory.names]
+    if missing:
+        raise ConfigError(f"trajectory lacks catalog columns: {', '.join(missing)}")
     times = trajectory.times
     window, mask = analysis_window(times, window)
     series = {f"{name}_{k}": trajectory.column(f"{name}_{k}")
-              for name, _ in catalog for k in (1, 2)}
+              for name, _ in members for k in (1, 2)}
     scale = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for col, y in series.items():
@@ -457,7 +514,7 @@ def build_sync_report(
 
     pairs = {}
     synced = []
-    for name, op in catalog:
+    for name, op in members:
         fit1, fit2 = fit(f"{name}_1"), fit(f"{name}_2")
         verdict = classify_pair(fit1, fit2, thresholds)
         pairs[name] = {**asdict(verdict), "fit_1": asdict(fit1), "fit_2": asdict(fit2)}
@@ -477,6 +534,9 @@ def build_sync_report(
             "signal_scale": scale,
             **asdict(thresholds),
             **FIXED_THRESHOLDS,
-            **(notes or {}),
+            "catalog": catalog,
+            # truncated continuous-variable catalogs only bound the true
+            # synchronized-set cardinality from below
+            "chi_lower_bound_only": catalog.startswith("moments:"),
         },
     }

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import contextlib
 import csv
@@ -36,7 +37,7 @@ from qsync.cli import (
 )
 from qsync.lindblad import ABS_TOL, REL_TOL, evolve, propagate_dense
 from qsync.models import MODELS, PRESET_NAMES, PRESETS
-from qsync.syncmeter import AnalysisThresholds
+from qsync.syncmeter import AnalysisThresholds, build_sync_report
 
 # a fast scenario: collective-decay qubit pair with a weak drive, run long
 # enough that the late window sees the slow locked precession
@@ -533,6 +534,18 @@ class TestRunAnalyze:
         on_disk = json.loads((tmp_path / "reanalysis" / "report.json").read_text())
         original = json.loads((outdir / "report.json").read_text())
         assert on_disk == original
+
+    def test_library_route_writes_the_cli_record(self, run_dir):
+        # build_sync_report on a fresh trajectory and the model's catalog spec
+        # writes the analysis fields of the run's report.json, `thresholds` too
+        outdir, _ = run_dir
+        cfg = scenario_from_mapping(parse_config_text(FAST_SCENARIO))
+        model, rho0 = cfg.build()
+        fields = build_sync_report(evolve(model, rho0, cfg.t_end, cfg.sample_dt),
+                                   model.catalog, cfg.window, cfg.thresholds)
+        assert set(fields) == {"pairs", "synchronized_set", "chi", "c", "xi", "thresholds"}
+        on_disk = json.loads((outdir / "report.json").read_text())
+        assert json.loads(json.dumps(fields)) == {key: on_disk[key] for key in fields}
 
     def test_synthetic_two_column_csv_in_phase(self, tmp_path):
         t = np.arange(0.0, 60.0, 0.05)
@@ -1108,6 +1121,18 @@ class TestImportFootprint:
         assert done.returncode == 0, done.stderr
 
 
+def test_sources_parse_at_the_oldest_supported_python():
+    # the syntax side of pyproject.toml's requires-python: `except*` (3.11)
+    # and PEP 695 type parameters (3.12) fail to parse at 3.10
+    root = Path(qsync.cli.__file__).resolve().parents[2]
+    pyproject = (root / "pyproject.toml").read_text()
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
+    sources = sorted(Path(qsync.cli.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, minor))
+
+
 class TestMainEntry:
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
@@ -1327,7 +1352,8 @@ run.sample_dt = 0.125
                    "--window", "40:400", "--out", str(tmp_path / "re")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err == f"error: analysis.{flag[2:].replace('-', '_')} must be >= 0, got -0.5\n"
+        assert err == (f"error: key '{flag}': {flag[2:].replace('-', '_')} must be >= 0, "
+                       "got -0.5\n")
         assert not (tmp_path / "re" / "report.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1553,13 +1579,14 @@ run.sample_dt = 0.125
         assert (record["window"], record["tol_freq"], record["tol_phase"]) == ([2.0, 12.0],
                                                                                0.5, 0.2)
 
+    # a message that ends in a newline pins the whole line
     @pytest.mark.parametrize("key, value, message", [
         ("window", [300.0, 40.0], "key 'thresholds.window': window must have T1 > T0"),
         ("window", [40.0], "key 'thresholds.window': window must be 'T0:T1'"),
         ("window", ["40", 400.0], "key 'thresholds.window': cannot parse '\"40\"'"),
         ("tol_freq", "0.01", "key 'thresholds.tol_freq': cannot parse '\"0.01\"'"),
         ("tol_freq", True, "key 'thresholds.tol_freq': cannot parse 'true'"),
-        ("tol_freq", -0.01, "analysis.tol_freq must be >= 0"),
+        ("tol_freq", -0.01, "key 'thresholds.tol_freq': tol_freq must be >= 0, got -0.01\n"),
         ("tol_freq", float("nan"), "key 'thresholds.tol_freq': 'NaN' is not a finite number"),
         ("tol_phase", True, "key 'thresholds.tol_phase' records true, which this version "
                             "fixes at 0.2"),

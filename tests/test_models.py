@@ -12,9 +12,9 @@ from qsync.models import (
     build_reduced_qubit,
     build_vdp,
     cavity_mode_matrix,
-    moment_catalog,
 )
 from qsync.opalg import DensityMatrix, embed, expectation, pauli
+from qsync.syncmeter import moment_catalog
 
 
 def fig2a_params(**overrides):

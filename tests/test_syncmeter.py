@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qsync.lindblad import Trajectory
-from qsync.models import mari_measure, moment_catalog, pauli_catalog, s_c_extras
+from qsync.models import mari_measure, s_c_extras
 from qsync.opalg import DensityMatrix, SpaceLayout, mutual_information, pauli
 from qsync.syncmeter import (
     RECORD_KEYS,
+    ConfigError,
     OscillationFit,
     _ProjectedObjective,
     build_sync_report,
@@ -16,6 +17,9 @@ from qsync.syncmeter import (
     degree_of_quantumness,
     fit_oscillation,
     independent_subset,
+    moment_catalog,
+    pauli_catalog,
+    resolve_catalog,
     wrap_phase,
 )
 
@@ -174,11 +178,10 @@ def trajectory(times, columns):
 
 class TestSynchronizedSet:
     # the synchronized set as build_sync_report's dict records it
-    def make_traj(self, synced_names, freq=1.2, n=2000, dt=0.02):
+    def make_traj(self, synced_names, catalog="pauli", freq=1.2, n=2000, dt=0.02):
         t = np.arange(n) * dt
         cols = {}
-        rng = np.random.default_rng(5)
-        for name, _ in pauli_catalog():
+        for name, _ in resolve_catalog(catalog):
             if name in synced_names:
                 cols[f"{name}_1"] = 0.5 * np.cos(freq * t + 0.3)
                 cols[f"{name}_2"] = 0.4 * np.cos(freq * t + 0.3 + math.pi)
@@ -190,39 +193,40 @@ class TestSynchronizedSet:
 
     def test_all_pauli_synced(self):
         traj = self.make_traj({"sigma_x", "sigma_y", "sigma_z"})
-        res = build_sync_report(traj, pauli_catalog(), (0.0, 39.0))
+        res = build_sync_report(traj, "pauli", (0.0, 39.0))
         assert res["synchronized_set"] == ["sigma_x", "sigma_y", "sigma_z"]
 
     def test_partial_sync(self):
         traj = self.make_traj({"sigma_x", "sigma_y"})
-        res = build_sync_report(traj, pauli_catalog(), (0.0, 39.0))
+        res = build_sync_report(traj, "pauli", (0.0, 39.0))
         assert res["synchronized_set"] == ["sigma_x", "sigma_y"]
         assert not res["pairs"]["sigma_z"]["synced"]
 
     def test_duplicate_operator_removed_by_rank_filter(self):
-        catalog = [("sigma_x", pauli("x")), ("sigma_x_copy", pauli("x")),
-                   ("sigma_y", pauli("y"))]
-        t = np.arange(2000) * 0.02
-        wave = np.cos(1.2 * t)
-        cols = {}
-        for name, _ in catalog:
-            cols[f"{name}_1"] = wave
-            cols[f"{name}_2"] = 0.7 * wave
-        traj = trajectory(t, cols)
-        res = build_sync_report(traj, catalog, (0.0, 39.0))
-        assert res["synchronized_set"] == ["sigma_x", "sigma_y"]
+        # on two levels x2 = p2 = I/2: both pairs lock, and only the first is independent
+        members = dict(moment_catalog(2))
+        assert np.array_equal(members["x2"].matrix, members["p2"].matrix)
+        traj = self.make_traj({"x2", "p2"}, "moments:2")
+        res = build_sync_report(traj, "moments:2", (0.0, 39.0))
+        assert res["pairs"]["x2"]["synced"] and res["pairs"]["p2"]["synced"]
+        assert res["synchronized_set"] == ["x2"]
 
     def test_record_keys_are_the_ones_written(self):
-        # a re-analysis refuses any `thresholds` key outside RECORD_KEYS and the notes
-        traj = self.make_traj({"sigma_x"})
-        res = build_sync_report(traj, pauli_catalog(), (0.0, 39.0), notes={"note": 1})
-        assert set(res["thresholds"]) == RECORD_KEYS | {"note"}
+        # a re-analysis refuses any `thresholds` key outside RECORD_KEYS
+        for catalog, synced, lower_bound_only in [("pauli", {"sigma_x"}, False),
+                                                  ("moments:2", {"x"}, True)]:
+            res = build_sync_report(self.make_traj(synced, catalog), catalog, (0.0, 39.0))
+            assert set(res["thresholds"]) == RECORD_KEYS
+            assert res["thresholds"]["catalog"] == catalog
+            assert res["thresholds"]["chi_lower_bound_only"] is lower_bound_only
 
     def test_missing_column_raises(self):
         t = np.arange(2000) * 0.02
         traj = trajectory(t, {"sigma_x_1": np.cos(t)})
-        with pytest.raises(KeyError):
-            build_sync_report(traj, pauli_catalog(), (0.0, 39.0))
+        with pytest.raises(ConfigError, match=re.escape(
+                "trajectory lacks catalog columns: sigma_x_2, sigma_y_1, sigma_y_2, "
+                "sigma_z_1, sigma_z_2")):
+            build_sync_report(traj, "pauli", (0.0, 39.0))
 
 
 class TestDegreeOfQuantumness:
